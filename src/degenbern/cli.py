@@ -20,6 +20,7 @@ from concurrent.futures import ThreadPoolExecutor
 from . import __version__, bernoulli
 from .scalars import (
     DomainError,
+    EvaluatedDomain,
     Rational,
     domain_from_string,
     scalar_to_json,
@@ -373,7 +374,14 @@ def run_classical(args, command: list[str]) -> tuple[dict, int]:
 
 
 def run_verify(args, command: list[str]) -> tuple[dict, int]:
-    domain = domain_from_string(args.lam)
+    suite = args.suite
+    if suite in ("eq41", "eq42"):
+        # the classical derivative expansions exist at lambda = 0 only
+        domain = EvaluatedDomain(0)
+        if args.lam is not None and domain_from_string(args.lam) != domain:
+            raise CLIError(f"the {suite} suite is computed at lambda = 0 only")
+    else:
+        domain = domain_from_string("sym" if args.lam is None else args.lam)
     max_N = args.max_N
     if max_N < 1:
         raise CLIError("--max-N must be at least 1")
@@ -383,7 +391,6 @@ def run_verify(args, command: list[str]) -> tuple[dict, int]:
     order = args.order if args.order is not None else 2 * max_N + 8
     if order < 2:
         raise CLIError("--order must be at least 2")
-    suite = args.suite
     if suite == "all":
         reports = verify_all(
             N_max=max_N, n_max=max_N, order=order, domain=domain, max_j=max_j
@@ -525,7 +532,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_v.add_argument("--max-j", dest="max_j", type=int, default=8)
     p_v.add_argument("--order", type=int, default=None)
     _add_common(p_v)
-    p_v.set_defaults(runner=run_verify)
+    # lam None means --lambda was not given: symbolic, or 0 for eq41/eq42
+    p_v.set_defaults(runner=run_verify, lam=None)
 
     return parser
 

@@ -132,12 +132,29 @@ def test_error_exit_codes():
     )
     assert run_cli(["verify", "--suite", "nope"], check=False).returncode == 2
     assert run_cli(["b", "--max-n", "3", "--lambda", "2/4/6"], check=False).returncode == 2
+    assert run_cli(["b", "--max-n", "3", "--lambda", "1/0"], check=False).returncode == 2
 
 
 def test_error_messages_on_stderr():
-    proc = run_cli(["b", "--max-n", "3", "--lambda", "0"], check=False)
-    assert proc.stdout == ""
-    assert proc.stderr.startswith("error:")
+    for argv in (["b", "--max-n", "3", "--lambda", "0"],
+                 ["b", "--max-n", "3", "--lambda", "1/0"]):
+        proc = run_cli(argv, check=False)
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error:")
+        assert proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("suite", ["eq41", "eq42"])
+def test_lambda_zero_suites_record_lambda_zero(suite):
+    for lam in ([], ["--lambda", "0"]):
+        doc = json.loads(run_cli(["verify", "--suite", suite, "--max-N", "2", *lam]).stdout)
+        assert doc["lambda"] == "0"
+        assert all(r["parameters"]["lambda"] == "0" for r in doc["payload"]["reports"])
+    for lam in ("1/2", "sym"):
+        proc = run_cli(["verify", "--suite", suite, "--max-N", "2", "--lambda", lam], check=False)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
 
 
 def test_a_at_lambda_zero_skips_falling_with_note():
