@@ -18,6 +18,7 @@ from .scalars import Domain, DomainError, Rational, Scalar, poly_eval, SYMBOLIC
 from .series import (
     classical_log_over_t_series,
     degenerate_log_over_t_series,
+    require_deformed,
 )
 from .combinatorics import (
     binomial,
@@ -31,6 +32,8 @@ from .ode_coeffs import CoeffTable, coeff_triangle
 MULTINOMIAL_CAP = 24
 
 EXPLICIT_FORMS = ("a_form", "stirling_form", "falling_form")
+
+_ROUTE = "a second-kind Bernoulli route"
 
 
 @dataclass(frozen=True)
@@ -53,18 +56,10 @@ class BernoulliRow:
         return self.values[n]
 
 
-def _require_deformed(domain: Domain):
-    if not domain.is_symbolic and not domain.lam:
-        raise DomainError(
-            "second-kind Bernoulli routes are undefined at λ = 0; "
-            "use classical_row for the limit values"
-        )
-
-
 def row_via_series(n_max: int, domain: Domain) -> BernoulliRow:
     """n! times the coefficients of the reciprocal of the deformed
     log-over-t series.  This is the reference route."""
-    _require_deformed(domain)
+    require_deformed(domain, _ROUTE)
     body = degenerate_log_over_t_series(domain, n_max + 1).reciprocal()
     values = tuple(body[n] * math.factorial(n) for n in range(n_max + 1))
     return BernoulliRow(domain, 1, "series", values)
@@ -75,7 +70,7 @@ def row_via_recurrence(n_max: int, domain: Domain) -> BernoulliRow:
 
     b_0 = 1,   b_n = - sum_{l<n} C(n,l) (λ-1)_(n-l) b_l / (n-l+1).
     """
-    _require_deformed(domain)
+    require_deformed(domain, _ROUTE)
     lam = domain.lam
     fall = [domain.one]
     for m in range(1, n_max + 1):
@@ -95,35 +90,10 @@ def value_via_multinomial(n: int, domain: Domain) -> Scalar:
     Expanding the reciprocal geometrically gives, for each composition
     (m_1..m_k) of n into positive parts, the term
     (-1)^k n! prod_j (λ-1)_(m_j) / ((m_j + 1) m_j!).
-    The walk visits every composition leaf once with an accumulated
-    product; cost is Theta(2^n), capped to keep the CLI honest.
+    Value n of :func:`row_via_multinomial`; cost is Theta(2^n), capped to
+    keep the CLI honest.
     """
-    _require_deformed(domain)
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if n > MULTINOMIAL_CAP:
-        raise ValueError(
-            f"multinomial route is exponential; n = {n} exceeds the cap "
-            f"of {MULTINOMIAL_CAP}"
-        )
-    lam = domain.lam
-    # weights[m] = -(λ-1)_m / ((m+1) m!); the sign folds in (-1)^k
-    weights = [None]
-    fall = domain.one
-    for m in range(1, n + 1):
-        fall = fall * (lam - m)
-        weights.append(fall * Rational(-1, (m + 1) * math.factorial(m)))
-    bucket = [domain.zero]
-
-    def walk(remaining: int, acc):
-        if remaining == 0:
-            bucket[0] = bucket[0] + acc
-            return
-        for m in range(1, remaining + 1):
-            walk(remaining - m, acc * weights[m])
-
-    walk(n, domain.one)
-    return domain.coerce(bucket[0] * math.factorial(n))
+    return row_via_multinomial(n, domain).values[n]
 
 
 def row_via_multinomial(n_max: int, domain: Domain) -> BernoulliRow:
@@ -134,7 +104,7 @@ def row_via_multinomial(n_max: int, domain: Domain) -> BernoulliRow:
     of each n exactly once and banks its product at the node, instead of
     growing a separate tree per n.
     """
-    _require_deformed(domain)
+    require_deformed(domain, _ROUTE)
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     if n_max > MULTINOMIAL_CAP:
@@ -143,6 +113,7 @@ def row_via_multinomial(n_max: int, domain: Domain) -> BernoulliRow:
             f"of {MULTINOMIAL_CAP}"
         )
     lam = domain.lam
+    # weights[m] = -(λ-1)_m / ((m+1) m!); the sign folds in (-1)^k
     weights = [None]
     fall = domain.one
     for m in range(1, n_max + 1):
@@ -170,7 +141,7 @@ def value_via_explicit(n: int, domain: Domain, form: str = "a_form") -> Scalar:
     values; form "falling_form" unwinds everything into alternating
     falling-factorial sums with a verified λ-power shift.
     """
-    _require_deformed(domain)
+    require_deformed(domain, _ROUTE)
     if n < 1:
         raise ValueError("explicit forms start at n = 1")
     if form == "a_form":
@@ -183,7 +154,7 @@ def value_via_explicit(n: int, domain: Domain, form: str = "a_form") -> Scalar:
 
 
 def row_via_explicit(n_max: int, domain: Domain, form: str = "a_form") -> BernoulliRow:
-    _require_deformed(domain)
+    require_deformed(domain, _ROUTE)
     table = coeff_triangle(n_max, domain) if form == "a_form" else None
     values: list[Scalar] = [domain.one]
     for n in range(1, n_max + 1):
@@ -237,7 +208,7 @@ def _explicit_stirling_form(n: int, domain: Domain) -> Scalar:
 
 def _explicit_falling_form(n: int, domain: Domain) -> Scalar:
     lam = domain.lam
-    if not domain.is_symbolic and not lam:
+    if domain.lam_is_zero:
         raise DomainError("falling form divides by λ powers; no value at λ = 0")
     total = _deformed_one_falling(domain, n + 1) / (n + 1)
     if n % 2:
@@ -265,7 +236,7 @@ def _explicit_falling_form(n: int, domain: Domain) -> Scalar:
 def row_higher_order(r: int, n_max: int, domain: Domain) -> BernoulliRow:
     """Values of order r: n! times the coefficients of the r-th power of
     the reciprocal deformed log-over-t series."""
-    _require_deformed(domain)
+    require_deformed(domain, _ROUTE)
     if r < 1:
         raise ValueError("order r must be >= 1")
     body = degenerate_log_over_t_series(domain, n_max + 1).reciprocal() ** r
@@ -276,7 +247,7 @@ def row_higher_order(r: int, n_max: int, domain: Domain) -> BernoulliRow:
 def convolution_row(r: int, n_max: int, domain: Domain) -> BernoulliRow:
     """Order-r values as the r-fold binomial convolution of the order-1
     row; independent cross-check for :func:`row_higher_order`."""
-    _require_deformed(domain)
+    require_deformed(domain, _ROUTE)
     if r < 1:
         raise ValueError("order r must be >= 1")
     base = row_via_recurrence(n_max, domain).values

@@ -2,10 +2,8 @@
 verification runs.
 
 Every command emits a single OutputDocument.  Documents are
-byte-deterministic: dict insertion order is fixed by construction, no
-timestamps or environment data are included, and parallel execution
-(--threads) only distributes pure computations whose results are
-reassembled in input order.
+byte-deterministic: dict insertion order is fixed by construction, and
+no timestamps or environment data are included.
 """
 
 from __future__ import annotations
@@ -15,7 +13,6 @@ import csv
 import io
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import __version__, bernoulli
 from .scalars import (
@@ -37,31 +34,11 @@ from .ode_coeffs import (
     coeff_explicit_stirling,
     coeff_triangle,
 )
-from .verify import (
-    HigherOrderContext,
-    verify_all,
-    verify_classical_derivative,
-    verify_convolution,
-    verify_higher_order,
-    verify_ode,
-    verify_singular,
-)
+from .verify import SUITES, suite_reports, verify_all
 
 
 class CLIError(Exception):
     """Flag combinations the library cannot honor."""
-
-
-MULTINOMIAL_CAP = bernoulli.MULTINOMIAL_CAP
-
-
-def ordered_map(fn, items, threads: int):
-    """Map preserving input order; threads > 1 distributes the calls."""
-    items = list(items)
-    if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 # ---------------------------------------------------------------------------
@@ -206,9 +183,9 @@ def run_b(args, command: list[str]) -> tuple[dict, int]:
             )
         names = ["series"] if route == "series" else ["series", "convolution"]
     else:
-        if route in ("multinomial", "all") and max_n > MULTINOMIAL_CAP:
+        if route in ("multinomial", "all") and max_n > bernoulli.MULTINOMIAL_CAP:
             raise CLIError(
-                f"the multinomial route is capped at n <= {MULTINOMIAL_CAP}; "
+                f"the multinomial route is capped at n <= {bernoulli.MULTINOMIAL_CAP}; "
                 "pick an explicit --route for larger tables"
             )
         if route == "all":
@@ -229,7 +206,7 @@ def run_b(args, command: list[str]) -> tuple[dict, int]:
             return bernoulli.row_via_multinomial(max_n, domain).values
         return bernoulli.row_via_explicit(max_n, domain, "a_form").values
 
-    columns_values = ordered_map(compute, names, args.threads)
+    columns_values = [compute(name) for name in names]
     with_agree = len(names) > 1
     columns = ["n"] + names + (["agree"] if with_agree else [])
     rows = []
@@ -259,8 +236,7 @@ def run_a(args, command: list[str]) -> tuple[dict, int]:
     if max_N < 1:
         raise CLIError("--max-N must be at least 1")
     route = args.route
-    lam_is_zero = (not domain.is_symbolic) and not domain.lam
-    if route == "falling" and lam_is_zero:
+    if route == "falling" and domain.lam_is_zero:
         raise CLIError("the falling-factorial route is undefined at lambda = 0")
     table = coeff_triangle(max_N, domain)
 
@@ -272,7 +248,7 @@ def run_a(args, command: list[str]) -> tuple[dict, int]:
         return coeff_explicit_stirling(i, N, domain)
 
     compare_routes = ["recurrence", "stirling"]
-    if route == "all" and not lam_is_zero:
+    if route == "all" and not domain.lam_is_zero:
         compare_routes.append("falling")
     shown = "recurrence" if route == "all" else route
     with_agree = route == "all"
@@ -294,7 +270,7 @@ def run_a(args, command: list[str]) -> tuple[dict, int]:
             row.append(agree)
         return row
 
-    rows = ordered_map(build_row, range(1, max_N + 1), args.threads)
+    rows = [build_row(N) for N in range(1, max_N + 1)]
     columns = ["N"] + [f"i={i}" for i in range(max_N + 1)]
     if with_agree:
         columns.append("agree")
@@ -306,7 +282,7 @@ def run_a(args, command: list[str]) -> tuple[dict, int]:
     }
     if with_agree:
         payload["all_agree"] = all(row[-1] for row in rows)
-        if lam_is_zero:
+        if domain.lam_is_zero:
             payload["notes"] = [
                 "falling route skipped: undefined at lambda = 0"
             ]
@@ -337,7 +313,7 @@ def run_stirling(args, command: list[str]) -> tuple[dict, int]:
             cell(n, k) if k <= n else None for k in range(max_n + 1)
         ]
 
-    rows = ordered_map(build_row, range(max_n + 1), args.threads)
+    rows = [build_row(n) for n in range(max_n + 1)]
     payload = {
         "kind": f"stirling_{kind.replace('-', '_')}",
         "columns": ["n"] + [f"k={k}" for k in range(max_n + 1)],
@@ -351,12 +327,7 @@ def run_classical(args, command: list[str]) -> tuple[dict, int]:
     max_n = args.max_n
     if max_n < 0:
         raise CLIError("--max-n must be nonnegative")
-    routes = ["limit", "stirling"]
-    values = ordered_map(
-        lambda r: bernoulli.classical_row(max_n, route=r),
-        routes,
-        args.threads,
-    )
+    values = [bernoulli.classical_row(max_n, route=r) for r in ("limit", "stirling")]
     rows = []
     all_agree = True
     for n in range(max_n + 1):
@@ -396,46 +367,9 @@ def run_verify(args, command: list[str]) -> tuple[dict, int]:
             N_max=max_N, n_max=max_N, order=order, domain=domain, max_j=max_j
         )
     else:
-        closures = []
-        if suite == "ode":
-            coeffs = coeff_triangle(max_N, domain)
-            closures = [
-                (lambda N=N: verify_ode(N, order, domain, coeffs))
-                for N in range(1, max_N + 1)
-            ]
-        elif suite == "cor34":
-            coeffs = coeff_triangle(max_N, domain)
-            closures = [
-                (lambda n=n: verify_convolution(n, domain, coeffs))
-                for n in range(1, max_N + 1)
-            ]
-        elif suite == "eq41":
-            closures = [
-                (lambda N=N: verify_classical_derivative(N, order, "eq41"))
-                for N in range(1, max_N + 1)
-            ]
-        elif suite == "eq42":
-            closures = [
-                (lambda n=n: verify_classical_derivative(n, order, "eq42"))
-                for n in range(1, max_N + 1)
-            ]
-        elif suite == "thm41":
-            ctx = HigherOrderContext(domain, max_N, max_j + max_N)
-            closures = [
-                (lambda j=j, N=N: verify_higher_order(j, N, domain, ctx))
-                for N in range(1, max_N + 1)
-                for j in range(max_j + 1)
-            ]
-        elif suite == "cor42":
-            if max_N < 2:
-                raise CLIError("the singular-part suite needs --max-N >= 2")
-            ctx = HigherOrderContext(domain, max_N, max_N - 1)
-            closures = [
-                (lambda j=j, N=N: verify_singular(j, N, domain, ctx))
-                for N in range(2, max_N + 1)
-                for j in range(-(N - 1), 0)
-            ]
-        reports = ordered_map(lambda fn: fn(), closures, args.threads)
+        if suite == "cor42" and max_N < 2:
+            raise CLIError("the singular-part suite needs --max-N >= 2")
+        reports = suite_reports((suite,), domain, max_N, max_N, order, max_j)
     all_pass = all(r.passed for r in reports)
     payload = {
         "kind": "verification",
@@ -464,12 +398,6 @@ def _add_common(p: argparse.ArgumentParser, with_lambda: bool = True) -> None:
         choices=("json", "csv", "latex"),
         default="json",
         help="output format (default json)",
-    )
-    p.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="worker threads for independent cells/reports (default 1)",
     )
 
 
@@ -525,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_v = sub.add_parser("verify", help="identity verification suites")
     p_v.add_argument(
         "--suite",
-        choices=("ode", "cor34", "eq41", "eq42", "thm41", "cor42", "all"),
+        choices=(*SUITES, "all"),
         default="all",
     )
     p_v.add_argument("--max-N", dest="max_N", type=int, default=8)
@@ -539,21 +467,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _logical_command(argv: list[str]) -> list[str]:
-    """The command echoed into documents: the query without execution
-    knobs, so outputs stay byte-identical across thread counts."""
-    out = []
-    skip = False
-    for token in argv:
-        if skip:
-            skip = False
-            continue
-        if token == "--threads":
-            skip = True
-            continue
-        if token.startswith("--threads="):
-            continue
-        out.append(token)
-    return out
+    """The command echoed into documents."""
+    return list(argv)
 
 
 def main(argv=None) -> int:

@@ -88,7 +88,7 @@ def coeff_explicit_falling(i: int, N: int, domain: Domain) -> Scalar:
     """
     _check_entry(i, N)
     lam = domain.lam
-    if not domain.is_symbolic and not lam:
+    if domain.lam_is_zero:
         raise DomainError(
             "the alternating-sum route divides by λ^i and has no value at "
             "λ = 0; use the recurrence or Stirling route there"

@@ -378,6 +378,12 @@ class Domain:
     def describe(self) -> str:
         raise NotImplementedError
 
+    @property
+    def lam_is_zero(self) -> bool:
+        """True for the evaluated domain at λ = 0, where the deformation
+        degenerates to the classical case."""
+        return not self.is_symbolic and not self.lam
+
 
 class SymbolicDomain(Domain):
     """Coefficients in Q[λ], λ kept symbolic."""

@@ -438,8 +438,8 @@ def degenerate_exp_series(domain: Domain, order: int) -> TruncatedSeries:
     return TruncatedSeries._raw(domain, tuple(coeffs))
 
 
-def _require_deformed(domain: Domain, what: str):
-    if not domain.is_symbolic and not domain.lam:
+def require_deformed(domain: Domain, what: str):
+    if domain.lam_is_zero:
         raise DomainError(
             f"{what} is undefined at λ = 0; classical values come from the "
             "dedicated classical routes or from evaluating symbolic results"
@@ -453,7 +453,7 @@ def degenerate_log_over_t_series(domain: Domain, order: int) -> TruncatedSeries:
     by λ cancels symbolically, so coefficients are polynomial in λ.
     The λ = 0 point is excluded by definition of the deformation.
     """
-    _require_deformed(domain, "the deformed logarithm series")
+    require_deformed(domain, "the deformed logarithm series")
     lam = domain.lam
     coeffs = []
     acc = domain.one

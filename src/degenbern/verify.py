@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .scalars import (
     Domain,
@@ -149,6 +150,11 @@ def verify_convolution(
         = c_{n-j}(n) - n! w_j,
 
     with weights w_m = (1)(1-λ)...(1-(m-1)λ)/m!.
+
+    Of row n of the table the check sees entries 1..n-1 only: entry
+    (0, n) enters both sides with weight 1 and cancels, and (n, n) is
+    never read, so a table wrong at either still passes (for n = 1, all
+    of row 1).  Row n-1 is read in full.
     """
     if n < 1:
         raise ValueError("the convolution identity starts at n = 1")
@@ -376,7 +382,7 @@ def verify_route_agreement_a(N_max: int, domain: Domain = SYMBOLIC) -> IdentityR
     """All entry routes of the coefficient triangle agree with the
     recurrence reference."""
     table = coeff_triangle(N_max, domain)
-    skip_falling = (not domain.is_symbolic) and not domain.lam
+    skip_falling = domain.lam_is_zero
     ok = True
     witness = None
     for N in range(1, N_max + 1):
@@ -532,7 +538,7 @@ def verify_route_agreement_stirling(
                 break
         if not ok:
             break
-    skip_gf_scaled = (not domain.is_symbolic) and not domain.lam
+    skip_gf_scaled = domain.lam_is_zero
     if ok and not skip_gf_scaled:
         for N in range(n_max + 1):
             for k in range(N + 1):
@@ -600,7 +606,76 @@ def verify_stirling_limit(n_max: int) -> IdentityReport:
 
 
 # ---------------------------------------------------------------------------
-# the whole battery
+# the identity suites and the whole battery
+
+
+@dataclass
+class _SuiteRun:
+    """Parameters of one run of the identity suites, plus the tables the
+    suites share.  Each table is built on first use, sized for every
+    suite in ``suites``."""
+
+    suites: tuple
+    domain: Domain
+    N_max: int
+    n_max: int
+    order: int
+    max_j: int
+
+    @cached_property
+    def coeffs(self) -> CoeffTable:
+        top = {"ode": self.N_max, "cor34": self.n_max}
+        size = max(top[s] for s in self.suites if s in top)
+        return coeff_triangle(size, self.domain)
+
+    @cached_property
+    def ctx(self) -> HigherOrderContext:
+        top = {"thm41": self.max_j + self.N_max, "cor42": self.N_max - 1}
+        size = max(top[s] for s in self.suites if s in top)
+        return HigherOrderContext(self.domain, self.N_max, size)
+
+
+# suite token -> the reports of its family, in order; verifiers are
+# looked up by module-global name at call time so rebinding one (for
+# tracing or in a test) reaches every suite
+SUITES = {
+    "ode": lambda run: [
+        verify_ode(N, run.order, run.domain, run.coeffs)
+        for N in range(1, run.N_max + 1)
+    ],
+    "cor34": lambda run: [
+        verify_convolution(n, run.domain, run.coeffs)
+        for n in range(1, run.n_max + 1)
+    ],
+    "eq41": lambda run: [
+        verify_classical_derivative(N, run.order, "eq41")
+        for N in range(1, run.N_max + 1)
+    ],
+    "eq42": lambda run: [
+        verify_classical_derivative(n, run.order, "eq42")
+        for n in range(1, run.n_max + 1)
+    ],
+    "thm41": lambda run: [
+        verify_higher_order(j, N, run.domain, run.ctx)
+        for N in range(1, run.N_max + 1)
+        for j in range(run.max_j + 1)
+    ],
+    "cor42": lambda run: [
+        verify_singular(j, N, run.domain, run.ctx)
+        for N in range(2, run.N_max + 1)
+        for j in range(-(N - 1), 0)
+    ],
+}
+
+
+def suite_reports(
+    suites, domain: Domain, N_max: int, n_max: int, order: int, max_j: int
+) -> list[IdentityReport]:
+    """Reports of the named identity suites, in the order named.  N_max
+    bounds the ode, eq41, thm41 and cor42 families, n_max the cor34 and
+    eq42 ones."""
+    run = _SuiteRun(tuple(suites), domain, N_max, n_max, order, max_j)
+    return [report for suite in run.suites for report in SUITES[suite](run)]
 
 
 def verify_all(
@@ -612,25 +687,11 @@ def verify_all(
 ) -> list[IdentityReport]:
     """Run every identity family and agreement suite; deterministic
     report order.  ``order`` defaults to 2 max(N_max, n_max) + 8."""
+    if N_max < 1:
+        raise ValueError("need N_max >= 1")
     if order is None:
         order = 2 * max(N_max, n_max) + 8
-    reports: list[IdentityReport] = []
-    coeffs = coeff_triangle(max(N_max, n_max), domain)
-    for N in range(1, N_max + 1):
-        reports.append(verify_ode(N, order, domain, coeffs))
-    for n in range(1, n_max + 1):
-        reports.append(verify_convolution(n, domain, coeffs))
-    for N in range(1, N_max + 1):
-        reports.append(verify_classical_derivative(N, order, "eq41"))
-    for n in range(1, n_max + 1):
-        reports.append(verify_classical_derivative(n, order, "eq42"))
-    ctx = HigherOrderContext(domain, N_max, max_j + N_max)
-    for N in range(1, N_max + 1):
-        for j in range(max_j + 1):
-            reports.append(verify_higher_order(j, N, domain, ctx))
-    for N in range(2, N_max + 1):
-        for j in range(-(N - 1), 0):
-            reports.append(verify_singular(j, N, domain, ctx))
+    reports = suite_reports(SUITES, domain, N_max, n_max, order, max_j)
     reports.append(verify_route_agreement_a(min(N_max, 10), domain))
     reports.append(verify_route_agreement_b(min(n_max, 12), domain))
     reports.append(verify_route_agreement_bell(min(n_max, 10)))

@@ -1,5 +1,5 @@
 """CLI front end: golden files, format agreement, determinism across
-runs and thread counts, and the exit-code contract."""
+runs, and the exit-code contract."""
 
 import csv
 import io
@@ -62,15 +62,6 @@ def test_repeated_runs_are_byte_identical():
     assert run_cli(argv).stdout == run_cli(argv).stdout
 
 
-def test_thread_count_does_not_change_bytes():
-    base = ["verify", "--suite", "thm41", "--max-N", "3", "--max-j", "3"]
-    one = run_cli(base + ["--threads", "1"]).stdout
-    four = run_cli(base + ["--threads", "4"]).stdout
-    assert one == four
-    tbl = ["a", "--max-N", "5", "--route", "all", "--format", "csv"]
-    assert run_cli(tbl + ["--threads", "3"]).stdout == run_cli(tbl + ["--threads", "1"]).stdout
-
-
 def test_json_and_csv_agree_on_values():
     argv = ["b", "--max-n", "5", "--lambda", "sym", "--route", "all"]
     doc = json.loads(run_cli(argv + ["--format", "json"]).stdout)
@@ -106,40 +97,64 @@ def test_verify_exit_one_on_failure(monkeypatch, capsys):
             witness={"exponent": -2, "lhs": "1", "rhs": "0"},
         )
 
-    monkeypatch.setattr(cli, "verify_ode", fake)
+    monkeypatch.setattr("degenbern.verify.verify_ode", fake)
     code = cli.main(["verify", "--suite", "ode", "--max-N", "1"])
     out = capsys.readouterr().out
     assert code == 1
     assert json.loads(out)["payload"]["all_pass"] is False
 
 
-def test_error_exit_codes():
-    assert run_cli(["b", "--max-n", "3", "--lambda", "0"], check=False).returncode == 2
-    assert (
-        run_cli(["b", "--max-n", "30", "--route", "multinomial"], check=False).returncode
-        == 2
-    )
-    assert (
-        run_cli(
-            ["b", "--max-n", "3", "--order-r", "2", "--route", "recurrence"],
-            check=False,
-        ).returncode
-        == 2
-    )
-    assert (
-        run_cli(["a", "--max-N", "3", "--lambda", "0", "--route", "falling"], check=False).returncode
-        == 2
-    )
-    assert run_cli(["verify", "--suite", "nope"], check=False).returncode == 2
-    assert run_cli(["b", "--max-n", "3", "--lambda", "2/4/6"], check=False).returncode == 2
-    assert run_cli(["b", "--max-n", "3", "--lambda", "1/0"], check=False).returncode == 2
+# (argv, runtime): a runtime error is reported by the program itself as
+# one "error:" line; the others are argparse usage errors
+ERROR_CASES = [
+    (["b", "--max-n", "3", "--lambda", "abc"], True),
+    (["b", "--max-n", "3", "--lambda", "1/2/3"], True),
+    (["b", "--max-n", "3", "--lambda", "2/4/6"], True),
+    (["b", "--max-n", "3", "--lambda", "1/0"], True),
+    (["b", "--max-n", "3", "--lambda", "0"], True),
+    (["b", "--max-n", "3", "--lambda", "0", "--order-r", "2"], True),
+    (["b", "--max-n", "-1"], True),
+    (["b", "--max-n", "3", "--order-r", "0"], True),
+    (["b", "--max-n", "30", "--route", "multinomial"], True),
+    (["b", "--max-n", "3", "--order-r", "2", "--route", "recurrence"], True),
+    (["a", "--max-N", "3", "--lambda", "abc"], True),
+    (["a", "--max-N", "3", "--lambda", "1/2/3"], True),
+    (["a", "--max-N", "3", "--lambda", "1/0"], True),
+    (["a", "--max-N", "3", "--lambda", "0", "--route", "falling"], True),
+    (["a", "--max-N", "0"], True),
+    (["a", "--max-N", "-2"], True),
+    (["stirling", "--kind", "first", "--max-n", "-1"], True),
+    (["stirling", "--kind", "deg2", "--max-n", "-1"], True),
+    (["stirling", "--kind", "scaled-deg2", "--max-n", "-1"], True),
+    (["classical", "--max-n", "-1"], True),
+    (["verify", "--suite", "ode", "--lambda", "abc"], True),
+    (["verify", "--suite", "thm41", "--lambda", "1/2/3"], True),
+    (["verify", "--suite", "cor34", "--lambda", "1/0"], True),
+    (["verify", "--suite", "ode", "--max-N", "2", "--lambda", "0"], True),
+    (["verify", "--suite", "thm41", "--max-N", "2", "--lambda", "0"], True),
+    (["verify", "--max-N", "0"], True),
+    (["verify", "--suite", "ode", "--max-N", "-1"], True),
+    (["verify", "--suite", "ode", "--order", "1"], True),
+    (["verify", "--suite", "thm41", "--max-j", "-1"], True),
+    (["verify", "--suite", "cor42", "--max-N", "1"], True),
+    (["verify", "--suite", "nope"], False),
+    (["b", "--max-n", "3", "--threads", "2"], False),
+    (["a", "--max-N", "3", "--threads", "2"], False),
+    (["stirling", "--kind", "first", "--max-n", "3", "--threads", "2"], False),
+    (["classical", "--max-n", "3", "--threads", "2"], False),
+    (["verify", "--suite", "ode", "--max-N", "2", "--threads", "2"], False),
+]
 
 
-def test_error_messages_on_stderr():
-    for argv in (["b", "--max-n", "3", "--lambda", "0"],
-                 ["b", "--max-n", "3", "--lambda", "1/0"]):
-        proc = run_cli(argv, check=False)
-        assert proc.stdout == ""
+@pytest.mark.parametrize(
+    "argv,runtime", ERROR_CASES, ids=[" ".join(argv) for argv, _ in ERROR_CASES]
+)
+def test_error_contract(argv, runtime):
+    proc = run_cli(argv, check=False)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    if runtime:
         assert proc.stderr.startswith("error:")
         assert proc.stderr.count("\n") == 1
 
@@ -177,9 +192,9 @@ def test_b_higher_order_all_agrees():
     assert doc["payload"]["all_agree"] is True
 
 
-def test_command_echo_omits_threads():
-    doc = json.loads(
-        run_cli(["classical", "--max-n", "3", "--threads", "2"]).stdout
-    )
-    assert doc["command"] == ["classical", "--max-n", "3"]
-    assert "--threads" not in doc["command"]
+def test_command_echo_is_argv():
+    argv = ["classical", "--max-n", "3", "--format", "json"]
+    assert json.loads(run_cli(argv).stdout)["command"] == argv
+    proc = run_cli(["classical", "--max-n", "3", "--threads", "2"], check=False)
+    assert proc.returncode == 2
+    assert proc.stdout == ""

@@ -83,6 +83,18 @@ def test_convolution_fault_injection():
     assert r.witness["lhs"] != r.witness["rhs"]
 
 
+@pytest.mark.parametrize("n", range(2, 7))
+def test_convolution_window(n):
+    seen = [(i, n) for i in range(1, n)] + [(i, n - 1) for i in range(n)]
+    for i, N in seen:
+        bad = corrupted_triangle(n, SYMBOLIC, i, N)
+        assert not verify_convolution(n, SYMBOLIC, bad).verdict
+    # the documented blind spot: (0, n) cancels and (n, n) is never read
+    for i in (0, n):
+        blind = corrupted_triangle(n, SYMBOLIC, i, n)
+        assert verify_convolution(n, SYMBOLIC, blind).verdict
+
+
 def test_classical_derivative_passes():
     for N in range(1, 7):
         assert verify_classical_derivative(N, 14, "eq41").verdict
