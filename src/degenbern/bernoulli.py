@@ -103,6 +103,22 @@ def row_via_multinomial(n_max: int, domain: Domain) -> BernoulliRow:
     running total, so a single depth-first walk visits each composition
     of each n exactly once and banks its product at the node, instead of
     growing a separate tree per n.
+
+    A part m has weight w_m = -(λ-1)_m / (m+1)!; the sign folds in
+    (-1)^k.  The walk multiplies integers (λ-polynomials with integer
+    coefficients in the symbolic domain) and divides once per value.
+    Write λ = p/q (p = λ, q = 1 symbolically) and let
+    num_m = (p-q)(p-2q)...(p-mq) = q^m (λ-1)_m, L_0 = 1 and
+    L_t = lcm over 1 <= m <= t of (m+1)! L_(t-m), the least common
+    denominator of 1 / prod_j (m_j+1)! over the compositions of t.  A
+    node at total t carries its product times the scale q^t L_t.  A
+    step by part m from total t multiplies by
+
+        step[t][m] = -num_m L_(t+m) / (L_t (m+1)!),
+
+    which is an integer because (m+1)! L_t is one of the terms whose lcm
+    is L_(t+m).  Bucket t is divided by q^t L_t and multiplied by t! at
+    the end.
     """
     require_deformed(domain, _ROUTE)
     if n_max < 0:
@@ -112,23 +128,39 @@ def row_via_multinomial(n_max: int, domain: Domain) -> BernoulliRow:
             f"multinomial route is exponential; n = {n_max} exceeds the cap "
             f"of {MULTINOMIAL_CAP}"
         )
-    lam = domain.lam
-    # weights[m] = -(λ-1)_m / ((m+1) m!); the sign folds in (-1)^k
-    weights = [None]
-    fall = domain.one
+    if domain.is_symbolic:
+        p, q, zero, one = domain.lam, 1, domain.zero, domain.one
+    else:
+        p, q, zero, one = domain.lam.numerator, domain.lam.denominator, 0, 1
+    fact = [math.factorial(m) for m in range(n_max + 2)]
+    scale = [1]
+    for t in range(1, n_max + 1):
+        scale.append(
+            math.lcm(*(fact[m + 1] * scale[t - m] for m in range(1, t + 1)))
+        )
+    num = [one]
     for m in range(1, n_max + 1):
-        fall = fall * (lam - m)
-        weights.append(fall * Rational(-1, (m + 1) * math.factorial(m)))
-    buckets = [domain.one] + [domain.zero] * n_max
-
-    def walk(total: int, acc) -> None:
-        for m in range(1, n_max - total + 1):
-            branch = acc * weights[m]
-            buckets[total + m] = buckets[total + m] + branch
-            walk(total + m, branch)
-
-    walk(0, domain.one)
-    values = tuple(buckets[n] * math.factorial(n) for n in range(n_max + 1))
+        num.append(num[-1] * (p - m * q))
+    # step[t][m - 1] for the parts m = 1..n_max-t
+    step = [
+        [num[m] * -(scale[t + m] // (scale[t] * fact[m + 1]))
+         for m in range(1, n_max - t + 1)]
+        for t in range(n_max)
+    ]
+    buckets = [one] + [zero] * n_max
+    # a node enters the stack only if it has children: total < n_max
+    stack = [(0, one)] if n_max else []
+    while stack:
+        total, acc = stack.pop()
+        for m, factor in enumerate(step[total], 1):
+            branch = acc * factor
+            buckets[total + m] += branch
+            if total + m < n_max:
+                stack.append((total + m, branch))
+    values = tuple(
+        domain.coerce(buckets[t] * Rational(fact[t], q**t * scale[t]))
+        for t in range(n_max + 1)
+    )
     return BernoulliRow(domain, 1, "multinomial", values)
 
 

@@ -41,10 +41,18 @@ def multinomial(n: int, parts: Sequence[int]) -> int:
 def falling_factorial(x, n: int):
     """x (x-1) (x-2) ... (x-n+1); empty product 1 for n = 0.
 
-    Works for any ring scalar: ints, rationals, λ-polynomials.
+    Works for any ring scalar: ints, rationals, λ-polynomials.  For a
+    rational x = a/b the product is (a)(a-b)...(a-(n-1)b) / b^n, taken
+    over the integers with one reduction at the end.
     """
     if n < 0:
         raise ValueError("falling factorial needs n >= 0")
+    if isinstance(x, Rational):
+        a, b = x.numerator, x.denominator
+        num = 1
+        for j in range(n):
+            num *= a - j * b
+        return Rational(num, b**n)
     acc = None
     for j in range(n):
         term = x - j
@@ -53,9 +61,22 @@ def falling_factorial(x, n: int):
 
 
 def generalized_falling(x, n: int, lam):
-    """x (x-λ) (x-2λ) ... (x-(n-1)λ), the λ-deformed falling factorial."""
+    """x (x-λ) (x-2λ) ... (x-(n-1)λ), the λ-deformed falling factorial.
+
+    For rationals x = a/b and λ = c/d the product is
+    prod_j (ad - jcb) / (bd)^n, taken over the integers with one
+    reduction at the end.
+    """
     if n < 0:
         raise ValueError("falling factorial needs n >= 0")
+    if isinstance(x, Rational) and isinstance(lam, (int, Rational)):
+        a, b = x.numerator, x.denominator
+        c, d = lam.numerator, lam.denominator
+        ad, cb = a * d, c * b
+        num = 1
+        for j in range(n):
+            num *= ad - j * cb
+        return Rational(num, (b * d) ** n)
     acc = None
     for j in range(n):
         term = x - j * lam
@@ -174,21 +195,19 @@ def _deg_stirling2_bell(n_max: int, domain: Domain) -> StirlingTable:
 # partial Bell polynomials
 
 
-def _block_count_vectors(n: int, k: int, m: int) -> Iterator[tuple[int, ...]]:
-    """Nonnegative (i_1..i_m) with sum k and weighted sum n, lexicographic."""
-
-    def rec(pos: int, k_left: int, n_left: int):
-        if pos == m:
-            if k_left == 0 and n_left == 0:
-                yield ()
-            return
-        size = pos + 1
-        hi = min(k_left, n_left // size)
-        for i in range(hi + 1):
-            for rest in rec(pos + 1, k_left - i, n_left - size * i):
-                yield (i,) + rest
-
-    yield from rec(0, k, n)
+def _block_count_vectors(
+    n: int, k: int, m: int, pos: int = 0
+) -> Iterator[tuple[int, ...]]:
+    """Nonnegative (i_(pos+1)..i_m) with sum k and weighted sum n, where
+    i_s counts the blocks of size s; lexicographic."""
+    if pos == m:
+        if k == 0 and n == 0:
+            yield ()
+        return
+    size = pos + 1
+    for i in range(min(k, n // size) + 1):
+        for rest in _block_count_vectors(n - size * i, k - i, m, pos + 1):
+            yield (i,) + rest
 
 
 def bell_partial(n: int, k: int, xs: Sequence, via: str = "partition_sum"):

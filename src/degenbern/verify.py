@@ -243,13 +243,26 @@ def verify_classical_derivative(N: int, order: int, which: str = "eq41") -> Iden
 class HigherOrderContext:
     """Shared tables for the reconstruction sums: the coefficient
     triangle through row max_N and the order-r Bernoulli rows through
-    index max_index for every 1 <= r <= max_N + 1."""
+    index max_index for every 1 <= r <= max_N + 1.  A triangle of the
+    same domain with at least max_N rows can be passed as ``coeffs``;
+    otherwise one is built."""
 
-    def __init__(self, domain: Domain, max_N: int, max_index: int):
+    def __init__(
+        self,
+        domain: Domain,
+        max_N: int,
+        max_index: int,
+        *,
+        coeffs: CoeffTable | None = None,
+    ):
         if max_N < 1:
             raise ValueError("need max_N >= 1")
+        if coeffs is None:
+            coeffs = coeff_triangle(max_N, domain)
+        elif coeffs.n_max < max_N or coeffs.domain != domain:
+            raise ValueError("coefficient triangle too small or of another domain")
         self.domain = domain
-        self.coeffs = coeff_triangle(max_N, domain)
+        self.coeffs = coeffs
         base = degenerate_log_over_t_series(domain, max_index + 1).reciprocal()
         rows = {}
         power = base
@@ -624,7 +637,9 @@ class _SuiteRun:
 
     @cached_property
     def coeffs(self) -> CoeffTable:
-        top = {"ode": self.N_max, "cor34": self.n_max}
+        # thm41 and cor42 read it through the context, up to row N_max
+        top = {"ode": self.N_max, "cor34": self.n_max, "thm41": self.N_max,
+               "cor42": self.N_max}
         size = max(top[s] for s in self.suites if s in top)
         return coeff_triangle(size, self.domain)
 
@@ -632,7 +647,7 @@ class _SuiteRun:
     def ctx(self) -> HigherOrderContext:
         top = {"thm41": self.max_j + self.N_max, "cor42": self.N_max - 1}
         size = max(top[s] for s in self.suites if s in top)
-        return HigherOrderContext(self.domain, self.N_max, size)
+        return HigherOrderContext(self.domain, self.N_max, size, coeffs=self.coeffs)
 
 
 # suite token -> the reports of its family, in order; verifiers are

@@ -1,15 +1,18 @@
 """Deformed Bernoulli rows of the second kind: all four routes, the
 higher-order rows, the classical limit, and the λ = 0 exclusions."""
 
+import gc
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from degenbern import (
     DomainError,
     EvaluatedDomain,
     MULTINOMIAL_CAP,
     SYMBOLIC,
+    bell_partial,
     classical_row,
     classical_series_row,
     convolution_row,
@@ -62,6 +65,43 @@ def test_four_routes_agree_evaluated():
     assert row_via_multinomial(n_max, dom).values == ref
     for form in ("a_form", "stirling_form", "falling_form"):
         assert row_via_explicit(n_max, dom, form).values == ref
+
+
+# λ of both signs, numerators up to 24 bits, denominators up to 20 bits
+wide_lambdas = st.builds(
+    lambda sign, p, q: Fraction(sign * p, q),
+    st.sampled_from([1, -1]),
+    st.integers(min_value=1, max_value=(1 << 24) - 1),
+    st.integers(min_value=1, max_value=(1 << 20) - 1),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=0, max_value=12), wide_lambdas)
+# at λ = 1, 2, 3 the falling products (λ-1)_m vanish from m = λ on
+@example(12, Fraction(1))
+@example(12, Fraction(2))
+@example(12, Fraction(3))
+def test_integer_scaled_walk_matches_series(n, lam):
+    dom = EvaluatedDomain(lam)
+    values = row_via_multinomial(n, dom).values
+    assert values == row_via_series(n, dom).values
+    assert all(type(v) is Fraction for v in values)
+
+
+def test_walks_leave_no_reference_cycles():
+    # the composition walk and the block-count enumeration hold no
+    # self-referencing closures, so their tables are freed on return
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        row_via_multinomial(10, EvaluatedDomain(Fraction(-7, 3)))
+        bell_partial(8, 3, [Fraction(i + 1, 3) for i in range(6)])
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_symbolic_row_specializes_to_evaluated():
@@ -152,6 +192,23 @@ def test_classical_against_independent_inversion_oracle():
         if n:
             fact *= n
         expected.append(u[n] * fact)
+    assert classical_row(n_max, route="limit") == expected
+    assert classical_row(n_max, route="stirling") == expected
+
+
+def test_classical_row_against_sympy_cauchy_numbers():
+    # Cauchy numbers of the first kind, n! [t^n] t/log(1+t), from sympy's
+    # own series expansion
+    import sympy as sp
+
+    n_max = 20
+    t = sp.symbols("t")
+    body = sp.series(t / sp.log(1 + t), t, 0, n_max + 1).removeO()
+    expected = []
+    for n in range(n_max + 1):
+        c = sp.factorial(n) * body.coeff(t, n)
+        expected.append(Fraction(int(c.p), int(c.q)))
+    assert expected[:4] == [1, Fraction(1, 2), Fraction(-1, 6), Fraction(1, 4)]
     assert classical_row(n_max, route="limit") == expected
     assert classical_row(n_max, route="stirling") == expected
 

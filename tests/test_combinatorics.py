@@ -4,7 +4,7 @@ triangles, partial Bell polynomials, and the scaled bridge triangle."""
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from degenbern import (
     DomainError,
@@ -53,6 +53,38 @@ def test_falling_factorials():
     ) * Fraction(0)
     one = SYMBOLIC.one
     assert generalized_falling(one, 3, lam) == one * (one - lam) * (one - 2 * lam)
+
+
+wide_fractions = st.builds(
+    lambda sign, p, q: Fraction(sign * p, q),
+    st.sampled_from([1, -1]),
+    st.integers(min_value=0, max_value=(1 << 24) - 1),
+    st.integers(min_value=1, max_value=(1 << 20) - 1),
+)
+
+
+def left_to_right_product(x, n, step):
+    acc = Fraction(1)
+    for j in range(n):
+        acc = acc * (x - j * step)
+    return acc
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    wide_fractions,
+    st.integers(min_value=0, max_value=16),
+    st.one_of(wide_fractions, st.integers(min_value=-4, max_value=4)),
+)
+@example(Fraction(3), 5, Fraction(1))
+@example(Fraction(-7, 3), 6, Fraction(-1, 3))
+def test_integer_falling_products_match_plain_product(x, n, lam):
+    falling = falling_factorial(x, n)
+    assert type(falling) is Fraction
+    assert falling == left_to_right_product(x, n, 1)
+    general = generalized_falling(x, n, lam)
+    assert type(general) is Fraction
+    assert general == left_to_right_product(x, n, lam)
 
 
 def test_compositions_lexicographic():

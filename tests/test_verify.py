@@ -26,6 +26,7 @@ from degenbern import (
     verify_stirling_limit,
 )
 from degenbern import bernoulli
+from degenbern import verify as verify_module
 
 
 def corrupted_triangle(n_max, domain, i, N, delta=1):
@@ -152,6 +153,12 @@ def test_higher_order_context_validation():
         verify_higher_order(1, 1, EvaluatedDomain(Fraction(1, 2)), ctx)
     with pytest.raises(ValueError):
         verify_higher_order(-1, 1)
+    with pytest.raises(ValueError):
+        HigherOrderContext(SYMBOLIC, 3, 4, coeffs=coeff_triangle(2, SYMBOLIC))
+    with pytest.raises(ValueError):
+        HigherOrderContext(SYMBOLIC, 2, 4, coeffs=coeff_triangle(2, EvaluatedDomain(2)))
+    shared = coeff_triangle(3, SYMBOLIC)
+    assert HigherOrderContext(SYMBOLIC, 2, 4, coeffs=shared).coeffs is shared
 
 
 def test_singular_part_vanishes():
@@ -228,6 +235,23 @@ def test_verify_all_small():
         assert idents.count(token) == 1
     # deterministic ordering: families appear as contiguous blocks
     assert idents == sorted(idents, key=idents.index)
+
+
+def test_verify_all_shares_the_suite_triangle_with_the_context(monkeypatch):
+    real = verify_module.coeff_triangle
+    calls = []
+
+    def logged(n_max, domain):
+        calls.append(n_max)
+        return real(n_max, domain)
+
+    monkeypatch.setattr(verify_module, "coeff_triangle", logged)
+    reports = verify_all(4, 4, order=14, max_j=2)
+    assert all(r.verdict for r in reports)
+    # one triangle for the ode/cor34 suites and the reconstruction
+    # context, one for the a-route agreement, one (symbolic) for the
+    # Stirling limit
+    assert calls == [4, 4, 4]
 
 
 def test_report_json_shape():
