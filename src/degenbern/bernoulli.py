@@ -14,7 +14,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .scalars import Domain, DomainError, Rational, Scalar, poly_eval, SYMBOLIC
+from .scalars import (
+    Domain,
+    DomainError,
+    Rational,
+    Scalar,
+    SYMBOLIC,
+    cancel_common,
+    exact_quotient,
+    integer_parts,
+    poly_eval,
+    scaled_value,
+)
 from .series import (
     classical_log_over_t_series,
     degenerate_log_over_t_series,
@@ -22,7 +33,6 @@ from .series import (
 )
 from .combinatorics import (
     binomial,
-    falling_factorial,
     generalized_falling,
     scaled_degenerate_stirling,
     stirling1_signed,
@@ -61,7 +71,7 @@ def row_via_series(n_max: int, domain: Domain) -> BernoulliRow:
     log-over-t series.  This is the reference route."""
     require_deformed(domain, _ROUTE)
     body = degenerate_log_over_t_series(domain, n_max + 1).reciprocal()
-    values = tuple(body[n] * math.factorial(n) for n in range(n_max + 1))
+    values = tuple([body[n] * math.factorial(n) for n in range(n_max + 1)])
     return BernoulliRow(domain, 1, "series", values)
 
 
@@ -69,19 +79,44 @@ def row_via_recurrence(n_max: int, domain: Domain) -> BernoulliRow:
     """Triangular inversion of the defining series, value by value:
 
     b_0 = 1,   b_n = - sum_{l<n} C(n,l) (λ-1)_(n-l) b_l / (n-l+1).
+
+    The sums run in integers (λ-polynomials with integer coefficients in
+    the symbolic domain).  Write λ = p/q (p = λ, q = 1 symbolically),
+    num_m = (p-q)(p-2q)...(p-mq) = q^m (λ-1)_m, D_0 = 1 and
+    D_n = lcm over 1 <= m <= n of (m+1) D_(n-m).  Then
+    γ_n = q^n D_n b_n satisfies
+
+        γ_n = - sum_{l<n} C(n,l) num_(n-l) (D_n / ((n-l+1) D_l)) γ_l,
+
+    and each quotient is an integer because (n-l+1) D_l is one of the
+    terms whose lcm is D_n.  The binomials cancel most of this scale:
+    built without cancelling, D_60 has 303 bits while the coefficients
+    of b_60 have a 31-bit common denominator.  So γ_n and D_n are divided
+    by their common factor before later values use them, which keeps
+    γ_n = q^n D_n b_n.  Value n is γ_n / (q^n D_n).
     """
     require_deformed(domain, _ROUTE)
-    lam = domain.lam
-    fall = [domain.one]
+    p, q, zero, one = integer_parts(domain)
+    num = [one]
     for m in range(1, n_max + 1):
-        fall.append(fall[-1] * (lam - m))
-    values = [domain.one]
+        num.append(num[-1] * (p - m * q))
+    gamma, scale = [one], [1]
     for n in range(1, n_max + 1):
-        acc = domain.zero
+        top = 1
         for l in range(n):
-            acc = acc + binomial(n, l) * fall[n - l] * values[l] / (n - l + 1)
-        values.append(domain.coerce(-acc))
-    return BernoulliRow(domain, 1, "recurrence", tuple(values))
+            top = math.lcm(top, (n - l + 1) * scale[l])
+        acc = zero
+        for l in range(n):
+            factor = math.comb(n, l) * exact_quotient(top, (n - l + 1) * scale[l])
+            acc += num[n - l] * factor * gamma[l]
+        acc, top = cancel_common(acc, top)
+        gamma.append(-acc)
+        scale.append(top)
+    values = tuple([
+        domain.coerce(scaled_value(g, 1, q**n * scale[n]))
+        for n, g in enumerate(gamma)
+    ])
+    return BernoulliRow(domain, 1, "recurrence", values)
 
 
 def value_via_multinomial(n: int, domain: Domain) -> Scalar:
@@ -128,22 +163,20 @@ def row_via_multinomial(n_max: int, domain: Domain) -> BernoulliRow:
             f"multinomial route is exponential; n = {n_max} exceeds the cap "
             f"of {MULTINOMIAL_CAP}"
         )
-    if domain.is_symbolic:
-        p, q, zero, one = domain.lam, 1, domain.zero, domain.one
-    else:
-        p, q, zero, one = domain.lam.numerator, domain.lam.denominator, 0, 1
+    p, q, zero, one = integer_parts(domain)
     fact = [math.factorial(m) for m in range(n_max + 2)]
     scale = [1]
     for t in range(1, n_max + 1):
-        scale.append(
-            math.lcm(*(fact[m + 1] * scale[t - m] for m in range(1, t + 1)))
-        )
+        top = 1
+        for m in range(1, t + 1):
+            top = math.lcm(top, fact[m + 1] * scale[t - m])
+        scale.append(top)
     num = [one]
     for m in range(1, n_max + 1):
         num.append(num[-1] * (p - m * q))
     # step[t][m - 1] for the parts m = 1..n_max-t
     step = [
-        [num[m] * -(scale[t + m] // (scale[t] * fact[m + 1]))
+        [num[m] * -exact_quotient(scale[t + m], scale[t] * fact[m + 1])
          for m in range(1, n_max - t + 1)]
         for t in range(n_max)
     ]
@@ -157,10 +190,10 @@ def row_via_multinomial(n_max: int, domain: Domain) -> BernoulliRow:
             buckets[total + m] += branch
             if total + m < n_max:
                 stack.append((total + m, branch))
-    values = tuple(
-        domain.coerce(buckets[t] * Rational(fact[t], q**t * scale[t]))
+    values = tuple([
+        domain.coerce(scaled_value(buckets[t], fact[t], q**t * scale[t]))
         for t in range(n_max + 1)
-    )
+    ])
     return BernoulliRow(domain, 1, "multinomial", values)
 
 
@@ -239,30 +272,57 @@ def _explicit_stirling_form(n: int, domain: Domain) -> Scalar:
 
 
 def _explicit_falling_form(n: int, domain: Domain) -> Scalar:
-    lam = domain.lam
+    """Value n from alternating falling-factorial sums, taken in
+    integers at λ = p/q (p = λ, q = 1 symbolically).
+
+    Scaled by q^n, the falling factorials (lλ)_n and (lλ+1)_n are
+    P_l = prod_{j<n} (lp - jq) and Q_l = prod_{j<n} (lp + q - jq).  The
+    sums A = sum_l (-1)^l C(n,l) P_l and B_k = sum_{l<=k} (-1)^l C(k,l) Q_l
+    do not depend on i and are taken once; inner sum i is
+    I_i = C(n,i) A + sum_{k=i}^{n-1} C(k,i) B_k.  Unscaled, I_i / q^n is
+    λ^i g(λ) with g an integer polynomial of degree at most n - i, so
+    I_i = sum_d g_d p^(i+d) q^(n-i-d) and H_i = I_i / p^i is exact:
+    symbolically a verified coefficient shift, at a rational λ a checked
+    integer division.  With G_i = prod_{j<=i} (q - jp), which is
+    q^(i+1) (1)(1-λ)...(1-iλ), the value is
+
+        ((-1)^n n! G_n + sum_{i<n} (n+1)!/(i+1)! G_i H_i) / ((n+1)! q^(n+1)).
+    """
     if domain.lam_is_zero:
         raise DomainError("falling form divides by λ powers; no value at λ = 0")
-    total = _deformed_one_falling(domain, n + 1) / (n + 1)
-    if n % 2:
-        total = -total
+    p, q, zero, one = integer_parts(domain)
+    plain, shifted = [], []
+    for l in range(n + 1):
+        plain_l = shifted_l = one
+        for j in range(n):
+            plain_l *= l * p - j * q
+            shifted_l *= l * p + (1 - j) * q
+        plain.append(plain_l)
+        shifted.append(shifted_l)
+    plain_sum = zero
+    for l in range(n + 1):
+        plain_sum += (-1) ** l * math.comb(n, l) * plain[l]
+    alt = []
+    for k in range(n):
+        acc = zero
+        for l in range(k + 1):
+            acc += (-1) ** l * math.comb(k, l) * shifted[l]
+        alt.append(acc)
+    fact = math.factorial(n + 1)
+    deformed = [q]
+    for i in range(1, n + 1):
+        deformed.append(deformed[-1] * (q - i * p))
+    out = (-1) ** n * math.factorial(n) * deformed[n]
     for i in range(n):
-        inner = domain.zero
-        cni = binomial(n, i)
-        for l in range(n + 1):
-            term = (cni * binomial(n, l)) * falling_factorial(l * lam, n)
-            inner = inner + term if l % 2 == 0 else inner - term
+        inner = math.comb(n, i) * plain_sum
         for k in range(i, n):
-            cki = binomial(k, i)
-            for l in range(k + 1):
-                term = (cki * binomial(k, l)) * falling_factorial(l * lam + 1, n)
-                inner = inner + term if l % 2 == 0 else inner - term
+            inner += math.comb(k, i) * alt[k]
         if domain.is_symbolic:
             inner = inner.shifted_down(i)
         else:
-            inner = inner / lam**i
-        weight = _deformed_one_falling(domain, i + 1) / math.factorial(i + 1)
-        total = total + weight * inner
-    return domain.coerce(total)
+            inner = exact_quotient(inner, p**i)
+        out += math.perm(n + 1, n - i) * deformed[i] * inner
+    return domain.coerce(scaled_value(out, 1, fact * q ** (n + 1)))
 
 
 def row_higher_order(r: int, n_max: int, domain: Domain) -> BernoulliRow:
@@ -272,7 +332,7 @@ def row_higher_order(r: int, n_max: int, domain: Domain) -> BernoulliRow:
     if r < 1:
         raise ValueError("order r must be >= 1")
     body = degenerate_log_over_t_series(domain, n_max + 1).reciprocal() ** r
-    values = tuple(body[n] * math.factorial(n) for n in range(n_max + 1))
+    values = tuple([body[n] * math.factorial(n) for n in range(n_max + 1)])
     return BernoulliRow(domain, r, "series", values)
 
 
@@ -285,13 +345,13 @@ def convolution_row(r: int, n_max: int, domain: Domain) -> BernoulliRow:
     base = row_via_recurrence(n_max, domain).values
     acc = base
     for _ in range(r - 1):
-        acc = tuple(
+        acc = tuple([
             sum(
                 (binomial(n, m) * acc[m] * base[n - m] for m in range(n + 1)),
                 start=domain.zero,
             )
             for n in range(n_max + 1)
-        )
+        ])
     return BernoulliRow(domain, r, "convolution", acc)
 
 

@@ -423,7 +423,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="series",
     )
     _add_common(p_b)
-    p_b.set_defaults(runner=run_b)
 
     p_a = sub.add_parser("a", help="derivative-coefficient triangle")
     p_a.add_argument("--max-N", dest="max_N", type=int, required=True)
@@ -433,7 +432,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="recurrence",
     )
     _add_common(p_a)
-    p_a.set_defaults(runner=run_a)
 
     p_s = sub.add_parser("stirling", help="Stirling-type triangles")
     p_s.add_argument(
@@ -441,14 +439,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_s.add_argument("--max-n", dest="max_n", type=int, required=True)
     _add_common(p_s, with_lambda=False)
-    p_s.set_defaults(runner=run_stirling)
 
     p_c = sub.add_parser(
         "classical", help="classical Bernoulli numbers of the second kind"
     )
     p_c.add_argument("--max-n", dest="max_n", type=int, required=True)
     _add_common(p_c, with_lambda=False)
-    p_c.set_defaults(runner=run_classical)
 
     p_v = sub.add_parser("verify", help="identity verification suites")
     p_v.add_argument(
@@ -461,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_v.add_argument("--order", type=int, default=None)
     _add_common(p_v)
     # lam None means --lambda was not given: symbolic, or 0 for eq41/eq42
-    p_v.set_defaults(runner=run_verify, lam=None)
+    p_v.set_defaults(lam=None)
 
     return parser
 
@@ -471,13 +467,22 @@ def _logical_command(argv: list[str]) -> list[str]:
     return list(argv)
 
 
+# built by the first main call and kept: a parser holds reference
+# cycles, so one per call would leave garbage for the cyclic collector
+_parser = None
+
+
 def main(argv=None) -> int:
+    global _parser
     raw = list(sys.argv[1:] if argv is None else argv)
     command = _logical_command(raw)
-    parser = build_parser()
-    args = parser.parse_args(raw)
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(raw)
+    # looked up at call time, so a rebound run_* function is the one run
+    runner = globals()["run_" + args.subcommand]
     try:
-        doc, code = args.runner(args, command)
+        doc, code = runner(args, command)
         sys.stdout.write(emit(doc, args.format))
         return code
     except (CLIError, DomainError, ValueError) as exc:

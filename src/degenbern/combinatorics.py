@@ -13,7 +13,14 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .scalars import Domain, LambdaPoly, Rational, Scalar
+from .scalars import (
+    Domain,
+    Rational,
+    Scalar,
+    exact_quotient,
+    integer_parts,
+    scaled_value,
+)
 from .series import TruncatedSeries, degenerate_exp_series, one_series, zero_series
 
 
@@ -137,7 +144,7 @@ def stirling1_signed(n_max: int) -> StirlingTable:
         def at(k: int) -> int:
             return prev[k] if 0 <= k <= n else 0
 
-        rows.append(tuple(at(k - 1) - n * at(k) for k in range(n + 2)))
+        rows.append(tuple([at(k - 1) - n * at(k) for k in range(n + 2)]))
     return StirlingTable("first_signed", n_max, tuple(rows))
 
 
@@ -236,7 +243,14 @@ def bell_partial(n: int, k: int, xs: Sequence, via: str = "partition_sum"):
 
 
 def _bell_partition_sum(n: int, k: int, xs: Sequence):
+    """Sum over block types of n! / prod_s (i_s! (s!)^(i_s)) prod_s x_s^(i_s).
+
+    The weight of a block type is the number of set partitions of n
+    elements with i_s blocks of size s, an integer, so it is taken as an
+    exact integer quotient of n! by the block-type denominator; the sum
+    stays in the ring of the arguments (ints stay ints)."""
     m = max(n - k + 1, 0)
+    fact_n = math.factorial(n)
     total = None
     for counts in _block_count_vectors(n, k, m):
         denom = 1
@@ -248,7 +262,7 @@ def _bell_partition_sum(n: int, k: int, xs: Sequence):
             denom *= math.factorial(i) * math.factorial(size) ** i
             p = xs[idx] ** i
             prod = p if prod is None else prod * p
-        term = Rational(math.factorial(n), denom)
+        term = exact_quotient(fact_n, denom)
         if prod is not None:
             term = prod * term
         total = term if total is None else total + term
@@ -311,12 +325,15 @@ def scaled_degenerate_stirling(
     if k < 0 or N < 0 or k > N:
         return domain.zero
     if via == "bell_formula":
-        lam = domain.lam
-        xs = [
-            falling_factorial(lam - 1, i - 1) if i > 1 else domain.one
-            for i in range(1, N - k + 2)
-        ]
-        return domain.coerce(bell_partial(N, k, xs, via="partition_sum"))
+        # B_{N,k} is homogeneous: scaling x_i by q^(i-1) scales it by
+        # q^(N-k), so at λ = p/q the arguments q^(i-1) (λ-1)...(λ-i+1)
+        # are the integers (p-q)(p-2q)...(p-(i-1)q); p = λ symbolically
+        p, q, _, one = integer_parts(domain)
+        xs = [one]
+        for i in range(1, N - k + 1):
+            xs.append(xs[-1] * (p - i * q))
+        value = bell_partial(N, k, xs, via="partition_sum")
+        return domain.coerce(scaled_value(value, 1, q ** (N - k)))
     if via == "generating_function":
         from .series import degenerate_log_over_t_series
 

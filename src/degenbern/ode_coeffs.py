@@ -73,7 +73,7 @@ def coeff_triangle(n_max: int, domain: Domain) -> CoeffTable:
         for i in range(1, N + 1):
             new.append((N + (i + 1) * lam) * row[i] + i * row[i - 1])
         new.append(domain.coerce((N + 1) * row[N]))
-        rows.append(tuple(domain.coerce(v) for v in new))
+        rows.append(tuple([domain.coerce(v) for v in new]))
     return CoeffTable(domain, tuple(rows))
 
 

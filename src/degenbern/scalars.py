@@ -172,8 +172,21 @@ class LambdaPoly:
     def coeffs(self) -> tuple:
         if self._coeffs is None:
             den = self._den
-            self._coeffs = tuple(Rational(c, den) for c in self._nums)
+            self._coeffs = tuple([Rational(c, den) for c in self._nums])
         return self._coeffs
+
+    @property
+    def numerator(self) -> "LambdaPoly":
+        """The polynomial times its denominator: integer coefficients.
+
+        With :attr:`denominator` this mirrors ``Fraction``, so code that
+        splits a scalar into an integer part over a positive integer
+        scale serves both domains."""
+        return LambdaPoly._make(self._nums, 1)
+
+    @property
+    def denominator(self) -> int:
+        return self._den
 
     @property
     def degree(self) -> int:
@@ -346,6 +359,41 @@ def poly_eval(p, x) -> Rational:
 Scalar = Union[Rational, LambdaPoly]
 
 
+def exact_quotient(a: int, b: int) -> int:
+    """a / b for an integer b that must divide a.
+
+    Integer-scaled routes divide only where a scale guarantees an exact
+    quotient; a remainder means a wrong scale and raises ArithmeticError
+    instead of being floored away.
+    """
+    quo, rem = divmod(a, b)
+    if rem:
+        raise ArithmeticError(f"{b} does not divide {a}")
+    return quo
+
+
+def cancel_common(value, den: int):
+    """(value / g, den / g) for g the gcd of a positive den and the
+    content of value, an int or an integer-coefficient λ-polynomial: a
+    scaled value and its scale with their common factor taken out."""
+    if isinstance(value, LambdaPoly):
+        g = gcd(den, *value._nums)
+        if g == 1:
+            return value, den
+        return LambdaPoly._make([c // g for c in value._nums], 1), den // g
+    g = gcd(value, den)
+    return value // g, den // g
+
+
+def scaled_value(value, num: int, den: int):
+    """value * num / den as one reduced scalar, for an int or an
+    integer-coefficient λ-polynomial value: the last step of an
+    integer-scaled route."""
+    if isinstance(value, LambdaPoly):
+        return value if num == den else value * Rational(num, den)
+    return Rational(value * num, den)
+
+
 # ---------------------------------------------------------------------------
 # domains
 
@@ -470,6 +518,17 @@ class EvaluatedDomain(Domain):
 
 
 SYMBOLIC = SymbolicDomain()
+
+
+def integer_parts(domain: Domain):
+    """(p, q, zero, one) for the integer-scaled routes: λ = p/q and the
+    units of the ring their sums run in.  At a rational λ all four are
+    ints; symbolically p = λ, q = 1 and the units are λ-polynomials, so
+    the sums run over integer coefficients."""
+    if domain.is_symbolic:
+        return domain.lam, 1, domain.zero, domain.one
+    lam = domain.lam
+    return lam.numerator, lam.denominator, 0, 1
 
 
 def domain_from_string(s: str) -> Domain:

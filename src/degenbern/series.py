@@ -16,7 +16,7 @@ second-kind Bernoulli values.
 
 from __future__ import annotations
 
-from math import comb, factorial
+from math import comb, factorial, lcm
 from typing import Iterable
 
 from .scalars import (
@@ -26,6 +26,9 @@ from .scalars import (
     LambdaPoly,
     Rational,
     Scalar,
+    exact_quotient,
+    integer_parts,
+    scaled_value,
 )
 
 
@@ -93,7 +96,7 @@ class TruncatedSeries:
             m = min(self.order, other.order)
             return TruncatedSeries._raw(
                 self._domain,
-                tuple(self._coeffs[i] + other._coeffs[i] for i in range(m)),
+                tuple([self._coeffs[i] + other._coeffs[i] for i in range(m)]),
             )
         return NotImplemented
 
@@ -103,11 +106,11 @@ class TruncatedSeries:
         return NotImplemented
 
     def __neg__(self):
-        return TruncatedSeries._raw(self._domain, tuple(-c for c in self._coeffs))
+        return TruncatedSeries._raw(self._domain, tuple([-c for c in self._coeffs]))
 
     def scale(self, scalar) -> "TruncatedSeries":
         s = self._domain.coerce(scalar)
-        return TruncatedSeries._raw(self._domain, tuple(c * s for c in self._coeffs))
+        return TruncatedSeries._raw(self._domain, tuple([c * s for c in self._coeffs]))
 
     def __mul__(self, other):
         if isinstance(other, TruncatedSeries):
@@ -145,20 +148,46 @@ class TruncatedSeries:
         return result
 
     def reciprocal(self) -> "TruncatedSeries":
-        """Multiplicative inverse; needs an invertible constant term."""
+        """Multiplicative inverse; needs an invertible constant term.
+
+        The recurrence c_0 = 1, c_n = -sum_k r_k c_(n-k) for c = a_0 / a,
+        with r_k = a_k / a_0, runs in integers (λ-polynomials with integer
+        coefficients in the symbolic domain).  Write r_k = s_k / w_k with
+        w_k the positive denominator, E_0 = 1 and E_n = lcm of w_k E_(n-k)
+        over the k <= n with a_k != 0.  Then Γ_n = E_n c_n satisfies
+
+            Γ_0 = 1,   Γ_n = -sum_k s_k (E_n / (w_k E_(n-k))) Γ_(n-k),
+
+        and each quotient is an integer because w_k E_(n-k) is one of the
+        terms whose lcm is E_n.  Coefficient n is Γ_n / (E_n a_0).
+        """
         if self.order == 0:
             raise ValueError("cannot invert a series of order 0")
-        a0 = self._coeffs[0]
-        inv0 = _invert_constant(a0, self._domain)
-        out = [inv0]
+        domain = self._domain
+        inv0 = _invert_constant(self._coeffs[0])
+        ratios = [c * inv0 for c in self._coeffs]
+        s = [r.numerator for r in ratios]
+        w = [r.denominator for r in ratios]
+        nonzero = [k for k in range(1, self.order) if s[k]]
+        _, _, zero, one = integer_parts(domain)
+        gamma, scale = [one], [1]
         for n in range(1, self.order):
-            acc = self._domain.zero
-            for k in range(1, n + 1):
-                ak = self._coeffs[k]
-                if ak:
-                    acc = acc + ak * out[n - k]
-            out.append(-(inv0 * acc))
-        return TruncatedSeries._raw(self._domain, tuple(out))
+            terms = []
+            top = 1
+            for k in nonzero:
+                if k > n:
+                    break
+                d = w[k] * scale[n - k]
+                terms.append((k, d))
+                top = lcm(top, d)
+            acc = zero
+            for k, d in terms:
+                acc += s[k] * exact_quotient(top, d) * gamma[n - k]
+            gamma.append(-acc)
+            scale.append(top)
+        a, b = inv0.numerator, inv0.denominator
+        out = [domain.coerce(scaled_value(g, a, b * e)) for g, e in zip(gamma, scale)]
+        return TruncatedSeries._raw(domain, tuple(out))
 
     def derivative(self) -> "TruncatedSeries":
         """Termwise d/dt; the result order drops by one."""
@@ -166,7 +195,7 @@ class TruncatedSeries:
             raise ValueError("cannot differentiate a series of order 0")
         return TruncatedSeries._raw(
             self._domain,
-            tuple((n + 1) * self._coeffs[n + 1] for n in range(self.order - 1)),
+            tuple([(n + 1) * self._coeffs[n + 1] for n in range(self.order - 1)]),
         )
 
     def truncated(self, order: int) -> "TruncatedSeries":
@@ -192,13 +221,13 @@ class TruncatedSeries:
         return f"TruncatedSeries[order={self.order}]({shown})"
 
 
-def _invert_constant(a0, domain: Domain):
+def _invert_constant(a0) -> Rational:
     if isinstance(a0, LambdaPoly):
         if not a0.is_constant or not a0:
             raise NonInvertibleConstantTerm(
                 f"constant term {a0} is not an invertible constant"
             )
-        return LambdaPoly.constant(Rational(1) / a0.constant_term)
+        return Rational(1) / a0.constant_term
     if not a0:
         raise NonInvertibleConstantTerm("constant term is zero")
     return Rational(1) / a0
@@ -334,7 +363,7 @@ class LaurentSeries:
         if not g:
             raise ValueError("cannot differentiate an order-0 body")
         p = self._pole
-        body = tuple(k * g[k] - p * g[k] for k in range(len(g)))
+        body = tuple([k * g[k] - p * g[k] for k in range(len(g))])
         return LaurentSeries(p + 1, TruncatedSeries._raw(self.domain, body))
 
     # comparison -------------------------------------------------------

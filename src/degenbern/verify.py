@@ -257,19 +257,15 @@ class HigherOrderContext:
     ):
         if max_N < 1:
             raise ValueError("need max_N >= 1")
-        if coeffs is None:
-            coeffs = coeff_triangle(max_N, domain)
-        elif coeffs.n_max < max_N or coeffs.domain != domain:
-            raise ValueError("coefficient triangle too small or of another domain")
         self.domain = domain
-        self.coeffs = coeffs
+        self.coeffs = _triangle(coeffs, max_N, domain)
         base = degenerate_log_over_t_series(domain, max_index + 1).reciprocal()
         rows = {}
         power = base
         for r in range(1, max_N + 2):
-            rows[r] = tuple(
+            rows[r] = tuple([
                 power[n] * math.factorial(n) for n in range(max_index + 1)
-            )
+            ])
             if r <= max_N:
                 power = power * base
         self._rows = rows
@@ -278,6 +274,15 @@ class HigherOrderContext:
 
     def b(self, r: int, idx: int):
         return self._rows[r][idx]
+
+
+def _triangle(coeffs: CoeffTable | None, n_max: int, domain: Domain) -> CoeffTable:
+    """The given triangle after a size and domain check, or a new one."""
+    if coeffs is None:
+        return coeff_triangle(n_max, domain)
+    if coeffs.n_max < n_max or coeffs.domain != domain:
+        raise ValueError("coefficient triangle too small or of another domain")
+    return coeffs
 
 
 def _ensure_ctx(ctx, domain, N, top_index):
@@ -391,10 +396,14 @@ def verify_singular(
 # cross-route agreement suites
 
 
-def verify_route_agreement_a(N_max: int, domain: Domain = SYMBOLIC) -> IdentityReport:
+def verify_route_agreement_a(
+    N_max: int, domain: Domain = SYMBOLIC, *, coeffs: CoeffTable | None = None
+) -> IdentityReport:
     """All entry routes of the coefficient triangle agree with the
-    recurrence reference."""
-    table = coeff_triangle(N_max, domain)
+    recurrence reference.  A reference triangle of the same domain with
+    at least N_max rows can be passed as ``coeffs``; otherwise one is
+    built."""
+    table = _triangle(coeffs, N_max, domain)
     skip_falling = domain.lam_is_zero
     ok = True
     witness = None
@@ -574,12 +583,15 @@ def verify_route_agreement_stirling(
     return IdentityReport("stirling_routes", params, ok, witness, None, details)
 
 
-def verify_stirling_limit(n_max: int) -> IdentityReport:
+def verify_stirling_limit(
+    n_max: int, *, coeffs: CoeffTable | None = None
+) -> IdentityReport:
     """λ -> 0 bridges: scaled second-kind values land on the signed
     first-kind triangle, and the coefficient triangle's constant terms
-    are (-1)^(N+i) i! s(N, i)."""
+    are (-1)^(N+i) i! s(N, i).  A symbolic triangle with at least n_max
+    rows can be passed as ``coeffs``; otherwise one is built."""
     s1 = stirling1_signed(n_max)
-    table = coeff_triangle(n_max, SYMBOLIC)
+    table = _triangle(coeffs, n_max, SYMBOLIC)
     ok = True
     witness = None
     for N in range(n_max + 1):
@@ -649,6 +661,9 @@ class _SuiteRun:
         size = max(top[s] for s in self.suites if s in top)
         return HigherOrderContext(self.domain, self.N_max, size, coeffs=self.coeffs)
 
+    def reports(self) -> list:
+        return [report for suite in self.suites for report in SUITES[suite](self)]
+
 
 # suite token -> the reports of its family, in order; verifiers are
 # looked up by module-global name at call time so rebinding one (for
@@ -689,8 +704,7 @@ def suite_reports(
     """Reports of the named identity suites, in the order named.  N_max
     bounds the ode, eq41, thm41 and cor42 families, n_max the cor34 and
     eq42 ones."""
-    run = _SuiteRun(tuple(suites), domain, N_max, n_max, order, max_j)
-    return [report for suite in run.suites for report in SUITES[suite](run)]
+    return _SuiteRun(tuple(suites), domain, N_max, n_max, order, max_j).reports()
 
 
 def verify_all(
@@ -706,10 +720,13 @@ def verify_all(
         raise ValueError("need N_max >= 1")
     if order is None:
         order = 2 * max(N_max, n_max) + 8
-    reports = suite_reports(SUITES, domain, N_max, n_max, order, max_j)
-    reports.append(verify_route_agreement_a(min(N_max, 10), domain))
+    run = _SuiteRun(tuple(SUITES), domain, N_max, n_max, order, max_j)
+    reports = run.reports()
+    # the suites' triangle has max(N_max, n_max) rows, enough for both
+    reports.append(verify_route_agreement_a(min(N_max, 10), domain, coeffs=run.coeffs))
     reports.append(verify_route_agreement_b(min(n_max, 12), domain))
     reports.append(verify_route_agreement_bell(min(n_max, 10)))
     reports.append(verify_route_agreement_stirling(min(n_max, 12), domain))
-    reports.append(verify_stirling_limit(min(n_max, 12)))
+    shared = run.coeffs if domain.is_symbolic else None
+    reports.append(verify_stirling_limit(min(n_max, 12), coeffs=shared))
     return reports

@@ -3,6 +3,7 @@ higher-order rows, the classical limit, and the λ = 0 exclusions."""
 
 import gc
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -87,6 +88,44 @@ def test_integer_scaled_walk_matches_series(n, lam):
     values = row_via_multinomial(n, dom).values
     assert values == row_via_series(n, dom).values
     assert all(type(v) is Fraction for v in values)
+
+
+def plain_recurrence_row(n_max, lam):
+    """b_0..b_n_max by the triangular recurrence, in plain Fractions."""
+    fall = [Fraction(1)]
+    for m in range(1, n_max + 1):
+        fall.append(fall[-1] * (lam - m))
+    row = [Fraction(1)]
+    for n in range(1, n_max + 1):
+        acc = Fraction(0)
+        for l in range(n):
+            acc += comb(n, l) * fall[n - l] * row[l] / (n - l + 1)
+        row.append(-acc)
+    return row
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=16), wide_lambdas)
+@example(16, Fraction(1))
+@example(16, Fraction(2))
+@example(16, Fraction(3))
+def test_integer_scaled_recurrence_matches_plain_fractions(n, lam):
+    values = row_via_recurrence(n, EvaluatedDomain(lam)).values
+    assert list(values) == plain_recurrence_row(n, lam)
+    assert all(type(v) is Fraction for v in values)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=1, max_value=16), wide_lambdas)
+@example(16, Fraction(1))
+@example(16, Fraction(2))
+@example(16, Fraction(3))
+def test_integer_scaled_explicit_forms_match_plain_fractions(n, lam):
+    expected = plain_recurrence_row(n, lam)[n]
+    for form in ("falling_form", "stirling_form"):
+        value = value_via_explicit(n, EvaluatedDomain(lam), form)
+        assert value == expected, form
+        assert type(value) is Fraction
 
 
 def test_walks_leave_no_reference_cycles():

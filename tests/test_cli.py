@@ -2,6 +2,7 @@
 runs, and the exit-code contract."""
 
 import csv
+import gc
 import io
 import json
 import subprocess
@@ -198,3 +199,35 @@ def test_command_echo_is_argv():
     proc = run_cli(["classical", "--max-n", "3", "--threads", "2"], check=False)
     assert proc.returncode == 2
     assert proc.stdout == ""
+
+
+def test_main_keeps_one_parser_and_leaves_no_cyclic_garbage():
+    # CSV and LaTeX only: the standard library's indented JSON encoder
+    # builds reference cycles of its own on every call
+    argvs = [
+        ["b", "--max-n", "5", "--lambda", "1/3", "--route", "all", "--format", "csv"],
+        ["verify", "--suite", "ode", "--max-N", "2", "--format", "latex"],
+    ]
+    cli.main(argvs[0])
+    parser = cli._parser
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for argv in argvs:
+            assert cli.main(argv) == 0
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
+    assert cli._parser is parser
+
+
+def test_main_dispatches_through_the_current_run_function(monkeypatch, capsys):
+    def fake(args, command):
+        doc = cli.make_document(command, None, None, {"columns": ["n"], "rows": [[7]]})
+        return doc, 0
+
+    monkeypatch.setattr(cli, "run_classical", fake)
+    assert cli.main(["classical", "--max-n", "3", "--format", "csv"]) == 0
+    assert capsys.readouterr().out == '"n"\n"7"\n'

@@ -87,6 +87,45 @@ def test_integer_falling_products_match_plain_product(x, n, lam):
     assert general == left_to_right_product(x, n, lam)
 
 
+def plain_bell_triangle(n_max, xs):
+    """B_{n,k}(xs) for k <= n <= n_max in plain Fractions, by the
+    recurrence over the size i of the block holding the first element:
+    B_{n,k} = sum_i C(n-1, i-1) x_i B_{n-i,k-1}."""
+    B = [[Fraction(0)] * (n_max + 1) for _ in range(n_max + 1)]
+    B[0][0] = Fraction(1)
+    for n in range(1, n_max + 1):
+        for k in range(1, n + 1):
+            B[n][k] = sum(
+                (binomial(n - 1, i - 1) * xs[i - 1] * B[n - i][k - 1]
+                 for i in range(1, n - k + 2)),
+                Fraction(0),
+            )
+    return B
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=16),
+    wide_fractions,
+)
+@example(16, Fraction(1))
+@example(16, Fraction(2))
+@example(16, Fraction(3))
+def test_integer_scaled_stirling_matches_plain_bell(N, lam):
+    # the Bell route evaluates B_{N,k} at 1, (λ-1), (λ-1)(λ-2), ...
+    xs = [Fraction(1)]
+    for i in range(1, N + 1):
+        xs.append(xs[-1] * (lam - i))
+    B = plain_bell_triangle(N, xs)
+    dom = EvaluatedDomain(lam)
+    for k in range(N + 1):
+        value = scaled_degenerate_stirling(N, k, dom)
+        assert value == B[N][k], k
+        assert type(value) is Fraction
+        if k and N <= 10:
+            assert bell_partial(N, k, xs) == B[N][k]
+
+
 def test_compositions_lexicographic():
     assert list(compositions(4, 2)) == [(1, 3), (2, 2), (3, 1)]
     assert list(compositions(3, 3)) == [(1, 1, 1)]

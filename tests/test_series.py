@@ -4,6 +4,7 @@ reciprocals, derivatives, and the precision bookkeeping rules."""
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from degenbern import (
     DomainError,
@@ -225,3 +226,48 @@ def test_independent_triangular_inversion_oracle():
         u.append(-sum(v[k] * u[n - k] for k in range(1, n + 1)))
     lib = degenerate_log_over_t_series(EvaluatedDomain(lam), order).reciprocal()
     assert [lib[n] for n in range(order)] == u
+
+
+# coefficients of both signs, numerators up to 24 bits, denominators up
+# to 20 bits
+wide_coefficients = st.builds(
+    lambda sign, p, q: Fraction(sign * p, q),
+    st.sampled_from([1, -1]),
+    st.integers(min_value=1, max_value=(1 << 24) - 1),
+    st.integers(min_value=1, max_value=(1 << 20) - 1),
+)
+
+
+@st.composite
+def series_with_zero_runs(draw):
+    """a_0 != 0, 1, then nonzero coefficients each followed by a run of
+    up to five exact zeros, cut to an order of at most 24."""
+    coeffs = [draw(wide_coefficients.filter(lambda a: a != 1))]
+    for value, run in draw(st.lists(st.tuples(wide_coefficients, st.integers(0, 5)), max_size=12)):
+        coeffs += [Fraction(0)] * run + [value]
+    return coeffs[:draw(st.integers(min_value=1, max_value=24))]
+
+
+def plain_reciprocal(coeffs, a0):
+    """b = 1/a by b_0 = 1/a_0, b_n = -(sum_k a_k b_(n-k)) / a_0, for a
+    rational constant term a0."""
+    out = [coeffs[0] * 0 + 1 / a0]
+    for n in range(1, len(coeffs)):
+        acc = sum((coeffs[k] * out[n - k] for k in range(1, n + 1)), start=coeffs[0] * 0)
+        out.append(-acc / a0)
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(series_with_zero_runs())
+def test_integer_scaled_reciprocal_matches_plain_recurrence(coeffs):
+    dom = EvaluatedDomain(Fraction(-5, 7))
+    inv = TruncatedSeries(dom, coeffs).reciprocal()
+    assert list(inv.coeffs) == plain_reciprocal(coeffs, coeffs[0])
+    assert all(type(c) is Fraction for c in inv.coeffs)
+    # symbolically the same numbers with λ powers attached
+    polys = [coeffs[0] * LambdaPoly.constant(1)] + [
+        c * LambdaPoly([0] * (k % 3) + [1]) for k, c in enumerate(coeffs) if k
+    ]
+    inv = TruncatedSeries(SYMBOLIC, polys).reciprocal()
+    assert list(inv.coeffs) == plain_reciprocal(polys, coeffs[0])

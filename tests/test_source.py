@@ -1,0 +1,47 @@
+"""Source rules for the package: no tuple is built from a generator.
+
+Under CPython 3.11, ``tuple(<generator>)`` and ``f(*<generator>)``
+allocate their tuple at a guessed length and then resize it.  The
+resized tuple is later freed into the interpreter's free list for its
+final length, and below length 20 those lists keep up to 2000 tuples
+each until a full collection, because little else allocates tuples of
+those lengths.  On the evaluated hot paths those lists can hold
+megabytes; a tuple built from a list has its final length from the
+start and leaves nothing behind.
+"""
+
+import ast
+from pathlib import Path
+
+import degenbern
+
+PACKAGE = Path(degenbern.__file__).resolve().parent
+
+
+def generator_tuples(source: str) -> list[tuple[int, str]]:
+    """(line, pattern) of each tuple built from a generator expression."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        if (isinstance(node.func, ast.Name) and node.func.id == "tuple"
+                and node.args and isinstance(node.args[0], ast.GeneratorExp)):
+            found.append((node.lineno, "tuple(<generator>)"))
+        for arg in node.args:
+            if isinstance(arg, ast.Starred) and isinstance(arg.value, ast.GeneratorExp):
+                found.append((node.lineno, "f(*<generator>)"))
+    return found
+
+
+def test_the_rule_sees_both_patterns():
+    source = "a = tuple(x for x in y)\nb = f(1, *(x for x in y))\nc = tuple([x for x in y])\n"
+    assert generator_tuples(source) == [(1, "tuple(<generator>)"), (2, "f(*<generator>)")]
+
+
+def test_no_tuple_is_built_from_a_generator():
+    found = [
+        f"{path.name}:{line}: {pattern}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for line, pattern in generator_tuples(path.read_text(encoding="utf-8"))
+    ]
+    assert found == []

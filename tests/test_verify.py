@@ -161,6 +161,29 @@ def test_higher_order_context_validation():
     assert HigherOrderContext(SYMBOLIC, 2, 4, coeffs=shared).coeffs is shared
 
 
+def test_route_reports_take_a_given_triangle():
+    dom = EvaluatedDomain(Fraction(-2, 3))
+    with pytest.raises(ValueError):
+        verify_route_agreement_a(3, dom, coeffs=coeff_triangle(2, dom))
+    with pytest.raises(ValueError):
+        verify_stirling_limit(3, coeffs=coeff_triangle(2, SYMBOLIC))
+    with pytest.raises(ValueError):
+        verify_route_agreement_a(3, dom, coeffs=coeff_triangle(3, SYMBOLIC))
+    with pytest.raises(ValueError):
+        verify_stirling_limit(3, coeffs=coeff_triangle(3, dom))
+    assert verify_route_agreement_a(3, dom, coeffs=coeff_triangle(5, dom)).verdict
+    assert verify_stirling_limit(3, coeffs=coeff_triangle(5, SYMBOLIC)).verdict
+    # the given table is the reference: a corrupted entry fails the report
+    for domain, report in (
+        (dom, lambda t: verify_route_agreement_a(3, dom, coeffs=t)),
+        (SYMBOLIC, lambda t: verify_stirling_limit(3, coeffs=t)),
+    ):
+        rows = [list(row) for row in coeff_triangle(3, domain).rows]
+        rows[2][1] = rows[2][1] + 1
+        bad = CoeffTable(domain, tuple(tuple(row) for row in rows))
+        assert not report(bad).verdict
+
+
 def test_singular_part_vanishes():
     ctx = HigherOrderContext(SYMBOLIC, 5, 4)
     for N in range(2, 6):
@@ -248,10 +271,9 @@ def test_verify_all_shares_the_suite_triangle_with_the_context(monkeypatch):
     monkeypatch.setattr(verify_module, "coeff_triangle", logged)
     reports = verify_all(4, 4, order=14, max_j=2)
     assert all(r.verdict for r in reports)
-    # one triangle for the ode/cor34 suites and the reconstruction
-    # context, one for the a-route agreement, one (symbolic) for the
-    # Stirling limit
-    assert calls == [4, 4, 4]
+    # one triangle for the ode/cor34 suites, the reconstruction context,
+    # the a-route agreement and the (symbolic) Stirling limit
+    assert calls == [4]
 
 
 def test_report_json_shape():
