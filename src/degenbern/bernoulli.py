@@ -32,12 +32,12 @@ from .series import (
     require_deformed,
 )
 from .combinatorics import (
+    bell_partial,
     binomial,
-    generalized_falling,
-    scaled_degenerate_stirling,
     stirling1_signed,
+    stirling_bell_arguments,
 )
-from .ode_coeffs import CoeffTable, coeff_triangle
+from .ode_coeffs import scaled_triangle_rows
 
 MULTINOMIAL_CAP = 24
 
@@ -210,65 +210,121 @@ def value_via_explicit(n: int, domain: Domain, form: str = "a_form") -> Scalar:
     if n < 1:
         raise ValueError("explicit forms start at n = 1")
     if form == "a_form":
-        return _explicit_a_form(n, domain, None)
+        rows = scaled_triangle_rows(n, domain)
+        return _explicit_a_form(n, domain, rows, _deformed_products(n, domain))
     if form == "stirling_form":
-        return _explicit_stirling_form(n, domain)
+        xs = stirling_bell_arguments(n + 1, domain)
+        return _explicit_stirling_form(
+            n, domain, _bell_row(n - 1, xs), _bell_row(n, xs), _deformed_products(n, domain)
+        )
     if form == "falling_form":
         return _explicit_falling_form(n, domain)
     raise ValueError(f"unknown form {form!r}")
 
 
 def row_via_explicit(n_max: int, domain: Domain, form: str = "a_form") -> BernoulliRow:
+    """Values 0..n_max of one explicit form.  The a-form reads one set of
+    scaled triangle rows; the Stirling form builds each Bell row T(N, .)
+    once and hands it to values N and N+1."""
     require_deformed(domain, _ROUTE)
-    table = coeff_triangle(n_max, domain) if form == "a_form" else None
     values: list[Scalar] = [domain.one]
-    for n in range(1, n_max + 1):
-        if form == "a_form":
-            values.append(_explicit_a_form(n, domain, table))
-        else:
-            values.append(value_via_explicit(n, domain, form))
+    if form == "a_form":
+        rows = scaled_triangle_rows(n_max, domain)
+        deformed = _deformed_products(n_max, domain)
+        values += [_explicit_a_form(n, domain, rows, deformed) for n in range(1, n_max + 1)]
+    elif form == "stirling_form":
+        xs = stirling_bell_arguments(n_max + 1, domain)
+        deformed = _deformed_products(n_max, domain)
+        prev = _bell_row(0, xs)
+        for n in range(1, n_max + 1):
+            row = _bell_row(n, xs)
+            values.append(_explicit_stirling_form(n, domain, prev, row, deformed))
+            prev = row
+    else:
+        values += [value_via_explicit(n, domain, form) for n in range(1, n_max + 1)]
     return BernoulliRow(domain, 1, "explicit", tuple(values))
 
 
-def _deformed_one_falling(domain: Domain, n: int):
-    """(1)(1-λ)(1-2λ)...(1-(n-1)λ)."""
-    return generalized_falling(domain.one, n, domain.lam)
+def _deformed_products(n: int, domain: Domain) -> list:
+    """G_0..G_n with G_i = prod_{j<=i} (q - jp) = q^(i+1) (1)(1-λ)...(1-iλ)
+    at λ = p/q (p = λ, q = 1 symbolically), integers."""
+    p, q, _, _ = integer_parts(domain)
+    deformed = [q]
+    for i in range(1, n + 1):
+        deformed.append(deformed[-1] * (q - i * p))
+    return deformed
 
 
-def _explicit_a_form(n: int, domain: Domain, table: CoeffTable | None) -> Scalar:
-    if table is None or table.n_max < n:
-        table = coeff_triangle(n, domain)
-    total = _deformed_one_falling(domain, n + 1) / (n + 1)
+def _bell_row(N: int, xs: list) -> list:
+    """T(N, 0..N) = B_{N,k}(xs) for the integer Stirling arguments xs."""
+    return [bell_partial(N, k, xs) for k in range(N + 1)]
+
+
+def _explicit_a_form(n: int, domain: Domain, rows: list, deformed: list) -> Scalar:
+    """Value n from triangle rows n and n-1, taken in integers at λ = p/q
+    (p = λ, q = 1 symbolically):
+
+        b_n = (-1)^n (1)(1-λ)...(1-nλ) / (n+1)
+              + (-1)^n sum_{i<n} (1)(1-λ)...(1-iλ) / (i+1)! (c_i(n) - n c_i(n-1)).
+
+    With the scaled rows C_i(N) = q^(N-i) c_i(N) of
+    :func:`scaled_triangle_rows` and G_i = q^(i+1) (1)(1-λ)...(1-iλ)
+    (:func:`_deformed_products`), the value times the scale
+    (n+1)! q^(n+1) is the integer
+
+        (-1)^n (n! G_n + sum_{i<n} (n+1)!/(i+1)! G_i (C_i(n) - nq C_i(n-1))),
+
+    where (n+1)!/(i+1)! is an integer because i < n; no step divides
+    before the one reduced value at the end.
+    """
+    q = integer_parts(domain)[1]
+    cur, prev = rows[n], rows[n - 1]
+    nq = n * q
+    out = math.factorial(n) * deformed[n]
     for i in range(n):
-        # i runs to n-1 only, so row n-1 access stays in range
-        weight = _deformed_one_falling(domain, i + 1) / math.factorial(i + 1)
-        bracket = table.value(i, n) - n * table.value(i, n - 1)
-        total = total + weight * bracket
-    return domain.coerce(-total if n % 2 else total)
-
-
-def _explicit_stirling_form(n: int, domain: Domain) -> Scalar:
-    lam = domain.lam
-    # the k loop below runs once per i; hoist the scaled values out of it
-    combos = []
-    for k in range(n + 1):
-        scaled_n = scaled_degenerate_stirling(n, k, domain)
-        scaled_n1 = scaled_degenerate_stirling(n - 1, k, domain) if k <= n - 1 else domain.zero
-        combos.append(scaled_n + n * scaled_n1)
-    lam_powers = [domain.one]
-    for _ in range(n):
-        lam_powers.append(lam_powers[-1] * lam)
-    total = _deformed_one_falling(domain, n + 1) / (n + 1)
+        out += math.perm(n + 1, n - i) * deformed[i] * (cur[i] - nq * prev[i])
     if n % 2:
-        total = -total
+        out = -out
+    return domain.coerce(scaled_value(out, 1, math.factorial(n + 1) * q ** (n + 1)))
+
+
+def _explicit_stirling_form(
+    n: int, domain: Domain, prev: list, row: list, deformed: list
+) -> Scalar:
+    """Value n from scaled second-kind Stirling values, taken in integers
+    at λ = p/q (p = λ, q = 1 symbolically):
+
+        b_n = (-1)^n (1)(1-λ)...(1-nλ) / (n+1) + sum_{i<n} (1)(1-λ)...(1-iλ) / (i+1)!
+              sum_{k=i}^{n} (-1)^k k! C(k,i) λ^(k-i) (s(n,k) + n s(n-1,k)),
+
+    with s(N,k) = λ^(N-k) S-deformed(N,k).  The Bell rows prev and row
+    hold T(N,k) = q^(N-k) s(N,k) for N = n-1 and n, integers by
+    :func:`stirling_bell_arguments`.  With U_k = T(n,k) + nq T(n-1,k) and
+    G_i as in :func:`_deformed_products`, the value times the scale
+    (n+1)! q^(n+1) is the integer
+
+        (-1)^n n! G_n + sum_{i<n} (n+1)!/(i+1)! G_i
+                        sum_{k=i}^{n} (-1)^k k! C(k,i) p^(k-i) U_k,
+
+    where (n+1)!/(i+1)! is an integer because i < n; no step divides
+    before the one reduced value at the end.
+    """
+    p, q, zero, one = integer_parts(domain)
+    nq = n * q
+    signed = []
+    for k in range(n + 1):
+        u = row[k] + nq * prev[k] if k < n else row[k]
+        signed.append(u * ((-1) ** k * math.factorial(k)))
+    powers = [one]
+    for _ in range(n):
+        powers.append(powers[-1] * p)
+    out = (-1) ** n * math.factorial(n) * deformed[n]
     for i in range(n):
-        weight = _deformed_one_falling(domain, i + 1) / math.factorial(i + 1)
-        inner = domain.zero
+        inner = zero
         for k in range(i, n + 1):
-            term = math.factorial(k) * binomial(k, i) * lam_powers[k - i] * combos[k]
-            inner = inner + term if k % 2 == 0 else inner - term
-        total = total + weight * inner
-    return domain.coerce(total)
+            inner += math.comb(k, i) * powers[k - i] * signed[k]
+        out += math.perm(n + 1, n - i) * deformed[i] * inner
+    return domain.coerce(scaled_value(out, 1, math.factorial(n + 1) * q ** (n + 1)))
 
 
 def _explicit_falling_form(n: int, domain: Domain) -> Scalar:
@@ -309,9 +365,7 @@ def _explicit_falling_form(n: int, domain: Domain) -> Scalar:
             acc += (-1) ** l * math.comb(k, l) * shifted[l]
         alt.append(acc)
     fact = math.factorial(n + 1)
-    deformed = [q]
-    for i in range(1, n + 1):
-        deformed.append(deformed[-1] * (q - i * p))
+    deformed = _deformed_products(n, domain)
     out = (-1) ** n * math.factorial(n) * deformed[n]
     for i in range(n):
         inner = math.comb(n, i) * plain_sum

@@ -92,7 +92,37 @@ def emit_json(doc: dict) -> str:
             [cell_to_json(c) for c in row] for row in payload["rows"]
         ]
     body["payload"] = payload
-    return json.dumps(body, indent=2) + "\n"
+    out: list[str] = []
+    _write_json(body, "", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write_json(value, indent: str, out: list) -> None:
+    """Append value to out laid out as json.dumps(value, indent=2) lays
+    it out.
+
+    With an indent the standard library encodes in pure Python, and its
+    nested closures leave reference cycles behind on every call; here
+    only the containers are laid out in Python and each leaf goes to
+    json.dumps without an indent, which uses the C encoder."""
+    inner = indent + "  "
+    if isinstance(value, dict) and value:
+        sep = "{\n"
+        for key, item in value.items():
+            out.append(f"{sep}{inner}{json.dumps(key)}: ")
+            _write_json(item, inner, out)
+            sep = ",\n"
+        out.append("\n" + indent + "}")
+    elif isinstance(value, (list, tuple)) and value:
+        sep = "[\n"
+        for item in value:
+            out.append(sep + inner)
+            _write_json(item, inner, out)
+            sep = ",\n"
+        out.append("\n" + indent + "]")
+    else:
+        out.append(json.dumps(value))
 
 
 def emit_csv(doc: dict) -> str:

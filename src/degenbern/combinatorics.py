@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .scalars import (
     Domain,
@@ -89,21 +89,6 @@ def generalized_falling(x, n: int, lam):
         term = x - j * lam
         acc = term if acc is None else acc * term
     return acc if acc is not None else 1
-
-
-def compositions(n: int, k: int) -> Iterator[tuple[int, ...]]:
-    """All k-tuples of positive integers summing to n, lexicographic."""
-    if k == 0:
-        if n == 0:
-            yield ()
-        return
-    if k == 1:
-        if n >= 1:
-            yield (n,)
-        return
-    for first in range(1, n - k + 2):
-        for rest in compositions(n - first, k - 1):
-            yield (first,) + rest
 
 
 # ---------------------------------------------------------------------------
@@ -202,26 +187,11 @@ def _deg_stirling2_bell(n_max: int, domain: Domain) -> StirlingTable:
 # partial Bell polynomials
 
 
-def _block_count_vectors(
-    n: int, k: int, m: int, pos: int = 0
-) -> Iterator[tuple[int, ...]]:
-    """Nonnegative (i_(pos+1)..i_m) with sum k and weighted sum n, where
-    i_s counts the blocks of size s; lexicographic."""
-    if pos == m:
-        if k == 0 and n == 0:
-            yield ()
-        return
-    size = pos + 1
-    for i in range(min(k, n // size) + 1):
-        for rest in _block_count_vectors(n - size * i, k - i, m, pos + 1):
-            yield (i,) + rest
-
-
 def bell_partial(n: int, k: int, xs: Sequence, via: str = "partition_sum"):
     """Partial Bell polynomial B_{n,k} at the argument list xs.
 
     xs supplies x_1 .. x_{n-k+1} (ring scalars of any one domain).
-    Route "partition_sum" enumerates block-count vectors directly;
+    Route "partition_sum" sums over the block types directly;
     route "generating_function" extracts n! [t^n] (sum x_i t^i/i!)^k / k!.
     """
     if n < 0 or k < 0:
@@ -248,25 +218,51 @@ def _bell_partition_sum(n: int, k: int, xs: Sequence):
     The weight of a block type is the number of set partitions of n
     elements with i_s blocks of size s, an integer, so it is taken as an
     exact integer quotient of n! by the block-type denominator; the sum
-    stays in the ring of the arguments (ints stay ints)."""
-    m = max(n - k + 1, 0)
-    fact_n = math.factorial(n)
+    stays in the ring of the arguments (ints stay ints).
+
+    One explicit-stack walk picks the counts i_s from the largest size
+    s = n-k+1 down.  A frame holds the elements and blocks left for the
+    sizes below s; it keeps only counts with which those blocks can
+    still hold the elements, at least one and at most s-1 each, so no
+    branch dies.  Once the sizes 1 and 2 are left the counts are forced:
+    left - blocks pairs and the rest singletons."""
+    if not 0 < k <= n:
+        return Rational(1 if n == k else 0)
+    fact = [1]
+    for j in range(1, n + 1):
+        fact.append(fact[-1] * j)
     total = None
-    for counts in _block_count_vectors(n, k, m):
-        denom = 1
-        prod = None
-        for idx, i in enumerate(counts):
-            if not i:
-                continue
-            size = idx + 1
-            denom *= math.factorial(i) * math.factorial(size) ** i
-            p = xs[idx] ** i
-            prod = p if prod is None else prod * p
-        term = exact_quotient(fact_n, denom)
-        if prod is not None:
-            term = prod * term
-        total = term if total is None else total + term
-    return total if total is not None else Rational(0)
+    # frame: (size, elements left, blocks left, denominator, product)
+    stack = [(n - k + 1, n, k, 1, None)]
+    while stack:
+        size, left, blocks, denom, prod = stack.pop()
+        if size <= 2:
+            pairs = left - blocks
+            singles = blocks - pairs
+            denom *= fact[pairs] * 2**pairs * fact[singles]
+            if pairs:
+                prod = _times_power(prod, xs[1], pairs)
+            prod = _times_power(prod, xs[0], singles)
+            term = exact_quotient(fact[n], denom)
+            if prod is not None:
+                term = prod * term
+            total = term if total is None else total + term
+            continue
+        x, block = xs[size - 1], fact[size]
+        lo = max(left - (size - 1) * blocks, 0)
+        hi = (left - blocks) // (size - 1)
+        for i in range(lo, hi + 1):
+            stack.append((size - 1, left - size * i, blocks - i,
+                          denom * fact[i] * block**i, _times_power(prod, x, i)))
+    return total
+
+
+def _times_power(prod, x, i: int):
+    """prod * x^i, with None standing for the empty product."""
+    if not i:
+        return prod
+    power = x if i == 1 else x**i
+    return power if prod is None else prod * power
 
 
 def _bell_generating_function(n: int, k: int, xs: Sequence):
@@ -310,6 +306,23 @@ def bell_scaling_check(n: int, k: int, a, b, xs: Sequence) -> bool:
     return lhs == rhs
 
 
+def stirling_bell_arguments(count: int, domain: Domain) -> list:
+    """The first count Bell arguments of the scaled Stirling values,
+    scaled to integers.
+
+    The values are B_{N,k} at 1, (λ-1), (λ-1)(λ-2), ...  B_{N,k} is
+    homogeneous: scaling x_i by q^(i-1) scales it by q^(N-k), so at
+    λ = p/q (p = λ, q = 1 symbolically) the arguments are the integers
+    x_i = (p-q)(p-2q)...(p-(i-1)q) and B_{N,k} of them is
+    T(N,k) = q^(N-k) λ^(N-k) S-deformed(N,k).
+    """
+    p, q, _, one = integer_parts(domain)
+    xs = [one]
+    for i in range(1, count):
+        xs.append(xs[-1] * (p - i * q))
+    return xs
+
+
 def scaled_degenerate_stirling(
     N: int, k: int, domain: Domain, via: str = "bell_formula"
 ):
@@ -325,14 +338,9 @@ def scaled_degenerate_stirling(
     if k < 0 or N < 0 or k > N:
         return domain.zero
     if via == "bell_formula":
-        # B_{N,k} is homogeneous: scaling x_i by q^(i-1) scales it by
-        # q^(N-k), so at λ = p/q the arguments q^(i-1) (λ-1)...(λ-i+1)
-        # are the integers (p-q)(p-2q)...(p-(i-1)q); p = λ symbolically
-        p, q, _, one = integer_parts(domain)
-        xs = [one]
-        for i in range(1, N - k + 1):
-            xs.append(xs[-1] * (p - i * q))
+        xs = stirling_bell_arguments(N - k + 1, domain)
         value = bell_partial(N, k, xs, via="partition_sum")
+        q = integer_parts(domain)[1]
         return domain.coerce(scaled_value(value, 1, q ** (N - k)))
     if via == "generating_function":
         from .series import degenerate_log_over_t_series

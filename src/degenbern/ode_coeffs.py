@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .scalars import Domain, DomainError, Rational, Scalar
+from .scalars import Domain, DomainError, Rational, Scalar, integer_parts, scaled_value
 from .combinatorics import (
     StirlingTable,
     binomial,
@@ -54,27 +54,50 @@ class CoeffTable:
         return self.rows[N]
 
 
+def scaled_triangle_rows(n_max: int, domain: Domain) -> list[list]:
+    """Rows 0..n_max of the triangle scaled to integers.
+
+    At λ = p/q (p = λ, q = 1 symbolically) entry (i, N) is an
+    integer-coefficient polynomial of degree N - i, so
+    C_i(N) = q^(N-i) c_i(N) is an integer (an integer-coefficient
+    λ-polynomial symbolically).  Scaled, the recurrence of
+    :func:`coeff_triangle` reads
+
+        C_i(N+1) = (Nq + (i+1)p) C_i(N) + i C_(i-1)(N),
+
+    with left edge C_0(N+1) = (Nq + p) C_0(N) and right edge
+    C_(N+1)(N+1) = (N+1) C_N(N); no step divides.
+    """
+    if n_max < 0:
+        raise ValueError("n_max must be nonnegative")
+    p, q, _, one = integer_parts(domain)
+    rows = [[one]]
+    for N in range(n_max):
+        row = rows[-1]
+        new = [(N * q + p) * row[0]]
+        for i in range(1, N + 1):
+            new.append((N * q + (i + 1) * p) * row[i] + i * row[i - 1])
+        new.append((N + 1) * row[N])
+        rows.append(new)
+    return rows
+
+
 def coeff_triangle(n_max: int, domain: Domain) -> CoeffTable:
     """Reference route: grow the triangle row by row.
 
     From row N to row N+1: the left edge picks up a factor N + λ, the
     right edge a factor N + 1, and interior entry i is
-    (N + (i+1) λ) row[i] + i row[i-1].
+    (N + (i+1) λ) row[i] + i row[i-1].  The rows grow in integers at
+    the scale C_i(N) = q^(N-i) c_i(N) of :func:`scaled_triangle_rows`,
+    where no step divides, and each entry is one reduced value
+    C_i(N) / q^(N-i).
     """
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
-    lam = domain.lam
-    rows = [(domain.one,)]
-    if n_max >= 1:
-        rows.append((domain.coerce(lam), domain.one))
-    for N in range(1, n_max):
-        row = rows[-1]
-        new = [(N + lam) * row[0]]
-        for i in range(1, N + 1):
-            new.append((N + (i + 1) * lam) * row[i] + i * row[i - 1])
-        new.append(domain.coerce((N + 1) * row[N]))
-        rows.append(tuple([domain.coerce(v) for v in new]))
-    return CoeffTable(domain, tuple(rows))
+    rows = scaled_triangle_rows(n_max, domain)
+    q = integer_parts(domain)[1]
+    return CoeffTable(domain, tuple([
+        tuple([domain.coerce(scaled_value(v, 1, q ** (N - i))) for i, v in enumerate(row)])
+        for N, row in enumerate(rows)
+    ]))
 
 
 def coeff_explicit_falling(i: int, N: int, domain: Domain) -> Scalar:

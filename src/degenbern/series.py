@@ -198,11 +198,6 @@ class TruncatedSeries:
             tuple([(n + 1) * self._coeffs[n + 1] for n in range(self.order - 1)]),
         )
 
-    def truncated(self, order: int) -> "TruncatedSeries":
-        if order > self.order:
-            raise ValueError(f"cannot extend order {self.order} to {order}")
-        return TruncatedSeries._raw(self._domain, self._coeffs[:order])
-
     def __eq__(self, other):
         """Coefficientwise equality over the common known range."""
         if not isinstance(other, TruncatedSeries):
@@ -439,19 +434,6 @@ def one_plus_t_power(domain: Domain, exponent: int, order: int) -> TruncatedSeri
         ((-1) ** j * comb(-exponent + j - 1, j) for j in range(order)),
         order,
     )
-
-
-def binom_lambda_series(domain: Domain, order: int) -> TruncatedSeries:
-    """(1+t)**λ: coefficient of t^n is the falling product of λ over n
-    steps divided by n!."""
-    lam = domain.lam
-    coeffs = []
-    acc = domain.one
-    for n in range(order):
-        if n:
-            acc = acc * (lam - (n - 1))
-        coeffs.append(acc / factorial(n))
-    return TruncatedSeries._raw(domain, tuple(coeffs))
 
 
 def degenerate_exp_series(domain: Domain, order: int) -> TruncatedSeries:

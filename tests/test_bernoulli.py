@@ -122,14 +122,38 @@ def test_integer_scaled_recurrence_matches_plain_fractions(n, lam):
 @example(16, Fraction(3))
 def test_integer_scaled_explicit_forms_match_plain_fractions(n, lam):
     expected = plain_recurrence_row(n, lam)[n]
-    for form in ("falling_form", "stirling_form"):
+    for form in ("a_form", "falling_form", "stirling_form"):
         value = value_via_explicit(n, EvaluatedDomain(lam), form)
         assert value == expected, form
         assert type(value) is Fraction
 
 
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=0, max_value=16), wide_lambdas)
+@example(16, Fraction(1))
+@example(16, Fraction(2))
+@example(16, Fraction(3))
+def test_integer_scaled_explicit_rows_match_plain_fractions(n, lam):
+    # whole rows: the a-form shares one set of triangle rows and the
+    # Stirling form hands each Bell row on to the next value
+    expected = plain_recurrence_row(n, lam)
+    for form in ("a_form", "falling_form", "stirling_form"):
+        values = row_via_explicit(n, EvaluatedDomain(lam), form).values
+        assert list(values) == expected, form
+        assert all(type(v) is Fraction for v in values)
+
+
+def test_stirling_form_rows_share_nothing_across_calls():
+    # a Bell row kept from the first call would corrupt the second
+    for lam in (Fraction(-7, 3), Fraction(5, 11)):
+        dom = EvaluatedDomain(lam)
+        values = row_via_explicit(9, dom, "stirling_form").values
+        for n in range(1, 10):
+            assert values[n] == value_via_explicit(n, dom, "stirling_form"), (lam, n)
+
+
 def test_walks_leave_no_reference_cycles():
-    # the composition walk and the block-count enumeration hold no
+    # the composition walk and the partition walk hold no
     # self-referencing closures, so their tables are freed on return
     gc.collect()
     enabled = gc.isenabled()

@@ -202,11 +202,10 @@ def test_command_echo_is_argv():
 
 
 def test_main_keeps_one_parser_and_leaves_no_cyclic_garbage():
-    # CSV and LaTeX only: the standard library's indented JSON encoder
-    # builds reference cycles of its own on every call
     argvs = [
         ["b", "--max-n", "5", "--lambda", "1/3", "--route", "all", "--format", "csv"],
         ["verify", "--suite", "ode", "--max-N", "2", "--format", "latex"],
+        ["verify", "--suite", "ode", "--max-N", "2", "--format", "json"],
     ]
     cli.main(argvs[0])
     parser = cli._parser

@@ -1,4 +1,4 @@
-"""Combinatorial layer: binomials, compositions, both Stirling-type
+"""Combinatorial layer: binomials, falling products, both Stirling-type
 triangles, partial Bell polynomials, and the scaled bridge triangle."""
 
 from fractions import Fraction
@@ -15,7 +15,6 @@ from degenbern import (
     bell_partial,
     bell_scaling_check,
     binomial,
-    compositions,
     degenerate_stirling2,
     falling_factorial,
     generalized_falling,
@@ -87,19 +86,18 @@ def test_integer_falling_products_match_plain_product(x, n, lam):
     assert general == left_to_right_product(x, n, lam)
 
 
-def plain_bell_triangle(n_max, xs):
-    """B_{n,k}(xs) for k <= n <= n_max in plain Fractions, by the
-    recurrence over the size i of the block holding the first element:
-    B_{n,k} = sum_i C(n-1, i-1) x_i B_{n-i,k-1}."""
-    B = [[Fraction(0)] * (n_max + 1) for _ in range(n_max + 1)]
-    B[0][0] = Fraction(1)
+def first_block_bell(n_max, xs, zero):
+    """B_{n,k}(xs) for k <= n <= n_max by the recurrence over the size i
+    of the block holding the first element, starting from a zero of the
+    arguments' ring."""
+    B = [[zero] * (n_max + 1) for _ in range(n_max + 1)]
+    B[0][0] = zero + 1
     for n in range(1, n_max + 1):
         for k in range(1, n + 1):
-            B[n][k] = sum(
-                (binomial(n - 1, i - 1) * xs[i - 1] * B[n - i][k - 1]
-                 for i in range(1, n - k + 2)),
-                Fraction(0),
-            )
+            acc = zero
+            for i in range(1, n - k + 2):
+                acc = acc + binomial(n - 1, i - 1) * xs[i - 1] * B[n - i][k - 1]
+            B[n][k] = acc
     return B
 
 
@@ -116,7 +114,7 @@ def test_integer_scaled_stirling_matches_plain_bell(N, lam):
     xs = [Fraction(1)]
     for i in range(1, N + 1):
         xs.append(xs[-1] * (lam - i))
-    B = plain_bell_triangle(N, xs)
+    B = first_block_bell(N, xs, Fraction(0))
     dom = EvaluatedDomain(lam)
     for k in range(N + 1):
         value = scaled_degenerate_stirling(N, k, dom)
@@ -126,14 +124,23 @@ def test_integer_scaled_stirling_matches_plain_bell(N, lam):
             assert bell_partial(N, k, xs) == B[N][k]
 
 
-def test_compositions_lexicographic():
-    assert list(compositions(4, 2)) == [(1, 3), (2, 2), (3, 1)]
-    assert list(compositions(3, 3)) == [(1, 1, 1)]
-    assert list(compositions(3, 0)) == []
-    assert list(compositions(0, 0)) == [()]
-    # all compositions of n into k parts, summed over k, number 2^(n-1)
-    total = sum(len(list(compositions(6, k))) for k in range(1, 7))
-    assert total == 32
+@settings(max_examples=12, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_partition_walk_matches_first_block_recurrence(rng):
+    n_max = 14
+    lam = LAMBDA
+    argument_lists = [
+        ([rng.randint(-30, 30) for _ in range(n_max)], 0),
+        ([Fraction(rng.randint(-99, 99), rng.randint(1, 40)) for _ in range(n_max)],
+         Fraction(0)),
+        ([SYMBOLIC.one * rng.randint(-5, 5) + lam * rng.randint(-5, 5) for _ in range(n_max)],
+         SYMBOLIC.zero),
+    ]
+    for xs, zero in argument_lists:
+        B = first_block_bell(n_max, xs, zero)
+        for n in range(n_max + 1):
+            for k in range(n + 1):
+                assert bell_partial(n, k, xs, via="partition_sum") == B[n][k], (n, k)
 
 
 def test_stirling_first_against_expansion_oracle():

@@ -5,6 +5,7 @@ shape, and the λ -> 0 constant terms."""
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from degenbern import (
     DomainError,
@@ -20,6 +21,7 @@ from degenbern import (
     render_poly_text,
     stirling1_signed,
 )
+from degenbern.ode_coeffs import scaled_triangle_rows
 
 
 def test_rows_one_to_three_canonical():
@@ -32,6 +34,41 @@ def test_rows_one_to_three_canonical():
         "6+12*λ",
         "6",
     ]
+
+
+def plain_triangle(n_max, lam):
+    """Rows 0..n_max by the triangle recurrence, in plain Fractions."""
+    rows = [[Fraction(1)]]
+    for N in range(n_max):
+        row = rows[-1] + [Fraction(0)]
+        rows.append([(N + (i + 1) * lam) * row[i] + i * row[i - 1] for i in range(N + 2)])
+    return rows
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=16),
+    st.builds(
+        lambda sign, p, q: Fraction(sign * p, q),
+        st.sampled_from([1, -1]),
+        st.integers(min_value=1, max_value=(1 << 24) - 1),
+        st.integers(min_value=1, max_value=(1 << 20) - 1),
+    ),
+)
+@example(16, Fraction(1))
+@example(16, Fraction(2))
+@example(16, Fraction(3))
+def test_scaled_triangle_rows_match_plain_fractions(n_max, lam):
+    dom = EvaluatedDomain(lam)
+    expected = plain_triangle(n_max, lam)
+    scaled = scaled_triangle_rows(n_max, dom)
+    table = coeff_triangle(n_max, dom)
+    q = lam.denominator
+    for N in range(n_max + 1):
+        assert all(type(v) is int for v in scaled[N])
+        assert [Fraction(v, q ** (N - i)) for i, v in enumerate(scaled[N])] == expected[N]
+        assert list(table.row(N)) == expected[N]
+        assert all(type(v) is Fraction for v in table.row(N))
 
 
 def test_boundary_entries():

@@ -14,7 +14,6 @@ from degenbern import (
     NonInvertibleConstantTerm,
     SYMBOLIC,
     TruncatedSeries,
-    binom_lambda_series,
     classical_log_over_t_series,
     classical_log_reciprocal,
     degenerate_exp_series,
@@ -92,12 +91,8 @@ def test_one_plus_t_power_negative_exponent():
     assert one_plus_t_power(Q, -2, 6) * one_plus_t_power(Q, 2, 6) == one_series(Q, 6)
 
 
-def test_binom_lambda_and_exp_series():
-    s = binom_lambda_series(SYMBOLIC, 4)
+def test_degenerate_exp_series():
     lam = SYMBOLIC.lam
-    assert s[0] == SYMBOLIC.one
-    assert s[1] == lam
-    assert s[2] == lam * (lam - 1) / Fraction(2)
     e = degenerate_exp_series(SYMBOLIC, 4)
     assert e[0] == SYMBOLIC.one
     assert e[1] == SYMBOLIC.one
