@@ -196,6 +196,16 @@ def emit(doc: dict, fmt: str) -> str:
 # subcommands
 
 
+def _agree_rows(columns_values: list, max_n: int) -> tuple[list, bool]:
+    """Rows [n, values..., agree] for n = 0..max_n, where agree says every
+    route's value equals the first one's, and whether all rows agree."""
+    rows = []
+    for n in range(max_n + 1):
+        values = [vals[n] for vals in columns_values]
+        rows.append([n, *values, all(v == values[0] for v in values[1:])])
+    return rows, all(row[-1] for row in rows)
+
+
 def run_b(args, command: list[str]) -> tuple[dict, int]:
     domain = domain_from_string(args.lam)
     max_n = args.max_n
@@ -238,20 +248,14 @@ def run_b(args, command: list[str]) -> tuple[dict, int]:
 
     columns_values = [compute(name) for name in names]
     with_agree = len(names) > 1
-    columns = ["n"] + names + (["agree"] if with_agree else [])
-    rows = []
-    all_agree = True
-    for n in range(max_n + 1):
-        row = [n] + [vals[n] for vals in columns_values]
-        if with_agree:
-            agree = all(v == row[1] for v in row[2:])
-            all_agree = all_agree and agree
-            row.append(agree)
-        rows.append(row)
+    if with_agree:
+        rows, all_agree = _agree_rows(columns_values, max_n)
+    else:
+        rows = [[n, value] for n, value in enumerate(columns_values[0])]
     payload = {
         "kind": "bernoulli_second_kind",
         "order_r": r,
-        "columns": columns,
+        "columns": ["n"] + names + (["agree"] if with_agree else []),
         "rows": rows,
     }
     if with_agree:
@@ -358,12 +362,7 @@ def run_classical(args, command: list[str]) -> tuple[dict, int]:
     if max_n < 0:
         raise CLIError("--max-n must be nonnegative")
     values = [bernoulli.classical_row(max_n, route=r) for r in ("limit", "stirling")]
-    rows = []
-    all_agree = True
-    for n in range(max_n + 1):
-        agree = values[0][n] == values[1][n]
-        all_agree = all_agree and agree
-        rows.append([n, values[0][n], values[1][n], agree])
+    rows, all_agree = _agree_rows(values, max_n)
     payload = {
         "kind": "classical_bernoulli_second_kind",
         "columns": ["n", "limit", "stirling", "agree"],
@@ -400,7 +399,7 @@ def run_verify(args, command: list[str]) -> tuple[dict, int]:
         if suite == "cor42" and max_N < 2:
             raise CLIError("the singular-part suite needs --max-N >= 2")
         reports = suite_reports((suite,), domain, max_N, max_N, order, max_j)
-    all_pass = all(r.passed for r in reports)
+    all_pass = all(r.verdict for r in reports)
     payload = {
         "kind": "verification",
         "suite": suite,

@@ -380,14 +380,6 @@ class LaurentSeries:
 
     __hash__ = None
 
-    def is_zero_with_witness(self):
-        """(True, None) if every known coefficient vanishes, else
-        (False, first offending exponent)."""
-        for e in range(-self._pole, self.top_exponent + 1):
-            if self.coefficient(e):
-                return False, e
-        return True, None
-
     def __repr__(self):
         return f"LaurentSeries[pole={self._pole}, top={self.top_exponent}]"
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 from .scalars import (
     Domain,
@@ -56,10 +57,11 @@ class IdentityReport:
     """Outcome of one exact identity check.
 
     ``witness`` holds the first offending position and both side values
-    when the check fails; ``compared`` records what was actually
-    compared; ``details`` carries per-identity extras (for the
-    higher-order reconstruction: how the two readings of the third-sum
-    factorial weight fared).
+    when the check fails (the singular part, which has one side, holds
+    its value); ``compared`` records what was actually compared;
+    ``details`` carries per-identity extras (for the higher-order
+    reconstruction: how the two readings of the third-sum factorial
+    weight fared).
     """
 
     identity: str
@@ -68,10 +70,6 @@ class IdentityReport:
     witness: dict | None = None
     compared: dict | None = None
     details: dict | None = None
-
-    @property
-    def passed(self) -> bool:
-        return self.verdict
 
     def to_json_dict(self) -> dict:
         return {
@@ -84,21 +82,35 @@ class IdentityReport:
         }
 
 
+def _first_disagreement(checks, domain: Domain | None) -> tuple[bool, dict | None]:
+    """(True, None) when both sides of every check agree, else (False,
+    witness) for the first check whose sides differ.
+
+    A check is ``(position, name_a, a, name_b, b)``; the witness is the
+    position dict followed by both sides under their names, rendered by
+    scalar_to_json after coercion into ``domain`` when one is given.
+    Checks are drawn one at a time, so nothing after the first
+    disagreement is computed, and a pass renders nothing."""
+    for position, name_a, a, name_b, b in checks:
+        if a != b:
+            if domain is not None:
+                a, b = domain.coerce(a), domain.coerce(b)
+            return False, {**position, name_a: scalar_to_json(a), name_b: scalar_to_json(b)}
+    return True, None
+
+
 def _laurent_report(
-    identity: str, params: dict, lhs: LaurentSeries, rhs: LaurentSeries, details=None
+    identity: str, params: dict, lhs: LaurentSeries, rhs: LaurentSeries
 ) -> IdentityReport:
     lo = -max(lhs.pole, rhs.pole)
     hi = min(lhs.top_exponent, rhs.top_exponent)
-    ok, bad = (lhs - rhs).is_zero_with_witness()
-    witness = None
-    if not ok:
-        witness = {
-            "exponent": bad,
-            "lhs": scalar_to_json(lhs.coefficient(bad)),
-            "rhs": scalar_to_json(rhs.coefficient(bad)),
-        }
+    checks = (
+        ({"exponent": e}, "lhs", lhs.coefficient(e), "rhs", rhs.coefficient(e))
+        for e in range(lo, hi + 1)
+    )
+    ok, witness = _first_disagreement(checks, None)
     compared = {"exponent_low": lo, "exponent_high": hi}
-    return IdentityReport(identity, params, ok, witness, compared, details)
+    return IdentityReport(identity, params, ok, witness, compared)
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +141,7 @@ def verify_ode(
     )
     if N % 2:
         lhs = -lhs
-    table = coeffs if coeffs is not None else coeff_triangle(N, domain)
+    table = _triangle(coeffs, N, domain)
     power = F
     rhs = None
     for i in range(N + 1):
@@ -158,27 +170,20 @@ def verify_convolution(
     """
     if n < 1:
         raise ValueError("the convolution identity starts at n = 1")
-    table = coeffs if coeffs is not None else coeff_triangle(n, domain)
+    table = _triangle(coeffs, n, domain)
     lam = domain.lam
     weights = [domain.one]
     for m in range(1, n + 1):
         weights.append(weights[-1] * (domain.one - (m - 1) * lam) / m)
-    ok = True
-    witness = None
-    for j in range(1, n + 1):
-        lhs = domain.zero
-        for i in range(1, j + 1):
-            bracket = table.value(n - i, n) - n * table.value(n - i, n - 1)
-            lhs = lhs + weights[j - i] * bracket
-        rhs = table.value(n - j, n) - math.factorial(n) * weights[j]
-        if lhs != rhs:
-            ok = False
-            witness = {
-                "j": j,
-                "lhs": scalar_to_json(domain.coerce(lhs)),
-                "rhs": scalar_to_json(domain.coerce(rhs)),
-            }
-            break
+    bracket = {i: table.value(n - i, n) - n * table.value(n - i, n - 1)
+               for i in range(1, n + 1)}
+    checks = (
+        ({"j": j},
+         "lhs", sum((weights[j - i] * bracket[i] for i in range(1, j + 1)), domain.zero),
+         "rhs", table.value(n - j, n) - math.factorial(n) * weights[j])
+        for j in range(1, n + 1)
+    )
+    ok, witness = _first_disagreement(checks, domain)
     params = {"n": n, "lambda": domain.describe()}
     compared = {"j_low": 1, "j_high": n}
     return IdentityReport("cor_3_4", params, ok, witness, compared)
@@ -359,14 +364,8 @@ def verify_higher_order(
     s12 = _sum12(j, N, ctx, domain)
     rhs = s12 + _sum3(j, N, ctx, domain, printed=False)
     rhs_printed = s12 + _sum3(j, N, ctx, domain, printed=True)
-    ok = rhs == expected
-    witness = None
-    if not ok:
-        witness = {
-            "index": j + N,
-            "lhs": scalar_to_json(domain.coerce(expected)),
-            "rhs": scalar_to_json(domain.coerce(rhs)),
-        }
+    check = ({"index": j + N}, "lhs", expected, "rhs", rhs)
+    ok, witness = _first_disagreement([check], domain)
     params = {"j": j, "N": N, "lambda": domain.describe()}
     details = {
         "third_sum_weight": "j!/(l+i)!",
@@ -405,31 +404,20 @@ def verify_route_agreement_a(
     built."""
     table = _triangle(coeffs, N_max, domain)
     skip_falling = domain.lam_is_zero
-    ok = True
-    witness = None
-    for N in range(1, N_max + 1):
-        for i in range(N + 1):
-            ref = table.value(i, N)
-            candidates = {"stirling": coeff_explicit_stirling(i, N, domain)}
-            if not skip_falling:
-                candidates["falling"] = coeff_explicit_falling(i, N, domain)
-            if 1 <= i <= N - 1:
-                candidates["unrolled"] = coeff_unrolled_recurrence(i, N, domain)
-            for route, val in candidates.items():
-                if val != ref:
-                    ok = False
-                    witness = {
-                        "i": i,
-                        "N": N,
-                        "route": route,
-                        "reference": scalar_to_json(domain.coerce(ref)),
-                        "value": scalar_to_json(domain.coerce(val)),
-                    }
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
+    routes = {"stirling": coeff_explicit_stirling}
+    if not skip_falling:
+        routes["falling"] = coeff_explicit_falling
+    routes["unrolled"] = coeff_unrolled_recurrence
+    checks = (
+        ({"i": i, "N": N, "route": route}, "reference", table.value(i, N),
+         "value", entry(i, N, domain))
+        for N in range(1, N_max + 1)
+        for i in range(N + 1)
+        for route, entry in routes.items()
+        # the unrolled recurrence covers the inner entries only
+        if route != "unrolled" or 1 <= i <= N - 1
+    )
+    ok, witness = _first_disagreement(checks, domain)
     params = {"max_N": N_max, "lambda": domain.describe()}
     details = {"skipped_routes": ["falling"]} if skip_falling else None
     return IdentityReport("a_routes", params, ok, witness, None, details)
@@ -441,62 +429,29 @@ def verify_route_agreement_b(
     """All Bernoulli-row routes agree with the series reference, and the
     higher-order rows match their convolution cross-check."""
     ref = bernoulli.row_via_series(n_max, domain).values
-    ok = True
-    witness = None
-
-    def check(route: str, n: int, value) -> bool:
-        nonlocal ok, witness
-        if value != ref[n]:
-            ok = False
-            witness = {
-                "n": n,
-                "route": route,
-                "reference": scalar_to_json(domain.coerce(ref[n])),
-                "value": scalar_to_json(domain.coerce(value)),
-            }
-            return False
-        return True
-
-    rec = bernoulli.row_via_recurrence(n_max, domain).values
-    for n in range(n_max + 1):
-        if not check("recurrence", n, rec[n]):
-            break
     multi_top = min(n_max, multinomial_cap)
-    if ok:
-        multi = bernoulli.row_via_multinomial(multi_top, domain).values
-        for n in range(multi_top + 1):
-            if not check("multinomial", n, multi[n]):
-                break
-    if ok:
-        for form in bernoulli.EXPLICIT_FORMS:
-            row = bernoulli.row_via_explicit(n_max, domain, form).values
-            for n in range(n_max + 1):
-                if not check(form, n, row[n]):
-                    break
-            if not ok:
-                break
     higher_top = min(n_max, 10)
-    if ok:
+
+    def rows():
+        # (route, reference row, route row, top index compared), each
+        # route computed only once the ones before it agree
+        yield "recurrence", ref, bernoulli.row_via_recurrence(n_max, domain).values, n_max
+        multi = bernoulli.row_via_multinomial(multi_top, domain).values
+        yield "multinomial", ref, multi, multi_top
+        for form in bernoulli.EXPLICIT_FORMS:
+            yield form, ref, bernoulli.row_via_explicit(n_max, domain, form).values, n_max
         for r in (2, 3):
             direct = bernoulli.row_higher_order(r, higher_top, domain).values
             conv = bernoulli.convolution_row(r, higher_top, domain).values
-            for n in range(higher_top + 1):
-                if direct[n] != conv[n]:
-                    ok = False
-                    witness = {
-                        "n": n,
-                        "route": f"order_{r}_convolution",
-                        "reference": scalar_to_json(domain.coerce(direct[n])),
-                        "value": scalar_to_json(domain.coerce(conv[n])),
-                    }
-                    break
-            if not ok:
-                break
-    params = {
-        "max_n": n_max,
-        "multinomial_max_n": multi_top,
-        "lambda": domain.describe(),
-    }
+            yield f"order_{r}_convolution", direct, conv, higher_top
+
+    checks = (
+        ({"n": n, "route": route}, "reference", reference[n], "value", values[n])
+        for route, reference, values, top in rows()
+        for n in range(top + 1)
+    )
+    ok, witness = _first_disagreement(checks, domain)
+    params = {"max_n": n_max, "multinomial_max_n": multi_top, "lambda": domain.describe()}
     return IdentityReport("b_routes", params, ok, witness, None)
 
 
@@ -504,36 +459,25 @@ def verify_route_agreement_bell(n_max: int = 10) -> IdentityReport:
     """Partition-sum and generating-function Bell values agree, both on
     an integer argument family and on the λ-polynomial family used by
     the scaled Stirling bridge."""
-    ok = True
-    witness = None
     lam = SYMBOLIC.lam
-    for n in range(n_max + 1):
-        for k in range(n + 1):
-            m = max(n - k + 1, 0)
-            families = {
-                "integers": [Rational(i + 1) for i in range(m)],
-                "deformed": [
-                    falling_factorial(lam - 1, i) if i else SYMBOLIC.one
-                    for i in range(m)
-                ],
-            }
-            for fam, xs in families.items():
-                lhs = bell_partial(n, k, xs, via="partition_sum")
-                rhs = bell_partial(n, k, xs, via="generating_function")
-                if lhs != rhs:
-                    ok = False
-                    witness = {
-                        "n": n,
-                        "k": k,
-                        "family": fam,
-                        "partition_sum": scalar_to_json(SYMBOLIC.coerce(lhs)),
-                        "generating_function": scalar_to_json(SYMBOLIC.coerce(rhs)),
-                    }
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
+
+    def families(m: int) -> dict:
+        return {
+            "integers": [Rational(i + 1) for i in range(m)],
+            "deformed": [
+                falling_factorial(lam - 1, i) if i else SYMBOLIC.one for i in range(m)
+            ],
+        }
+
+    checks = (
+        ({"n": n, "k": k, "family": fam},
+         "partition_sum", bell_partial(n, k, xs, via="partition_sum"),
+         "generating_function", bell_partial(n, k, xs, via="generating_function"))
+        for n in range(n_max + 1)
+        for k in range(n + 1)
+        for fam, xs in families(n - k + 1).items()
+    )
+    ok, witness = _first_disagreement(checks, SYMBOLIC)
     return IdentityReport("bell_routes", {"max_n": n_max}, ok, witness, None)
 
 
@@ -542,42 +486,25 @@ def verify_route_agreement_stirling(
 ) -> IdentityReport:
     """Both deformed second-kind triangle routes agree, and both scaled
     value routes agree."""
-    ok = True
-    witness = None
     gf = degenerate_stirling2(n_max, domain, via="generating_function")
     bell = degenerate_stirling2(n_max, domain, via="bell_formula")
-    for n in range(n_max + 1):
-        for k in range(n + 1):
-            if gf.value(n, k) != bell.value(n, k):
-                ok = False
-                witness = {
-                    "n": n,
-                    "k": k,
-                    "triangle": "degenerate_second",
-                    "generating_function": scalar_to_json(domain.coerce(gf.value(n, k))),
-                    "bell_formula": scalar_to_json(domain.coerce(bell.value(n, k))),
-                }
-                break
-        if not ok:
-            break
+    checks = (
+        ({"n": n, "k": k, "triangle": "degenerate_second"},
+         "generating_function", gf.value(n, k), "bell_formula", bell.value(n, k))
+        for n in range(n_max + 1)
+        for k in range(n + 1)
+    )
     skip_gf_scaled = domain.lam_is_zero
-    if ok and not skip_gf_scaled:
-        for N in range(n_max + 1):
-            for k in range(N + 1):
-                a = scaled_degenerate_stirling(N, k, domain, via="bell_formula")
-                b = scaled_degenerate_stirling(N, k, domain, via="generating_function")
-                if a != b:
-                    ok = False
-                    witness = {
-                        "N": N,
-                        "k": k,
-                        "triangle": "scaled",
-                        "bell_formula": scalar_to_json(domain.coerce(a)),
-                        "generating_function": scalar_to_json(domain.coerce(b)),
-                    }
-                    break
-            if not ok:
-                break
+    if not skip_gf_scaled:
+        checks = chain(checks, (
+            ({"N": N, "k": k, "triangle": "scaled"},
+             "bell_formula", scaled_degenerate_stirling(N, k, domain, via="bell_formula"),
+             "generating_function",
+             scaled_degenerate_stirling(N, k, domain, via="generating_function"))
+            for N in range(n_max + 1)
+            for k in range(N + 1)
+        ))
+    ok, witness = _first_disagreement(checks, domain)
     params = {"max_n": n_max, "lambda": domain.describe()}
     details = {"skipped_routes": ["scaled generating_function"]} if skip_gf_scaled else None
     return IdentityReport("stirling_routes", params, ok, witness, None, details)
@@ -589,44 +516,26 @@ def verify_stirling_limit(
     """λ -> 0 bridges: scaled second-kind values land on the signed
     first-kind triangle, and the coefficient triangle's constant terms
     are (-1)^(N+i) i! s(N, i).  A symbolic triangle with at least n_max
-    rows can be passed as ``coeffs``; otherwise one is built."""
+    rows can be passed as ``coeffs``; otherwise one is built.  Both
+    sides are plain rationals."""
     s1 = stirling1_signed(n_max)
     table = _triangle(coeffs, n_max, SYMBOLIC)
-    ok = True
-    witness = None
-    for N in range(n_max + 1):
-        for k in range(N + 1):
-            scaled = scaled_degenerate_stirling(N, k, SYMBOLIC)
-            limit = poly_eval(scaled, Rational(0))
-            if limit != s1.value(N, k):
-                ok = False
-                witness = {
-                    "N": N,
-                    "k": k,
-                    "kind": "scaled_to_first",
-                    "limit": scalar_to_json(limit),
-                    "expected": scalar_to_json(Rational(s1.value(N, k))),
-                }
-                break
-        if not ok:
-            break
-    if ok:
-        for N in range(1, n_max + 1):
-            for i in range(N + 1):
-                const = poly_eval(table.value(i, N), Rational(0))
-                expected = coeff_limit_at_zero(i, N, s1)
-                if const != expected:
-                    ok = False
-                    witness = {
-                        "N": N,
-                        "i": i,
-                        "kind": "coeff_constant_term",
-                        "limit": scalar_to_json(const),
-                        "expected": scalar_to_json(expected),
-                    }
-                    break
-            if not ok:
-                break
+    zero = Rational(0)
+    scaled = (
+        ({"N": N, "k": k, "kind": "scaled_to_first"},
+         "limit", poly_eval(scaled_degenerate_stirling(N, k, SYMBOLIC), zero),
+         "expected", s1.value(N, k))
+        for N in range(n_max + 1)
+        for k in range(N + 1)
+    )
+    constants = (
+        ({"N": N, "i": i, "kind": "coeff_constant_term"},
+         "limit", poly_eval(table.value(i, N), zero),
+         "expected", coeff_limit_at_zero(i, N, s1))
+        for N in range(1, n_max + 1)
+        for i in range(N + 1)
+    )
+    ok, witness = _first_disagreement(chain(scaled, constants), None)
     return IdentityReport("stirling_limit", {"max_n": n_max}, ok, witness, None)
 
 

@@ -156,8 +156,7 @@ def test_laurent_pole_arithmetic():
     assert G.pole == 2
     assert G.coefficient(-2) == 1
     S = F + (-F)
-    ok, bad = S.is_zero_with_witness()
-    assert ok and bad is None
+    assert all(not S.coefficient(e) for e in range(-S.pole, S.top_exponent + 1))
 
 
 def test_laurent_derivative_bookkeeping():
@@ -195,14 +194,6 @@ def test_laurent_equality_common_window():
     assert F == G
     H = G + LaurentSeries.from_series(polynomial_series(Q, (0, 0, 1), 4))
     assert F != H
-
-
-def test_laurent_witness_pinpoints_first_mismatch():
-    F = classical_log_reciprocal(6)
-    G = F + LaurentSeries.from_series(polynomial_series(Q, (0, 1), 5))
-    ok, bad = (F - G).is_zero_with_witness()
-    assert not ok
-    assert bad == 1
 
 
 def test_independent_triangular_inversion_oracle():

@@ -2,6 +2,7 @@
 sensitivity (corrupt inputs must yield failing reports with witnesses),
 and the regression pinning the third-sum factorial-weight discrepancy."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -29,11 +30,16 @@ from degenbern import bernoulli
 from degenbern import verify as verify_module
 
 
+def bumped_rows(table, n, k, delta=1):
+    """A copy of a triangle (coefficient or Stirling) with entry k of row
+    n moved by delta."""
+    rows = [list(r) for r in table.rows]
+    rows[n][k] = rows[n][k] + delta
+    return dataclasses.replace(table, rows=tuple(tuple(r) for r in rows))
+
+
 def corrupted_triangle(n_max, domain, i, N, delta=1):
-    base = coeff_triangle(n_max, domain)
-    rows = [list(r) for r in base.rows]
-    rows[N][i] = rows[N][i] + delta
-    return CoeffTable(domain=domain, rows=tuple(tuple(r) for r in rows))
+    return bumped_rows(coeff_triangle(n_max, domain), N, i, delta)
 
 
 def test_ode_passes_and_reports_window():
@@ -171,6 +177,18 @@ def test_route_reports_take_a_given_triangle():
         verify_route_agreement_a(3, dom, coeffs=coeff_triangle(3, SYMBOLIC))
     with pytest.raises(ValueError):
         verify_stirling_limit(3, coeffs=coeff_triangle(3, dom))
+    # a triangle of another domain is a usage error, not a failed identity
+    half, third = EvaluatedDomain(Fraction(1, 2)), EvaluatedDomain(Fraction(1, 3))
+    with pytest.raises(ValueError):
+        verify_ode(2, 8, SYMBOLIC, coeff_triangle(2, half))
+    with pytest.raises(ValueError):
+        verify_ode(3, 8, half, coeff_triangle(2, half))
+    with pytest.raises(ValueError):
+        verify_convolution(3, half, coeff_triangle(3, third))
+    with pytest.raises(ValueError):
+        verify_convolution(3, half, coeff_triangle(2, half))
+    assert verify_ode(2, 8, half, coeff_triangle(4, half)).verdict
+    assert verify_convolution(3, half, coeff_triangle(4, half)).verdict
     assert verify_route_agreement_a(3, dom, coeffs=coeff_triangle(5, dom)).verdict
     assert verify_stirling_limit(3, coeffs=coeff_triangle(5, SYMBOLIC)).verdict
     # the given table is the reference: a corrupted entry fails the report
@@ -244,6 +262,17 @@ def test_route_agreement_fault_injection(monkeypatch):
     assert r.witness["n"] == 4
 
 
+def test_agreement_stops_at_the_first_disagreement(monkeypatch):
+    # a route that disagrees ends the report: no later route is computed
+    bump_row(monkeypatch, "row_via_recurrence", 2)
+    later = []
+    for name in ("row_via_multinomial", "row_via_explicit", "row_higher_order"):
+        monkeypatch.setattr(bernoulli, name, lambda *a, name=name: later.append(name))
+    report = verify_route_agreement_b(4)
+    assert report.witness["route"] == "recurrence"
+    assert later == []
+
+
 def test_verify_all_small():
     reports = verify_all(N_max=3, n_max=4, order=12, max_j=2)
     assert all(r.verdict for r in reports)
@@ -292,3 +321,212 @@ def test_report_json_shape():
     d2 = bad.to_json_dict()
     assert d2["verdict"] == "fail"
     assert isinstance(d2["witness"]["exponent"], int)
+
+
+# ---------------------------------------------------------------------------
+# the witness of every verifier, pinned: keys, key order and rendering
+
+DOMAINS = {"sym": SYMBOLIC, "-2/5": EvaluatedDomain(Fraction(-2, 5)), "0": EvaluatedDomain(0)}
+
+
+def bump_where(mp, owner, name, hit):
+    """Rebind owner.name so that its value moves by 1 wherever
+    hit(*args) holds."""
+    real = getattr(owner, name)
+    mp.setattr(owner, name, lambda *a, **kw: real(*a, **kw) + (1 if hit(*a, **kw) else 0))
+
+
+def bump_row(mp, name, n, hit=lambda *a: True):
+    """Rebind bernoulli.name so that value n of the rows it returns moves
+    by 1 wherever hit(*args) holds."""
+    real = getattr(bernoulli, name)
+
+    def tampered(*a, **kw):
+        row = real(*a, **kw)
+        if not hit(*a, **kw):
+            return row
+        values = list(row.values)
+        values[n] = values[n] + 1
+        return dataclasses.replace(row, values=tuple(values))
+
+    mp.setattr(bernoulli, name, tampered)
+
+
+def bump_stirling_table(mp, name, n, k, hit):
+    """Rebind verify.name so that entry (n, k) of the triangles it
+    returns moves by 1 wherever hit(*args) holds."""
+    real = getattr(verify_module, name)
+    mp.setattr(verify_module, name, lambda *a, **kw: (
+        bumped_rows(real(*a, **kw), n, k) if hit(*a, **kw) else real(*a, **kw)))
+
+
+def fault_a(route):
+    name = {"stirling": "coeff_explicit_stirling", "falling": "coeff_explicit_falling",
+            "unrolled": "coeff_unrolled_recurrence"}[route]
+
+    def run(mp, dom):
+        bump_where(mp, verify_module, name, lambda i, N, d: (i, N) == (1, 3))
+        return verify_route_agreement_a(3, dom)
+    return run
+
+
+def fault_b(route):
+    def run(mp, dom):
+        if route in bernoulli.EXPLICIT_FORMS:
+            bump_row(mp, "row_via_explicit", 3, lambda n, d, form="a_form": form == route)
+        else:
+            bump_row(mp, "row_via_" + route, 3)
+        return verify_route_agreement_b(4, dom)
+    return run
+
+
+def fault_order_r(name, r):
+    def run(mp, dom):
+        bump_row(mp, name, 2, lambda order, n, d: order == r)
+        return verify_route_agreement_b(4, dom)
+    return run
+
+
+def fault_classical(which):
+    def run(mp, dom):
+        bump_stirling_table(mp, "stirling1_signed", 2, 1, lambda *a: True)
+        return verify_classical_derivative(2, 4, which)
+    return run
+
+
+def fault_bell(family):
+    def hit(n, k, xs, via="partition_sum"):
+        deformed = isinstance(xs[0], LambdaPoly)
+        return (n, k, via, deformed) == (4, 2, "generating_function", family == "deformed")
+
+    def run(mp, dom):
+        bump_where(mp, verify_module, "bell_partial", hit)
+        return verify_route_agreement_bell(4)
+    return run
+
+
+def fault_stirling_triangle(mp, dom):
+    bump_stirling_table(mp, "degenerate_stirling2", 3, 2,
+                        lambda n, d, via="generating_function": via == "bell_formula")
+    return verify_route_agreement_stirling(3, dom)
+
+
+def fault_stirling_scaled(mp, dom):
+    bump_where(mp, verify_module, "scaled_degenerate_stirling",
+               lambda N, k, d, via="bell_formula": (N, k, via) == (3, 1, "generating_function"))
+    return verify_route_agreement_stirling(3, dom)
+
+
+def fault_limit_scaled(mp, dom):
+    bump_where(mp, verify_module, "scaled_degenerate_stirling",
+               lambda N, k, d, via="bell_formula": (N, k) == (3, 1))
+    return verify_stirling_limit(3)
+
+
+def _ctx(dom, max_index):
+    return HigherOrderContext(dom, 2, max_index, coeffs=corrupted_triangle(2, dom, 1, 2))
+
+
+A13 = {"i": 1, "N": 3}
+B3 = {"n": 3}
+B3_SYM = {"reference": ["1/4", "0", "-1/4"], "value": ["5/4", "0", "-1/4"]}
+B3_NEG = {"reference": "21/100", "value": "121/100"}
+
+# identity and planted fault -> (report with the fault, {λ: witness});
+# λ = 0 is listed where the verifier accepts it, and None means a pass
+WITNESS_CASES = {
+    "ode_family": (
+        lambda mp, d: verify_ode(2, 4, d, corrupted_triangle(2, d, 1, 2)),
+        {"sym": {"exponent": -2, "lhs": ["4"], "rhs": ["5"]},
+         "-2/5": {"exponent": -2, "lhs": "4", "rhs": "5"}},
+    ),
+    "eq_41": (fault_classical("eq41"), {"0": {"exponent": -2, "lhs": "0", "rhs": "-1"}}),
+    "eq_42": (fault_classical("eq42"), {"0": {"exponent": -1, "lhs": "0", "rhs": "-1"}}),
+    "cor_3_4": (
+        lambda mp, d: verify_convolution(3, d, corrupted_triangle(3, d, 1, 2)),
+        {"sym": {"j": 2, "lhs": ["-4", "12", "7"], "rhs": ["-1", "12", "7"]},
+         "-2/5": {"j": 2, "lhs": "-192/25", "rhs": "-117/25"},
+         "0": {"j": 2, "lhs": "-4", "rhs": "-1"}},
+    ),
+    "thm_4_1": (
+        lambda mp, d: verify_higher_order(1, 2, d, _ctx(d, 3)),
+        {"sym": {"index": 3, "lhs": ["1/4", "0", "-1/4"], "rhs": ["4/3", "3/2", "1/6"]},
+         "-2/5": {"index": 3, "lhs": "21/100", "rhs": "19/25"}},
+    ),
+    "cor_4_2": (
+        lambda mp, d: verify_singular(-1, 2, d, _ctx(d, 1)),
+        {"sym": {"j": -1, "value": ["1"]}, "-2/5": {"j": -1, "value": "1"}},
+    ),
+    **{
+        f"a_routes.{route}": (fault_a(route), {
+            "sym": {**A13, "route": route, "reference": ["2", "9", "7"], "value": ["3", "9", "7"]},
+            "-2/5": {**A13, "route": route, "reference": "-12/25", "value": "13/25"},
+            # at λ = 0 the falling route is skipped
+            "0": None if route == "falling" else
+                 {**A13, "route": route, "reference": "2", "value": "3"},
+        })
+        for route in ("stirling", "falling", "unrolled")
+    },
+    **{
+        f"b_routes.{route}": (fault_b(route), {
+            "sym": {**B3, "route": route, **B3_SYM}, "-2/5": {**B3, "route": route, **B3_NEG}})
+        for route in ("recurrence", "multinomial", *bernoulli.EXPLICIT_FORMS)
+    },
+    "b_routes.order_2_reference": (
+        fault_order_r("row_higher_order", 2),
+        {"sym": {"n": 2, "route": "order_2_convolution",
+                 "reference": ["7/6", "-1", "5/6"], "value": ["1/6", "-1", "5/6"]},
+         "-2/5": {"n": 2, "route": "order_2_convolution", "reference": "17/10", "value": "7/10"}},
+    ),
+    "b_routes.order_3_convolution": (
+        fault_order_r("convolution_row", 3),
+        {"sym": {"n": 2, "route": "order_3_convolution",
+                 "reference": ["1", "-3", "2"], "value": ["2", "-3", "2"]},
+         "-2/5": {"n": 2, "route": "order_3_convolution", "reference": "63/25", "value": "88/25"}},
+    ),
+    # Bell values are rendered through the symbolic domain, integers too
+    "bell_routes.integers": (fault_bell("integers"), {"sym": {
+        "n": 4, "k": 2, "family": "integers",
+        "partition_sum": ["24"], "generating_function": ["25"]}}),
+    "bell_routes.deformed": (fault_bell("deformed"), {"sym": {
+        "n": 4, "k": 2, "family": "deformed",
+        "partition_sum": ["11", "-18", "7"], "generating_function": ["12", "-18", "7"]}}),
+    "stirling_routes.degenerate_second": (fault_stirling_triangle, {
+        "sym": {"n": 3, "k": 2, "triangle": "degenerate_second",
+                "generating_function": ["3", "-3"], "bell_formula": ["4", "-3"]},
+        "-2/5": {"n": 3, "k": 2, "triangle": "degenerate_second",
+                 "generating_function": "21/5", "bell_formula": "26/5"},
+        "0": {"n": 3, "k": 2, "triangle": "degenerate_second",
+              "generating_function": "3", "bell_formula": "4"},
+    }),
+    "stirling_routes.scaled": (fault_stirling_scaled, {
+        "sym": {"N": 3, "k": 1, "triangle": "scaled",
+                "bell_formula": ["2", "-3", "1"], "generating_function": ["3", "-3", "1"]},
+        "-2/5": {"N": 3, "k": 1, "triangle": "scaled",
+                 "bell_formula": "84/25", "generating_function": "109/25"},
+        # at λ = 0 the scaled generating-function route is skipped
+        "0": None,
+    }),
+    # the λ -> 0 limits render as plain rationals
+    "stirling_limit.scaled_to_first": (fault_limit_scaled, {"sym": {
+        "N": 3, "k": 1, "kind": "scaled_to_first", "limit": "3", "expected": "2"}}),
+    "stirling_limit.coeff_constant_term": (
+        lambda mp, d: verify_stirling_limit(3, coeffs=corrupted_triangle(3, SYMBOLIC, 1, 2)),
+        {"sym": {"N": 2, "i": 1, "kind": "coeff_constant_term", "limit": "2", "expected": "1"}},
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "case, lam",
+    [(case, lam) for case, (_, by_lam) in WITNESS_CASES.items() for lam in by_lam],
+)
+def test_planted_fault_witness(case, lam, monkeypatch):
+    run, by_lam = WITNESS_CASES[case]
+    expected = by_lam[lam]
+    report = run(monkeypatch, DOMAINS[lam])
+    assert report.identity == case.split(".")[0]
+    assert report.verdict is (expected is None)
+    witness = report.to_json_dict()["witness"]
+    assert witness == expected
+    assert list(witness or ()) == list(expected or ())
