@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 from .scalars import (
     Domain,
-    DomainError,
     Rational,
     Scalar,
     SYMBOLIC,
@@ -199,34 +198,27 @@ def row_via_multinomial(n_max: int, domain: Domain) -> BernoulliRow:
 
 def value_via_explicit(n: int, domain: Domain, form: str = "a_form") -> Scalar:
     """One value from the closed forms that couple the Bernoulli row to
-    the derivative-family coefficient triangle (n >= 1).
-
-    form "a_form" consumes triangle rows n and n-1 directly;
-    form "stirling_form" replaces them by scaled second-kind Stirling
-    values; form "falling_form" unwinds everything into alternating
-    falling-factorial sums with a verified λ-power shift.
+    the derivative-family coefficient triangle (n >= 1): value n of
+    :func:`row_via_explicit`.
     """
-    require_deformed(domain, _ROUTE)
     if n < 1:
         raise ValueError("explicit forms start at n = 1")
-    if form == "a_form":
-        rows = scaled_triangle_rows(n, domain)
-        return _explicit_a_form(n, domain, rows, _deformed_products(n, domain))
-    if form == "stirling_form":
-        xs = stirling_bell_arguments(n + 1, domain)
-        return _explicit_stirling_form(
-            n, domain, _bell_row(n - 1, xs), _bell_row(n, xs), _deformed_products(n, domain)
-        )
-    if form == "falling_form":
-        return _explicit_falling_form(n, domain)
-    raise ValueError(f"unknown form {form!r}")
+    return row_via_explicit(n, domain, form).values[n]
 
 
 def row_via_explicit(n_max: int, domain: Domain, form: str = "a_form") -> BernoulliRow:
-    """Values 0..n_max of one explicit form.  The a-form reads one set of
-    scaled triangle rows; the Stirling form builds each Bell row T(N, .)
-    once and hands it to values N and N+1."""
+    """Values 0..n_max of one explicit form.
+
+    form "a_form" consumes triangle rows n and n-1 directly and reads one
+    set of scaled triangle rows; form "stirling_form" replaces them by
+    scaled second-kind Stirling values and builds each Bell row T(N, .)
+    once, handing it to values N and N+1; form "falling_form" unwinds
+    everything into alternating falling-factorial sums with a verified
+    λ-power shift.
+    """
     require_deformed(domain, _ROUTE)
+    if form not in EXPLICIT_FORMS:
+        raise ValueError(f"unknown form {form!r}")
     values: list[Scalar] = [domain.one]
     if form == "a_form":
         rows = scaled_triangle_rows(n_max, domain)
@@ -241,7 +233,7 @@ def row_via_explicit(n_max: int, domain: Domain, form: str = "a_form") -> Bernou
             values.append(_explicit_stirling_form(n, domain, prev, row, deformed))
             prev = row
     else:
-        values += [value_via_explicit(n, domain, form) for n in range(1, n_max + 1)]
+        values += [_explicit_falling_form(n, domain) for n in range(1, n_max + 1)]
     return BernoulliRow(domain, 1, "explicit", tuple(values))
 
 
@@ -344,8 +336,6 @@ def _explicit_falling_form(n: int, domain: Domain) -> Scalar:
 
         ((-1)^n n! G_n + sum_{i<n} (n+1)!/(i+1)! G_i H_i) / ((n+1)! q^(n+1)).
     """
-    if domain.lam_is_zero:
-        raise DomainError("falling form divides by λ powers; no value at λ = 0")
     p, q, zero, one = integer_parts(domain)
     plain, shifted = [], []
     for l in range(n + 1):

@@ -272,36 +272,21 @@ def run_a(args, command: list[str]) -> tuple[dict, int]:
     route = args.route
     if route == "falling" and domain.lam_is_zero:
         raise CLIError("the falling-factorial route is undefined at lambda = 0")
-    table = coeff_triangle(max_N, domain)
-
-    def entry(route_name: str, i: int, N: int):
-        if route_name == "recurrence":
-            return table.value(i, N)
-        if route_name == "falling":
-            return coeff_explicit_falling(i, N, domain)
-        return coeff_explicit_stirling(i, N, domain)
-
-    compare_routes = ["recurrence", "stirling"]
-    if route == "all" and not domain.lam_is_zero:
-        compare_routes.append("falling")
     shown = "recurrence" if route == "all" else route
     with_agree = route == "all"
+    names = [shown]
+    if with_agree:
+        names += ["stirling"] if domain.lam_is_zero else ["stirling", "falling"]
+    routes = {"stirling": coeff_explicit_stirling, "falling": coeff_explicit_falling}
+    if "recurrence" in names:
+        table = coeff_triangle(max_N, domain)
+        routes["recurrence"] = lambda N, _: table.row(N)
 
     def build_row(N: int):
-        row = [N]
-        agree = True
-        for i in range(max_N + 1):
-            if i > N:
-                row.append(None)
-                continue
-            value = entry(shown, i, N)
-            if with_agree:
-                for other in compare_routes:
-                    if other != shown and entry(other, i, N) != value:
-                        agree = False
-            row.append(value)
+        values, *others = [routes[name](N, domain) for name in names]
+        row = [N, *values] + [None] * (max_N - N)
         if with_agree:
-            row.append(agree)
+            row.append(all(other == values for other in others))
         return row
 
     rows = [build_row(N) for N in range(1, max_N + 1)]

@@ -52,19 +52,7 @@ def falling_factorial(x, n: int):
     rational x = a/b the product is (a)(a-b)...(a-(n-1)b) / b^n, taken
     over the integers with one reduction at the end.
     """
-    if n < 0:
-        raise ValueError("falling factorial needs n >= 0")
-    if isinstance(x, Rational):
-        a, b = x.numerator, x.denominator
-        num = 1
-        for j in range(n):
-            num *= a - j * b
-        return Rational(num, b**n)
-    acc = None
-    for j in range(n):
-        term = x - j
-        acc = term if acc is None else acc * term
-    return acc if acc is not None else 1
+    return _falling_product(x, n, 1)
 
 
 def generalized_falling(x, n: int, lam):
@@ -74,11 +62,16 @@ def generalized_falling(x, n: int, lam):
     prod_j (ad - jcb) / (bd)^n, taken over the integers with one
     reduction at the end.
     """
+    return _falling_product(x, n, lam)
+
+
+def _falling_product(x, n: int, step):
+    """x (x-step) ... (x-(n-1) step), the body of both falling factorials."""
     if n < 0:
         raise ValueError("falling factorial needs n >= 0")
-    if isinstance(x, Rational) and isinstance(lam, (int, Rational)):
+    if isinstance(x, Rational) and isinstance(step, (int, Rational)):
         a, b = x.numerator, x.denominator
-        c, d = lam.numerator, lam.denominator
+        c, d = step.numerator, step.denominator
         ad, cb = a * d, c * b
         num = 1
         for j in range(n):
@@ -86,7 +79,7 @@ def generalized_falling(x, n: int, lam):
         return Rational(num, (b * d) ** n)
     acc = None
     for j in range(n):
-        term = x - j * lam
+        term = x - j * step
         acc = term if acc is None else acc * term
     return acc if acc is not None else 1
 
@@ -169,13 +162,13 @@ def _deg_stirling2_bell(n_max: int, domain: Domain) -> StirlingTable:
     lam = domain.lam
     rows = []
     for n in range(n_max + 1):
+        # (l|λ)_n for l = 0..n, shared by the whole row
+        falling = [generalized_falling(domain.coerce(l), n, lam) for l in range(n + 1)]
         row = []
         for k in range(n + 1):
             acc = domain.zero
             for l in range(k + 1):
-                term = binomial(k, l) * generalized_falling(
-                    domain.coerce(l), n, lam
-                )
+                term = binomial(k, l) * falling[l]
                 acc = acc + term if l % 2 == 0 else acc - term
             sign = -1 if k % 2 else 1
             row.append(acc * Rational(sign, math.factorial(k)))

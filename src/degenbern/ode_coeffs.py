@@ -6,8 +6,8 @@ Row N holds the N+1 scalars c_0..c_N with
     (-1)^N (1+t)^N F^(N) = sum_i c_i F^(i+1),     F = 1/log-deformed(1+t).
 
 Row 1 is (λ, 1) and the triangle grows by the two-term recurrence
-implemented in :func:`coeff_triangle`.  Three more routes compute single
-entries independently (a double alternating sum over λ-multiples, a sum
+implemented in :func:`coeff_triangle`.  Three more routes compute whole
+rows independently (a double alternating sum over λ-multiples, a sum
 over scaled second-kind Stirling values, and an unrolled one-index
 recurrence); the verify module and the tests force all four to agree.
 Entry (i, N) is a λ-polynomial of degree N - i whose constant term is
@@ -100,71 +100,77 @@ def coeff_triangle(n_max: int, domain: Domain) -> CoeffTable:
     ]))
 
 
-def coeff_explicit_falling(i: int, N: int, domain: Domain) -> Scalar:
-    """Closed form as a double alternating sum.
+def coeff_explicit_falling(N: int, domain: Domain) -> tuple[Scalar, ...]:
+    """Row N as double alternating sums.
 
-    (-1)^N λ^(-i) sum_{k=i}^{N} sum_{l=0}^{k} (-1)^l C(k,i) C(k,l) (λl)_N,
-    where (x)_N is the plain falling factorial.  The inner sum is always
-    divisible by λ^i; symbolically the division is a verified coefficient
-    shift, at a fixed rational λ it is ordinary division.  At λ = 0 the
-    expression is 0/0, so that point must go through another route.
+    c_i = (-1)^N λ^(-i) sum_{k=i}^{N} C(k,i) S_k with
+    S_k = sum_{l=0}^{k} (-1)^l C(k,l) (λl)_N, where (x)_N is the plain
+    falling factorial; the N+1 falling factorials and the sums S_k do
+    not depend on i and are taken once per row.  Inner sum i is always
+    divisible by λ^i; symbolically the division is a verified
+    coefficient shift, at a fixed rational λ it is ordinary division.
+    At λ = 0 the expression is 0/0, so that point must go through
+    another route.
     """
-    _check_entry(i, N)
+    _check_row(N)
     lam = domain.lam
     if domain.lam_is_zero:
         raise DomainError(
             "the alternating-sum route divides by λ^i and has no value at "
             "λ = 0; use the recurrence or Stirling route there"
         )
-    falling_cache = {}
-
-    def lam_l_falling(l: int):
-        if l not in falling_cache:
-            falling_cache[l] = falling_factorial(l * lam, N)
-        return falling_cache[l]
-
-    inner = domain.zero
-    for k in range(i, N + 1):
-        cki = binomial(k, i)
-        if not cki:
-            continue
+    falling = [falling_factorial(l * lam, N) for l in range(N + 1)]
+    alternating = []
+    for k in range(N + 1):
+        acc = domain.zero
         for l in range(k + 1):
-            term = (cki * binomial(k, l)) * lam_l_falling(l)
-            inner = inner + term if l % 2 == 0 else inner - term
-    if domain.is_symbolic:
-        shifted = inner.shifted_down(i)
-    else:
-        shifted = inner / lam**i
-    return -shifted if N % 2 else shifted
+            term = binomial(k, l) * falling[l]
+            acc = acc + term if l % 2 == 0 else acc - term
+        alternating.append(acc)
+    row = []
+    for i in range(N + 1):
+        inner = domain.zero
+        for k in range(i, N + 1):
+            inner = inner + binomial(k, i) * alternating[k]
+        if domain.is_symbolic:
+            shifted = inner.shifted_down(i)
+        else:
+            shifted = inner / lam**i
+        row.append(-shifted if N % 2 else shifted)
+    return tuple(row)
 
 
-def coeff_explicit_stirling(i: int, N: int, domain: Domain) -> Scalar:
-    """Closed form through scaled second-kind Stirling values:
+def coeff_explicit_stirling(N: int, domain: Domain) -> tuple[Scalar, ...]:
+    """Row N through scaled second-kind Stirling values:
 
-    (-1)^N sum_{k=i}^{N} (-1)^k k! C(k,i) λ^(k-i) [λ^(N-k) S-deformed(N,k)].
+    c_i = (-1)^N sum_{k=i}^{N} (-1)^k k! C(k,i) λ^(k-i) s(N,k),
+
+    with s(N,k) = λ^(N-k) S-deformed(N,k) taken once per row.
     """
-    _check_entry(i, N)
+    _check_row(N)
     lam = domain.lam
-    acc = domain.zero
-    for k in range(i, N + 1):
-        scaled = scaled_degenerate_stirling(N, k, domain)
-        coeff = math.factorial(k) * binomial(k, i)
-        term = coeff * lam ** (k - i) * scaled
-        acc = acc + term if k % 2 == 0 else acc - term
-    return domain.coerce(-acc if N % 2 else acc)
+    scaled = [scaled_degenerate_stirling(N, k, domain) for k in range(N + 1)]
+    row = []
+    for i in range(N + 1):
+        acc = domain.zero
+        for k in range(i, N + 1):
+            coeff = math.factorial(k) * binomial(k, i)
+            term = coeff * lam ** (k - i) * scaled[k]
+            acc = acc + term if k % 2 == 0 else acc - term
+        row.append(domain.coerce(-acc if N % 2 else acc))
+    return tuple(row)
 
 
-def coeff_unrolled_recurrence(i: int, N: int, domain: Domain) -> Scalar:
-    """Interior entries by unrolling the triangle recurrence in N only.
+def coeff_unrolled_recurrence(N: int, domain: Domain) -> tuple[Scalar, ...]:
+    """Row N by unrolling the triangle recurrence in N only.
 
-    Valid for 1 <= i <= N-1.  The recursion bottoms out at the closed
-    left-edge product (N + λ - 1)(N + λ - 2)...(λ), so this route never
-    touches :func:`coeff_triangle`.
+    The recursion bottoms out at the closed left-edge product
+    (N + λ - 1)(N + λ - 2)...(λ), and entry N is N!, so this route never
+    touches :func:`coeff_triangle`.  One memo serves the whole row.
     """
-    if not (1 <= i <= N - 1):
-        raise ValueError("unrolled recurrence is defined for 1 <= i <= N-1")
+    _check_row(N)
     memo: dict[tuple[int, int], Scalar] = {}
-    return _unrolled(i, N, domain, memo)
+    return tuple([_unrolled(i, N, domain, memo) for i in range(N + 1)])
 
 
 def _unrolled(i: int, N: int, domain: Domain, memo: dict) -> Scalar:
@@ -190,7 +196,9 @@ def _unrolled(i: int, N: int, domain: Domain, memo: dict) -> Scalar:
 
 def coeff_limit_at_zero(i: int, N: int, table: StirlingTable | None = None) -> Rational:
     """The λ -> 0 value of entry (i, N): (-1)^(N+i) i! s(N, i)."""
-    _check_entry(i, N)
+    _check_row(N)
+    if not 0 <= i <= N:
+        raise ValueError(f"entry {i} outside row {N}")
     if table is None:
         table = stirling1_signed(N)
     if table.kind != "first_signed" or table.n_max < N:
@@ -199,8 +207,8 @@ def coeff_limit_at_zero(i: int, N: int, table: StirlingTable | None = None) -> R
     return Rational(sign * math.factorial(i) * table.value(N, i))
 
 
-def _check_entry(i: int, N: int):
+def _check_row(N: int):
     if N < 1:
         raise ValueError("rows start at N = 1 (row 0 is the convention row)")
-    if not 0 <= i <= N:
-        raise ValueError(f"entry {i} outside row {N}")
+
+

@@ -303,15 +303,7 @@ class LambdaPoly:
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("polynomial powers need a nonnegative integer")
-        result = LambdaPoly.constant(1)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return result
+        return power_by_squaring(LambdaPoly.constant(1), self, exponent)
 
     def __bool__(self):
         return bool(self._nums)
@@ -341,6 +333,19 @@ class LambdaPoly:
 
 
 LAMBDA = LambdaPoly((0, 1))
+
+
+def power_by_squaring(one, base, exponent: int):
+    """base ** exponent by square-and-multiply from the unit one: one
+    product per set bit and one square per further bit."""
+    result = one
+    while exponent:
+        if exponent & 1:
+            result = result * base
+        exponent >>= 1
+        if exponent:
+            base = base * base
+    return result
 
 
 def poly_eval(p, x) -> Rational:

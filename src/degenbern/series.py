@@ -28,6 +28,7 @@ from .scalars import (
     Scalar,
     exact_quotient,
     integer_parts,
+    power_by_squaring,
     scaled_value,
 )
 
@@ -136,16 +137,7 @@ class TruncatedSeries:
     def __pow__(self, exponent: int) -> "TruncatedSeries":
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("series powers need a nonnegative integer")
-        result = one_series(self._domain, self.order)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
+        return power_by_squaring(one_series(self._domain, self.order), self, exponent)
 
     def reciprocal(self) -> "TruncatedSeries":
         """Multiplicative inverse; needs an invertible constant term.
@@ -330,16 +322,8 @@ class LaurentSeries:
     def __pow__(self, exponent: int) -> "LaurentSeries":
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("Laurent powers need a nonnegative integer")
-        result = LaurentSeries(0, one_series(self.domain, self._body.order))
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
+        one = LaurentSeries(0, one_series(self.domain, self._body.order))
+        return power_by_squaring(one, self, exponent)
 
     def shifted(self, k: int) -> "LaurentSeries":
         """Multiply by t**k (k may be negative)."""

@@ -398,7 +398,7 @@ def verify_singular(
 def verify_route_agreement_a(
     N_max: int, domain: Domain = SYMBOLIC, *, coeffs: CoeffTable | None = None
 ) -> IdentityReport:
-    """All entry routes of the coefficient triangle agree with the
+    """All row routes of the coefficient triangle agree with the
     recurrence reference.  A reference triangle of the same domain with
     at least N_max rows can be passed as ``coeffs``; otherwise one is
     built."""
@@ -408,16 +408,16 @@ def verify_route_agreement_a(
     if not skip_falling:
         routes["falling"] = coeff_explicit_falling
     routes["unrolled"] = coeff_unrolled_recurrence
-    checks = (
-        ({"i": i, "N": N, "route": route}, "reference", table.value(i, N),
-         "value", entry(i, N, domain))
-        for N in range(1, N_max + 1)
-        for i in range(N + 1)
-        for route, entry in routes.items()
-        # the unrolled recurrence covers the inner entries only
-        if route != "unrolled" or 1 <= i <= N - 1
-    )
-    ok, witness = _first_disagreement(checks, domain)
+
+    def checks():
+        # every route's row N, then its entries in the order i -> route
+        for N in range(1, N_max + 1):
+            rows = [(route, row_of(N, domain)) for route, row_of in routes.items()]
+            for i, reference in enumerate(table.row(N)):
+                for route, row in rows:
+                    yield {"i": i, "N": N, "route": route}, "reference", reference, "value", row[i]
+
+    ok, witness = _first_disagreement(checks(), domain)
     params = {"max_N": N_max, "lambda": domain.describe()}
     details = {"skipped_routes": ["falling"]} if skip_falling else None
     return IdentityReport("a_routes", params, ok, witness, None, details)

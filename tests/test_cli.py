@@ -7,6 +7,7 @@ import io
 import json
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -230,3 +231,34 @@ def test_main_dispatches_through_the_current_run_function(monkeypatch, capsys):
     monkeypatch.setattr(cli, "run_classical", fake)
     assert cli.main(["classical", "--max-n", "3", "--format", "csv"]) == 0
     assert capsys.readouterr().out == '"n"\n"7"\n'
+
+
+
+def test_a_routes_take_shared_values_once_per_row(monkeypatch, capsys):
+    # each row route takes s(N, k) for k = 0..N and (λl)_N for l = 0..N
+    # once per row: 65 distinct values each for N = 1..10
+    from degenbern import combinatorics, ode_coeffs
+
+    calls = Counter()
+
+    def count(owner, name):
+        real = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        for module in (combinatorics, ode_coeffs, cli):
+            if getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, wrapper)
+
+    count(combinatorics, "scaled_degenerate_stirling")
+    count(combinatorics, "falling_factorial")
+    count(ode_coeffs, "coeff_triangle")
+    assert cli.main(["a", "--max-N", "10", "--route", "all", "--format", "json"]) == 0
+    assert calls == {"scaled_degenerate_stirling": 65, "falling_factorial": 65, "coeff_triangle": 1}
+    assert json.loads(capsys.readouterr().out)["payload"]["all_agree"] is True
+    # the recurrence triangle is built only where it is shown or compared
+    calls.clear()
+    assert cli.main(["a", "--max-N", "10", "--route", "stirling", "--format", "json"]) == 0
+    assert calls == {"scaled_degenerate_stirling": 65}

@@ -1,5 +1,5 @@
 """Coefficient triangle of the closed derivative family: recurrence
-construction, the three explicit entry formulas, boundaries, degree
+construction, the three row routes, boundaries, degree
 shape, and the λ -> 0 constant terms."""
 
 from fractions import Fraction
@@ -98,22 +98,24 @@ def test_table_bounds():
         t.value(-1, 2)
 
 
+ROW_ROUTES = (coeff_explicit_stirling, coeff_explicit_falling, coeff_unrolled_recurrence)
+
+
 def test_explicit_routes_match_recurrence():
-    t = coeff_triangle(7, SYMBOLIC)
-    for N in range(1, 8):
-        for i in range(N + 1):
-            ref = t.value(i, N)
-            assert coeff_explicit_stirling(i, N, SYMBOLIC) == ref
-            assert coeff_explicit_falling(i, N, SYMBOLIC) == ref
-            if 1 <= i <= N - 1:
-                assert coeff_unrolled_recurrence(i, N, SYMBOLIC) == ref
+    # whole rows, edges included; at λ = 1 and 2 some falling factors vanish
+    for dom in (SYMBOLIC, *map(EvaluatedDomain, (Fraction(-2, 5), Fraction(1), Fraction(2)))):
+        t = coeff_triangle(7, dom)
+        for N in range(1, 8):
+            for route in ROW_ROUTES:
+                row = route(N, dom)
+                assert len(row) == N + 1
+                assert row == t.row(N), (dom, route.__name__, N)
 
 
-def test_unrolled_range_validation():
-    with pytest.raises(ValueError):
-        coeff_unrolled_recurrence(0, 3, SYMBOLIC)
-    with pytest.raises(ValueError):
-        coeff_unrolled_recurrence(3, 3, SYMBOLIC)
+def test_row_routes_start_at_row_one():
+    for route in ROW_ROUTES:
+        with pytest.raises(ValueError):
+            route(0, SYMBOLIC)
 
 
 def test_evaluated_domain_matches_symbolic_eval():
@@ -129,9 +131,9 @@ def test_evaluated_domain_matches_symbolic_eval():
 def test_falling_route_rejects_lambda_zero():
     dom = EvaluatedDomain(Fraction(0))
     with pytest.raises(DomainError):
-        coeff_explicit_falling(1, 3, dom)
+        coeff_explicit_falling(3, dom)
     # the stirling route handles λ = 0 fine and lands on the limit values
-    assert coeff_explicit_stirling(1, 3, dom) == Fraction(2)
+    assert coeff_explicit_stirling(3, dom) == (0, 2, 6, 6)
 
 
 def test_constant_terms_are_signed_first_kind():

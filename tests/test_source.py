@@ -1,4 +1,5 @@
-"""Source rules for the package: no tuple is built from a generator.
+"""Source rules for the package: no tuple is built from a generator, and
+every name the benchmark's tracer wraps exists.
 
 Under CPython 3.11, ``tuple(<generator>)`` and ``f(*<generator>)``
 allocate their tuple at a guessed length and then resize it.  The
@@ -11,6 +12,8 @@ start and leaves nothing behind.
 """
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import degenbern
@@ -45,3 +48,24 @@ def test_no_tuple_is_built_from_a_generator():
         for line, pattern in generator_tuples(path.read_text(encoding="utf-8"))
     ]
     assert found == []
+
+
+def test_every_traced_name_resolves():
+    # bench/tracing.py wraps these by name and fails on a missing one,
+    # so a rename in the package would break `bench/run.py --trace 1`
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = []
+    for layer, targets in tracing.LAYERS.items():
+        for module_name, attr in targets:
+            owner = importlib.import_module(f"degenbern.{module_name}")
+            if "." in attr:
+                cls_name, meth = attr.split(".")
+                found = meth in vars(getattr(owner, cls_name, object))
+            else:
+                found = callable(getattr(owner, attr, None))
+            if not found:
+                missing.append(f"{layer}: {module_name}.{attr}")
+    assert missing == []

@@ -273,6 +273,23 @@ def test_agreement_stops_at_the_first_disagreement(monkeypatch):
     assert later == []
 
 
+def test_a_routes_stop_at_the_first_failing_row(monkeypatch):
+    # the rows of N = 2 disagree: no route computes row 3 or later
+    calls = []
+    for name in ("coeff_explicit_stirling", "coeff_explicit_falling", "coeff_unrolled_recurrence"):
+        real = getattr(verify_module, name)
+
+        def logged(N, d, real=real, name=name):
+            calls.append((name, N))
+            row = real(N, d)
+            return row[:-1] + (row[-1] + 1,) if N == 2 and "stirling" in name else row
+
+        monkeypatch.setattr(verify_module, name, logged)
+    report = verify_route_agreement_a(5)
+    assert report.witness == {"i": 2, "N": 2, "route": "stirling", "reference": ["2"], "value": ["3"]}
+    assert max(N for _, N in calls) == 2
+
+
 def test_verify_all_small():
     reports = verify_all(N_max=3, n_max=4, order=12, max_j=2)
     assert all(r.verdict for r in reports)
@@ -365,7 +382,13 @@ def fault_a(route):
             "unrolled": "coeff_unrolled_recurrence"}[route]
 
     def run(mp, dom):
-        bump_where(mp, verify_module, name, lambda i, N, d: (i, N) == (1, 3))
+        real = getattr(verify_module, name)
+
+        def tampered(N, d):
+            row = real(N, d)
+            return row[:1] + (row[1] + 1,) + row[2:] if N == 3 else row
+
+        mp.setattr(verify_module, name, tampered)
         return verify_route_agreement_a(3, dom)
     return run
 
