@@ -7,6 +7,13 @@ claiming precision, and differentiation always costs exactly one known
 exponent.  A :class:`LaurentSeries` is t**(-pole) times a truncated
 series body and follows the same bookkeeping.
 
+Products are exact in both domains but computed two ways.  At a
+rational λ a product scales both operands to integer numerators over
+one denominator each and convolves them with a single packed integer
+multiplication.  Over Q[λ] it stays a schoolbook sum of λ-polynomial
+products, because packing whole λ-polynomial series, whose common
+denominators grow like factorials, was slower in every form tried.
+
 The named constructors at the bottom build the generating functions the
 rest of the package feeds on: the binomial series (1+t)**λ, the
 λ-deformed exponential, the λ-deformed logarithm divided by t, and the
@@ -26,6 +33,7 @@ from .scalars import (
     LambdaPoly,
     Rational,
     Scalar,
+    _kronecker_product,
     exact_quotient,
     integer_parts,
     power_by_squaring,
@@ -114,9 +122,33 @@ class TruncatedSeries:
         return TruncatedSeries._raw(self._domain, tuple([c * s for c in self._coeffs]))
 
     def __mul__(self, other):
+        """Cauchy product truncated to the smaller order, or a scaling.
+
+        At a rational λ both operands, cut to m = min(order), are written
+        as integer numerators over the lcm of their denominators, and one
+        Kronecker-packed integer product convolves the two numerator
+        vectors; coefficient k is its k-th output over the product of the
+        two lcms, reduced once.  Over Q[λ] the product stays a schoolbook
+        sum of λ-polynomial products, each one Kronecker-packed itself:
+        the common denominators of λ-polynomial series grow like
+        factorials, and packing whole Q[λ] series lost to the schoolbook
+        in every form tried, so the fork by domain is deliberate.
+        """
         if isinstance(other, TruncatedSeries):
             self._check(other)
             m = min(self.order, other.order)
+            if m and not self._domain.is_symbolic:
+                a, b = self._coeffs[:m], other._coeffs[:m]
+                da = lcm(*[c.denominator for c in a])
+                db = lcm(*[c.denominator for c in b])
+                z = _kronecker_product(
+                    [c.numerator * (da // c.denominator) for c in a],
+                    [c.numerator * (db // c.denominator) for c in b],
+                )
+                d = da * db
+                return TruncatedSeries._raw(
+                    self._domain, tuple([Rational(c, d) for c in z[:m]])
+                )
             zero = self._domain.zero
             out = [zero] * m
             for i, ca in enumerate(self._coeffs[:m]):

@@ -2,6 +2,7 @@
 reciprocals, derivatives, and the precision bookkeeping rules."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,6 +25,7 @@ from degenbern import (
     polynomial_series,
     zero_series,
 )
+from test_scalars import wide_coeff_lists
 
 Q = EvaluatedDomain(Fraction(0))
 HALF = EvaluatedDomain(Fraction(1, 2))
@@ -257,3 +259,68 @@ def test_integer_scaled_reciprocal_matches_plain_recurrence(coeffs):
     ]
     inv = TruncatedSeries(SYMBOLIC, polys).reciprocal()
     assert list(inv.coeffs) == plain_reciprocal(polys, coeffs[0])
+
+
+# Differential test of the evaluated series product against a plain
+# Fraction schoolbook: the wide numerators of the λ-polynomial ring test
+# (both signs, all-zero runs, interior zero runs, runs of one repeated
+# value), orders 0-41 drawn independently for the two operands.
+EVAL_LAMBDAS = [Fraction(0), Fraction(-5, 7), Fraction(-123457, 98765)]
+
+
+@st.composite
+def evaluated_operand(draw):
+    coeffs = draw(wide_coeff_lists)
+    order = draw(st.integers(min_value=0, max_value=41))
+    return coeffs[:order], order
+
+
+def plain_product(a, b):
+    """Cauchy product of two Fraction lists cut to min(len)."""
+    m = min(len(a), len(b))
+    return [sum((a[i] * b[k - i] for i in range(k + 1)), Fraction(0)) for k in range(m)]
+
+
+def padded(coeffs, order):
+    return [Fraction(c) for c in coeffs] + [Fraction(0)] * (order - len(coeffs))
+
+
+def assert_reduced_fractions(coeffs):
+    assert all(type(c) is Fraction and c.denominator > 0
+               and gcd(c.numerator, c.denominator) == 1 for c in coeffs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(evaluated_operand(), evaluated_operand(), st.sampled_from(EVAL_LAMBDAS),
+       st.integers(0, 3), st.integers(0, 3), st.integers(0, 3))
+def test_evaluated_product_matches_fraction_schoolbook(x, y, lam, pa, pb, power):
+    dom = EvaluatedDomain(lam)
+    (ca, oa), (cb, ob) = x, y
+    a, b = TruncatedSeries(dom, ca, oa), TruncatedSeries(dom, cb, ob)
+    ref = plain_product(padded(ca, oa), padded(cb, ob))
+    for prod in (a * b, b * a):
+        assert list(prod.coeffs) == ref
+        assert_reduced_fractions(prod.coeffs)
+
+    # poles: t^-pa A times t^-pb B, whichever leading zeros each drops
+    la, lb = LaurentSeries(pa, a), LaurentSeries(pb, b)
+    lp = la * lb
+    ref = plain_product(list(la.body.coeffs), list(lb.body.coeffs))
+    pole = la.pole + lb.pole
+    assert lp.top_exponent == len(ref) - 1 - pole
+    assert [lp.coefficient(e) for e in range(-pole, len(ref) - pole)] == ref
+    assert_reduced_fractions(lp.body.coeffs)
+
+    # powers against repeated schoolbook products
+    ref = padded([1] if oa else [], oa)
+    for _ in range(power):
+        ref = plain_product(ref, padded(ca, oa))
+    apow = a ** power
+    assert list(apow.coeffs) == ref
+    assert_reduced_fractions(apow.coeffs)
+    lpow, pole = la ** power, la.pole * power
+    ref = padded([1] if la.body.order else [], la.body.order)
+    for _ in range(power):
+        ref = plain_product(ref, list(la.body.coeffs))
+    assert lpow.pole == pole
+    assert [lpow.coefficient(e) for e in range(-pole, len(ref) - pole)] == ref

@@ -1,5 +1,6 @@
-"""Source rules for the package: no tuple is built from a generator, and
-every name the benchmark's tracer wraps exists.
+"""Source rules for the package: no tuple is built from a generator,
+every name the benchmark's tracer wraps exists, and the Bell
+generating-function route keeps its own series product.
 
 Under CPython 3.11, ``tuple(<generator>)`` and ``f(*<generator>)``
 allocate their tuple at a guessed length and then resize it.  The
@@ -69,3 +70,11 @@ def test_every_traced_name_resolves():
             if not found:
                 missing.append(f"{layer}: {module_name}.{attr}")
     assert missing == []
+
+
+def test_bell_power_route_shares_no_product_with_series():
+    # the generating-function Bell route raises its series by a plain
+    # convolution of its own; the packed product that series
+    # multiplication uses must stay out of it
+    source = (PACKAGE / "combinatorics.py").read_text(encoding="utf-8")
+    assert "_kronecker_product" not in source

@@ -26,7 +26,7 @@ from degenbern import (
     verify_singular,
     verify_stirling_limit,
 )
-from degenbern import bernoulli
+from degenbern import bernoulli, series
 from degenbern import verify as verify_module
 
 
@@ -109,6 +109,49 @@ def test_classical_derivative_passes():
     r = verify_classical_derivative(2, 14, "eq41")
     assert r.identity == "eq_41"
     assert r.parameters["lambda"] == "0"
+
+
+def test_evaluated_product_fault_fails_the_product_checks(monkeypatch):
+    # at a rational λ a series product is one integer convolution in
+    # series._kronecker_product; moving one of its outputs by 1 must
+    # fail every verifier built on evaluated products, while Q[λ]
+    # products, which pack through scalars, are untouched
+    real = series._kronecker_product
+
+    def off_by_one(a, b):
+        out = real(a, b)
+        if len(out) > 2:
+            out[2] += 1
+        return out
+
+    evaluated = [
+        lambda: verify_classical_derivative(3, 10, "eq41"),
+        lambda: verify_classical_derivative(3, 10, "eq42"),
+        lambda: verify_ode(2, 8, EvaluatedDomain(Fraction(7, 3))),
+    ]
+    assert all(check().verdict for check in evaluated)
+    monkeypatch.setattr(series, "_kronecker_product", off_by_one)
+    for check in evaluated:
+        r = check()
+        assert not r.verdict
+        assert r.witness["lhs"] != r.witness["rhs"]
+    assert verify_ode(2, 8, SYMBOLIC).verdict
+
+
+def test_symbolic_series_products_keep_their_ring_products(monkeypatch):
+    # Q[λ] series products stay schoolbook sums of λ-polynomial
+    # products: the count of verify_ode(4, 12) is pinned
+    real = LambdaPoly.__mul__
+    calls = []
+
+    def counted(self, other):
+        calls.append(None)
+        return real(self, other)
+
+    monkeypatch.setattr(LambdaPoly, "__mul__", counted)
+    monkeypatch.setattr(LambdaPoly, "__rmul__", counted)
+    assert verify_ode(4, 12, SYMBOLIC).verdict
+    assert len(calls) == 1130
 
 
 def test_classical_derivative_rejects_unknown():
