@@ -95,10 +95,8 @@ def row_via_recurrence(n_max: int, domain: Domain) -> BernoulliRow:
     γ_n = q^n D_n b_n.  Value n is γ_n / (q^n D_n).
     """
     require_deformed(domain, _ROUTE)
-    p, q, zero, one = integer_parts(domain)
-    num = [one]
-    for m in range(1, n_max + 1):
-        num.append(num[-1] * (p - m * q))
+    _, q, zero, one = integer_parts(domain)
+    num = stirling_bell_arguments(n_max + 1, domain)
     gamma, scale = [one], [1]
     for n in range(1, n_max + 1):
         top = 1
@@ -162,7 +160,7 @@ def row_via_multinomial(n_max: int, domain: Domain) -> BernoulliRow:
             f"multinomial route is exponential; n = {n_max} exceeds the cap "
             f"of {MULTINOMIAL_CAP}"
         )
-    p, q, zero, one = integer_parts(domain)
+    _, q, zero, one = integer_parts(domain)
     fact = [math.factorial(m) for m in range(n_max + 2)]
     scale = [1]
     for t in range(1, n_max + 1):
@@ -170,9 +168,7 @@ def row_via_multinomial(n_max: int, domain: Domain) -> BernoulliRow:
         for m in range(1, t + 1):
             top = math.lcm(top, fact[m + 1] * scale[t - m])
         scale.append(top)
-    num = [one]
-    for m in range(1, n_max + 1):
-        num.append(num[-1] * (p - m * q))
+    num = stirling_bell_arguments(n_max + 1, domain)
     # step[t][m - 1] for the parts m = 1..n_max-t
     step = [
         [num[m] * -exact_quotient(scale[t + m], scale[t] * fact[m + 1])

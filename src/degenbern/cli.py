@@ -26,7 +26,7 @@ from .scalars import (
 )
 from .combinatorics import (
     degenerate_stirling2,
-    scaled_degenerate_stirling,
+    scaled_stirling_triangle,
     stirling1_signed,
 )
 from .ode_coeffs import (
@@ -318,13 +318,9 @@ def run_stirling(args, command: list[str]) -> tuple[dict, int]:
         table = stirling1_signed(max_n)
         cell = lambda n, k: Rational(table.value(n, k))
         lam_desc = None
-    elif kind == "deg2":
-        table = degenerate_stirling2(max_n, domain_from_string("sym"))
-        cell = table.value
-        lam_desc = "sym"
     else:
-        sym = domain_from_string("sym")
-        cell = lambda n, k: scaled_degenerate_stirling(n, k, sym)
+        triangle = degenerate_stirling2 if kind == "deg2" else scaled_stirling_triangle
+        cell = triangle(max_n, domain_from_string("sym")).value
         lam_desc = "sym"
 
     def build_row(n: int):

@@ -21,7 +21,7 @@ from .scalars import (
     integer_parts,
     scaled_value,
 )
-from .series import TruncatedSeries, degenerate_exp_series, one_series, zero_series
+from .series import degenerate_exp_series, degenerate_log_over_t_series, one_series, powers
 
 
 def binomial(n: int, k: int) -> int:
@@ -92,9 +92,10 @@ def _falling_product(x, n: int, step):
 class StirlingTable:
     """Triangle of values for 0 <= k <= n <= n_max.
 
-    kind is "first_signed" (integer entries) or "degenerate_second"
-    (entries in the active domain).  Out-of-triangle lookups return 0,
-    the standard convention the summation formulas rely on.
+    kind is "first_signed" (integer entries), "degenerate_second" or
+    "scaled_second" (entries in the active domain).  Out-of-triangle
+    lookups return 0, the standard convention the summation formulas
+    rely on.
     """
 
     kind: str
@@ -137,25 +138,24 @@ def degenerate_stirling2(
     polynomials; verify and the tests compare them.
     """
     if via == "generating_function":
-        return _deg_stirling2_gf(n_max, domain)
+        order = n_max + 1
+        e_minus_1 = degenerate_exp_series(domain, order) - one_series(domain, order)
+        return _power_table_triangle("degenerate_second", n_max, e_minus_1, 0)
     if via == "bell_formula":
         return _deg_stirling2_bell(n_max, domain)
     raise ValueError(f"unknown route {via!r}")
 
 
-def _deg_stirling2_gf(n_max: int, domain: Domain) -> StirlingTable:
-    order = n_max + 1
-    e_minus_1 = degenerate_exp_series(domain, order) - one_series(domain, order)
-    cols = [one_series(domain, order)]
-    for _ in range(n_max):
-        cols.append(cols[-1] * e_minus_1)
-    rows = []
-    for n in range(n_max + 1):
-        row = []
-        for k in range(n + 1):
-            row.append(cols[k][n] * Rational(math.factorial(n), math.factorial(k)))
-        rows.append(tuple(row))
-    return StirlingTable("degenerate_second", n_max, tuple(rows))
+def _power_table_triangle(kind: str, n_max: int, base, lag: int) -> StirlingTable:
+    """Entry (n, k) is n!/k! [t^(n - lag k)] base^k, read off one table of
+    the powers of base at order n_max + 1."""
+    domain = base.domain
+    cols = [one_series(domain, n_max + 1)] + powers(base, n_max)
+    return StirlingTable(kind, n_max, tuple([
+        tuple([cols[k][n - lag * k] * Rational(math.factorial(n), math.factorial(k))
+               for k in range(n + 1)])
+        for n in range(n_max + 1)
+    ]))
 
 
 def _deg_stirling2_bell(n_max: int, domain: Domain) -> StirlingTable:
@@ -316,31 +316,37 @@ def stirling_bell_arguments(count: int, domain: Domain) -> list:
     return xs
 
 
-def scaled_degenerate_stirling(
-    N: int, k: int, domain: Domain, via: str = "bell_formula"
-):
+def scaled_degenerate_stirling(N: int, k: int, domain: Domain):
     """λ^(N-k) times the 1/λ-deformed Stirling number of the second kind,
-    realized without ever leaving Q[λ].
-
-    Route "bell_formula" evaluates the partial Bell polynomial at
-    1, (λ-1), (λ-1)(λ-2), ...; route "generating_function" reads
-    N!/k! [t^(N-k)] of the k-th power of the deformed log-over-t series,
-    where the λ powers cancel exactly.  At λ = 0 the values are the
+    realized without ever leaving Q[λ]: the partial Bell polynomial
+    B_{N,k} at 1, (λ-1), (λ-1)(λ-2), ...  At λ = 0 the values are the
     signed first-kind Stirling numbers.
     """
     if k < 0 or N < 0 or k > N:
         return domain.zero
-    if via == "bell_formula":
-        xs = stirling_bell_arguments(N - k + 1, domain)
-        value = bell_partial(N, k, xs, via="partition_sum")
-        q = integer_parts(domain)[1]
-        return domain.coerce(scaled_value(value, 1, q ** (N - k)))
-    if via == "generating_function":
-        from .series import degenerate_log_over_t_series
+    xs = stirling_bell_arguments(N - k + 1, domain)
+    value = bell_partial(N, k, xs, via="partition_sum")
+    q = integer_parts(domain)[1]
+    return domain.coerce(scaled_value(value, 1, q ** (N - k)))
 
-        if N == k == 0:
-            return domain.one
-        s = degenerate_log_over_t_series(domain, N - k + 1)
-        value = (s**k)[N - k] * Rational(math.factorial(N), math.factorial(k))
-        return domain.coerce(value)
+
+def scaled_stirling_triangle(
+    n_max: int, domain: Domain, via: str = "generating_function"
+) -> StirlingTable:
+    """Triangle of the scaled values of :func:`scaled_degenerate_stirling`.
+
+    Route "generating_function" reads N!/k! [t^(N-k)] of the k-th power
+    of the deformed log-over-t series, where the λ powers cancel exactly,
+    off one table of its powers (undefined at λ = 0); route
+    "bell_formula" takes every value from the Bell formula.  Both give
+    the same values; verify and the tests compare them.
+    """
+    if via == "generating_function":
+        base = degenerate_log_over_t_series(domain, n_max + 1)
+        return _power_table_triangle("scaled_second", n_max, base, 1)
+    if via == "bell_formula":
+        return StirlingTable("scaled_second", n_max, tuple([
+            tuple([scaled_degenerate_stirling(N, k, domain) for k in range(N + 1)])
+            for N in range(n_max + 1)
+        ]))
     raise ValueError(f"unknown route {via!r}")

@@ -23,7 +23,9 @@ second-kind Bernoulli values.
 
 from __future__ import annotations
 
+from itertools import accumulate, repeat
 from math import comb, factorial, lcm
+from operator import mul
 from typing import Iterable
 
 from .scalars import (
@@ -407,6 +409,12 @@ def _pad_low(body: TruncatedSeries, k: int) -> TruncatedSeries:
         return body
     zero = body.domain.zero
     return TruncatedSeries._raw(body.domain, (zero,) * k + body.coeffs)
+
+
+def powers(s, count: int) -> list:
+    """[s, s**2, ..., s**count] of a truncated or Laurent series, each
+    power the one before times s; empty for count 0."""
+    return list(accumulate(repeat(s, count), mul))
 
 
 # ---------------------------------------------------------------------------

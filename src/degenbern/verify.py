@@ -15,8 +15,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import chain
+from operator import add
 
 from .scalars import (
     Domain,
@@ -31,14 +32,14 @@ from .series import (
     degenerate_log_over_t_series,
     degenerate_log_reciprocal,
     one_plus_t_power,
-    polynomial_series,
+    powers,
 )
 from .combinatorics import (
     bell_partial,
     binomial,
     degenerate_stirling2,
     falling_factorial,
-    scaled_degenerate_stirling,
+    scaled_stirling_triangle,
     stirling1_signed,
 )
 from .ode_coeffs import (
@@ -113,6 +114,11 @@ def _laurent_report(
     return IdentityReport(identity, params, ok, witness, compared)
 
 
+def _weighted_sum(weights, series):
+    """sum_i weights[i] series[i], added left to right."""
+    return reduce(add, [s.scale(w) for w, s in zip(weights, series)])
+
+
 # ---------------------------------------------------------------------------
 # the closed derivative family
 
@@ -141,14 +147,7 @@ def verify_ode(
     )
     if N % 2:
         lhs = -lhs
-    table = _triangle(coeffs, N, domain)
-    power = F
-    rhs = None
-    for i in range(N + 1):
-        term = power.scale(table.value(i, N))
-        rhs = term if rhs is None else rhs + term
-        if i < N:
-            power = power * F
+    rhs = _weighted_sum(_triangle(coeffs, N, domain).row(N), powers(F, N + 1))
     params = {"N": N, "order": order, "lambda": domain.describe()}
     return _laurent_report("ode_family", params, lhs, rhs)
 
@@ -203,38 +202,23 @@ def verify_classical_derivative(N: int, order: int, which: str = "eq41") -> Iden
     if which not in ("eq41", "eq42"):
         raise ValueError(f"unknown identity {which!r}")
     F0 = classical_log_reciprocal(order + N)
-    domain = F0.domain
-    window = F0.body.order
     table = stirling1_signed(N)
-    inv = LaurentSeries.from_series(one_plus_t_power(domain, N, window).reciprocal())
+    inv = LaurentSeries.from_series(one_plus_t_power(F0.domain, -N, F0.body.order))
 
-    target = F0 if which == "eq41" else F0.shifted(1)
-    deriv = target
+    lhs = F0 if which == "eq41" else F0.shifted(1)
     for _ in range(N):
-        deriv = deriv.derivative()
-    lhs = deriv
+        lhs = lhs.derivative()
 
-    rhs = None
-    power = F0
-    for k in range(N + 1):
-        sign = -1 if k % 2 else 1
-        if which == "eq41":
-            weight = Rational(sign * math.factorial(k) * table.value(N, k))
-            term = power.scale(weight)
-        else:
-            s_here = table.value(N, k)
-            s_prev = table.value(N - 1, k) if k <= N - 1 else 0
-            poly = polynomial_series(
-                domain,
-                (N * s_prev, s_here + N * s_prev),
-                window,
-            )
-            term = (power * LaurentSeries.from_series(poly)).scale(
-                Rational(sign * math.factorial(k))
-            )
-        rhs = term if rhs is None else rhs + term
-        if k < N:
-            power = power * F0
+    pows = powers(F0, N + 1)
+    signs = [(-1) ** k * math.factorial(k) for k in range(N + 1)]
+    here = [w * table.value(N, k) for k, w in enumerate(signs)]
+    if which == "eq41":
+        rhs = _weighted_sum(here, pows)
+    else:
+        # F0^(k+1) times (-1)^k k! (N s(N-1,k) + (s(N,k) + N s(N-1,k)) t)
+        low = [w * N * table.value(N - 1, k) for k, w in enumerate(signs)]
+        high = map(add, here, low)
+        rhs = _weighted_sum(low, pows) + _weighted_sum(high, pows).shifted(1)
     rhs = rhs * inv
     identity = "eq_41" if which == "eq41" else "eq_42"
     params = {"N": N, "order": order, "lambda": "0"}
@@ -265,15 +249,10 @@ class HigherOrderContext:
         self.domain = domain
         self.coeffs = _triangle(coeffs, max_N, domain)
         base = degenerate_log_over_t_series(domain, max_index + 1).reciprocal()
-        rows = {}
-        power = base
-        for r in range(1, max_N + 2):
-            rows[r] = tuple([
-                power[n] * math.factorial(n) for n in range(max_index + 1)
-            ])
-            if r <= max_N:
-                power = power * base
-        self._rows = rows
+        self._rows = {
+            r: tuple([power[n] * math.factorial(n) for n in range(max_index + 1)])
+            for r, power in enumerate(powers(base, max_N + 1), 1)
+        }
         self.max_N = max_N
         self.max_index = max_index
 
@@ -485,25 +464,27 @@ def verify_route_agreement_stirling(
     n_max: int, domain: Domain = SYMBOLIC
 ) -> IdentityReport:
     """Both deformed second-kind triangle routes agree, and both scaled
-    value routes agree."""
-    gf = degenerate_stirling2(n_max, domain, via="generating_function")
-    bell = degenerate_stirling2(n_max, domain, via="bell_formula")
+    triangle routes agree."""
+    skip_gf_scaled = domain.lam_is_zero
+
+    def pairs():
+        # (triangle, row index name, two (route, triangle) pairs), the
+        # scaled pair built only once the deformed pair agrees
+        yield "degenerate_second", "n", [
+            (via, degenerate_stirling2(n_max, domain, via=via))
+            for via in ("generating_function", "bell_formula")]
+        if not skip_gf_scaled:
+            yield "scaled", "N", [
+                (via, scaled_stirling_triangle(n_max, domain, via=via))
+                for via in ("bell_formula", "generating_function")]
+
     checks = (
-        ({"n": n, "k": k, "triangle": "degenerate_second"},
-         "generating_function", gf.value(n, k), "bell_formula", bell.value(n, k))
+        ({index: n, "k": k, "triangle": triangle},
+         name_a, a.value(n, k), name_b, b.value(n, k))
+        for triangle, index, ((name_a, a), (name_b, b)) in pairs()
         for n in range(n_max + 1)
         for k in range(n + 1)
     )
-    skip_gf_scaled = domain.lam_is_zero
-    if not skip_gf_scaled:
-        checks = chain(checks, (
-            ({"N": N, "k": k, "triangle": "scaled"},
-             "bell_formula", scaled_degenerate_stirling(N, k, domain, via="bell_formula"),
-             "generating_function",
-             scaled_degenerate_stirling(N, k, domain, via="generating_function"))
-            for N in range(n_max + 1)
-            for k in range(N + 1)
-        ))
     ok, witness = _first_disagreement(checks, domain)
     params = {"max_n": n_max, "lambda": domain.describe()}
     details = {"skipped_routes": ["scaled generating_function"]} if skip_gf_scaled else None
@@ -520,10 +501,11 @@ def verify_stirling_limit(
     sides are plain rationals."""
     s1 = stirling1_signed(n_max)
     table = _triangle(coeffs, n_max, SYMBOLIC)
+    scaled_table = scaled_stirling_triangle(n_max, SYMBOLIC)
     zero = Rational(0)
     scaled = (
         ({"N": N, "k": k, "kind": "scaled_to_first"},
-         "limit", poly_eval(scaled_degenerate_stirling(N, k, SYMBOLIC), zero),
+         "limit", poly_eval(scaled_table.value(N, k), zero),
          "expected", s1.value(N, k))
         for N in range(n_max + 1)
         for k in range(N + 1)

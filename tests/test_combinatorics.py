@@ -22,6 +22,7 @@ from degenbern import (
     poly_eval,
     render_poly_text,
     scaled_degenerate_stirling,
+    scaled_stirling_triangle,
     stirling1_signed,
 )
 
@@ -266,11 +267,19 @@ def test_scaled_bridge_values():
 
 
 def test_scaled_bridge_routes_agree():
-    for N in range(7):
-        for k in range(N + 1):
-            a = scaled_degenerate_stirling(N, k, SYMBOLIC, via="bell_formula")
-            b = scaled_degenerate_stirling(N, k, SYMBOLIC, via="generating_function")
-            assert a == b
+    for dom in (SYMBOLIC, EvaluatedDomain(Fraction(7, 3))):
+        gf = scaled_stirling_triangle(6, dom)
+        bell = scaled_stirling_triangle(6, dom, via="bell_formula")
+        assert gf.kind == bell.kind == "scaled_second"
+        assert gf.n_max == bell.n_max == 6
+        assert gf.rows == bell.rows
+        assert bell.rows[6] == tuple([scaled_degenerate_stirling(6, k, dom) for k in range(7)])
+    # the generating function is undefined at λ = 0; the Bell formula is not
+    with pytest.raises(DomainError):
+        scaled_stirling_triangle(3, EvaluatedDomain(0))
+    assert scaled_stirling_triangle(3, EvaluatedDomain(0), via="bell_formula").rows[3] == (0, 2, -3, 1)
+    with pytest.raises(ValueError):
+        scaled_stirling_triangle(3, SYMBOLIC, via="series")
 
 
 def test_scaled_bridge_limit_is_first_kind():

@@ -23,6 +23,7 @@ from degenbern import (
     one_plus_t_power,
     one_series,
     polynomial_series,
+    powers,
     zero_series,
 )
 from test_scalars import wide_coeff_lists
@@ -324,3 +325,27 @@ def test_evaluated_product_matches_fraction_schoolbook(x, y, lam, pa, pb, power)
         ref = plain_product(ref, list(la.body.coeffs))
     assert lpow.pole == pole
     assert [lpow.coefficient(e) for e in range(-pole, len(ref) - pole)] == ref
+
+
+@pytest.mark.parametrize("domain", [SYMBOLIC, EvaluatedDomain(Fraction(-5, 7))], ids=["sym", "-5/7"])
+def test_powers_match_pow(domain):
+    # entry e-1 of powers(s, count) is s**e with the same coefficients
+    # and the same known window, for both series classes
+    one = one_series(domain, 9)
+    bases = [
+        degenerate_log_over_t_series(domain, 9),
+        degenerate_exp_series(domain, 9) - one,
+        degenerate_log_reciprocal(domain, 9),
+        LaurentSeries(2, polynomial_series(domain, (3, 0, -1), 7)),
+    ]
+    for base in bases:
+        for count in range(7):
+            got = powers(base, count)
+            assert len(got) == count
+            for e, power in enumerate(got, 1):
+                expected = base**e
+                assert type(power) is type(base)
+                if isinstance(base, LaurentSeries):
+                    assert power.pole == expected.pole
+                    power, expected = power.body, expected.body
+                assert power.coeffs == expected.coeffs

@@ -1,6 +1,7 @@
 """Source rules for the package: no tuple is built from a generator,
-every name the benchmark's tracer wraps exists, and the Bell
-generating-function route keeps its own series product.
+every name the benchmark's tracer wraps exists, the Bell
+generating-function route keeps its own series product, and
+``__all__`` lists exactly the names the package root imports.
 
 Under CPython 3.11, ``tuple(<generator>)`` and ``f(*<generator>)``
 allocate their tuple at a guessed length and then resize it.  The
@@ -78,3 +79,17 @@ def test_bell_power_route_shares_no_product_with_series():
     # multiplication uses must stay out of it
     source = (PACKAGE / "combinatorics.py").read_text(encoding="utf-8")
     assert "_kronecker_product" not in source
+
+
+def test_all_lists_exactly_the_imported_names():
+    # a name imported into the package root and left out of __all__, or
+    # listed there and never imported, fails here
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    imported = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert len(degenbern.__all__) == len(set(degenbern.__all__))
+    assert set(degenbern.__all__) == imported | {"__version__"}

@@ -12,6 +12,7 @@ from degenbern import (
     EvaluatedDomain,
     HigherOrderContext,
     LambdaPoly,
+    LaurentSeries,
     SYMBOLIC,
     coeff_triangle,
     verify_all,
@@ -152,6 +153,64 @@ def test_symbolic_series_products_keep_their_ring_products(monkeypatch):
     monkeypatch.setattr(LambdaPoly, "__rmul__", counted)
     assert verify_ode(4, 12, SYMBOLIC).verdict
     assert len(calls) == 1130
+
+
+def corrupt_power(mp, owner, index=1, hit=lambda base: True):
+    """Rebind owner.powers so that body coefficient index of the square
+    it returns moves by 1 wherever hit(base) holds."""
+    real = owner.powers
+
+    def tampered(base, count):
+        out = real(base, count)
+        if count > 1 and hit(base):
+            square = out[1]
+            body = square.body if isinstance(square, LaurentSeries) else square
+            coeffs = list(body.coeffs)
+            coeffs[index] += 1
+            bumped = series.TruncatedSeries(body.domain, coeffs)
+            out[1] = LaurentSeries(square.pole, bumped) if body is not square else bumped
+        return out
+
+    mp.setattr(owner, "powers", tampered)
+
+
+def test_corrupted_power_fails_every_report_that_reads_it(monkeypatch):
+    # every ode, eq41 and eq42 report weighs the square of its series
+    # with a nonzero entry, so one wrong coefficient of it fails them all
+    corrupt_power(monkeypatch, verify_module)
+    reports = verify_module.suite_reports(("ode", "eq41", "eq42"), SYMBOLIC, 4, 4, 8, 0)
+    reports.append(verify_ode(2, 8, EvaluatedDomain(Fraction(7, 3))))
+    identities = ["ode_family"] * 4 + ["eq_41"] * 4 + ["eq_42"] * 4 + ["ode_family"]
+    assert [r.identity for r in reports] == identities
+    for r in reports:
+        assert not r.verdict
+        assert r.witness["lhs"] != r.witness["rhs"]
+
+
+@pytest.mark.parametrize("triangle, index, position", [
+    ("scaled", 1, {"N": 3, "k": 2}),
+    ("degenerate_second", 2, {"n": 2, "k": 2}),
+])
+@pytest.mark.parametrize("dom", [SYMBOLIC, EvaluatedDomain(Fraction(-2, 5))], ids=["sym", "-2/5"])
+def test_corrupted_power_fails_the_stirling_triangle_that_reads_it(
+    triangle, index, position, dom, monkeypatch
+):
+    # the generating-function triangles read column k = 2 off the square
+    # of their base: entry (N, 2) of the scaled one from coefficient N-2
+    # of s^2, entry (n, 2) of the deformed one from coefficient n of
+    # (e_λ(t) - 1)^2.  Only e_λ(t) - 1 has a zero constant term.
+    from degenbern import combinatorics
+
+    assert verify_route_agreement_stirling(4, dom).verdict
+    scaled = triangle == "scaled"
+    corrupt_power(monkeypatch, combinatorics, index, lambda s: bool(s[0]) == scaled)
+    r = verify_route_agreement_stirling(4, dom)
+    assert not r.verdict
+    assert {key: r.witness[key] for key in (*position, "triangle")} == {
+        **position, "triangle": triangle}
+    assert r.witness["generating_function"] != r.witness["bell_formula"]
+    if scaled:
+        assert not verify_stirling_limit(4).verdict
 
 
 def test_classical_derivative_rejects_unknown():
@@ -478,14 +537,13 @@ def fault_stirling_triangle(mp, dom):
 
 
 def fault_stirling_scaled(mp, dom):
-    bump_where(mp, verify_module, "scaled_degenerate_stirling",
-               lambda N, k, d, via="bell_formula": (N, k, via) == (3, 1, "generating_function"))
+    bump_stirling_table(mp, "scaled_stirling_triangle", 3, 1,
+                        lambda n, d, via="generating_function": via == "generating_function")
     return verify_route_agreement_stirling(3, dom)
 
 
 def fault_limit_scaled(mp, dom):
-    bump_where(mp, verify_module, "scaled_degenerate_stirling",
-               lambda N, k, d, via="bell_formula": (N, k) == (3, 1))
+    bump_stirling_table(mp, "scaled_stirling_triangle", 3, 1, lambda *a, **kw: True)
     return verify_stirling_limit(3)
 
 
