@@ -31,12 +31,11 @@ from .series import (
     require_deformed,
 )
 from .combinatorics import (
-    bell_partial,
     binomial,
     stirling1_signed,
     stirling_bell_arguments,
 )
-from .ode_coeffs import scaled_triangle_rows
+from .ode_coeffs import scaled_stirling_row, scaled_triangle_rows
 
 MULTINOMIAL_CAP = 24
 
@@ -205,31 +204,27 @@ def value_via_explicit(n: int, domain: Domain, form: str = "a_form") -> Scalar:
 def row_via_explicit(n_max: int, domain: Domain, form: str = "a_form") -> BernoulliRow:
     """Values 0..n_max of one explicit form.
 
-    form "a_form" consumes triangle rows n and n-1 directly and reads one
-    set of scaled triangle rows; form "stirling_form" replaces them by
-    scaled second-kind Stirling values and builds each Bell row T(N, .)
-    once, handing it to values N and N+1; form "falling_form" unwinds
-    everything into alternating falling-factorial sums with a verified
-    λ-power shift.
+    Forms "a_form" and "stirling_form" run the closing sum of
+    :func:`_explicit_a_form`, the first over the recurrence rows of
+    :func:`scaled_triangle_rows`, the second over the integer Stirling
+    rows of :func:`scaled_stirling_row` built from one list of Bell
+    arguments; form "falling_form" unwinds everything into alternating
+    falling-factorial sums with a verified λ-power shift.
     """
     require_deformed(domain, _ROUTE)
     if form not in EXPLICIT_FORMS:
         raise ValueError(f"unknown form {form!r}")
     values: list[Scalar] = [domain.one]
-    if form == "a_form":
-        rows = scaled_triangle_rows(n_max, domain)
+    if form == "falling_form":
+        values += [_explicit_falling_form(n, domain) for n in range(1, n_max + 1)]
+    else:
+        if form == "a_form":
+            rows = scaled_triangle_rows(n_max, domain)
+        else:
+            xs = stirling_bell_arguments(n_max + 1, domain)
+            rows = [scaled_stirling_row(N, domain, xs) for N in range(n_max + 1)]
         deformed = _deformed_products(n_max, domain)
         values += [_explicit_a_form(n, domain, rows, deformed) for n in range(1, n_max + 1)]
-    elif form == "stirling_form":
-        xs = stirling_bell_arguments(n_max + 1, domain)
-        deformed = _deformed_products(n_max, domain)
-        prev = _bell_row(0, xs)
-        for n in range(1, n_max + 1):
-            row = _bell_row(n, xs)
-            values.append(_explicit_stirling_form(n, domain, prev, row, deformed))
-            prev = row
-    else:
-        values += [_explicit_falling_form(n, domain) for n in range(1, n_max + 1)]
     return BernoulliRow(domain, 1, "explicit", tuple(values))
 
 
@@ -243,11 +238,6 @@ def _deformed_products(n: int, domain: Domain) -> list:
     return deformed
 
 
-def _bell_row(N: int, xs: list) -> list:
-    """T(N, 0..N) = B_{N,k}(xs) for the integer Stirling arguments xs."""
-    return [bell_partial(N, k, xs) for k in range(N + 1)]
-
-
 def _explicit_a_form(n: int, domain: Domain, rows: list, deformed: list) -> Scalar:
     """Value n from triangle rows n and n-1, taken in integers at λ = p/q
     (p = λ, q = 1 symbolically):
@@ -255,10 +245,9 @@ def _explicit_a_form(n: int, domain: Domain, rows: list, deformed: list) -> Scal
         b_n = (-1)^n (1)(1-λ)...(1-nλ) / (n+1)
               + (-1)^n sum_{i<n} (1)(1-λ)...(1-iλ) / (i+1)! (c_i(n) - n c_i(n-1)).
 
-    With the scaled rows C_i(N) = q^(N-i) c_i(N) of
-    :func:`scaled_triangle_rows` and G_i = q^(i+1) (1)(1-λ)...(1-iλ)
-    (:func:`_deformed_products`), the value times the scale
-    (n+1)! q^(n+1) is the integer
+    With the scaled rows C_i(N) = q^(N-i) c_i(N) (recurrence or Stirling
+    rows) and G_i = q^(i+1) (1)(1-λ)...(1-iλ) (:func:`_deformed_products`),
+    the value times the scale (n+1)! q^(n+1) is the integer
 
         (-1)^n (n! G_n + sum_{i<n} (n+1)!/(i+1)! G_i (C_i(n) - nq C_i(n-1))),
 
@@ -273,45 +262,6 @@ def _explicit_a_form(n: int, domain: Domain, rows: list, deformed: list) -> Scal
         out += math.perm(n + 1, n - i) * deformed[i] * (cur[i] - nq * prev[i])
     if n % 2:
         out = -out
-    return domain.coerce(scaled_value(out, 1, math.factorial(n + 1) * q ** (n + 1)))
-
-
-def _explicit_stirling_form(
-    n: int, domain: Domain, prev: list, row: list, deformed: list
-) -> Scalar:
-    """Value n from scaled second-kind Stirling values, taken in integers
-    at λ = p/q (p = λ, q = 1 symbolically):
-
-        b_n = (-1)^n (1)(1-λ)...(1-nλ) / (n+1) + sum_{i<n} (1)(1-λ)...(1-iλ) / (i+1)!
-              sum_{k=i}^{n} (-1)^k k! C(k,i) λ^(k-i) (s(n,k) + n s(n-1,k)),
-
-    with s(N,k) = λ^(N-k) S-deformed(N,k).  The Bell rows prev and row
-    hold T(N,k) = q^(N-k) s(N,k) for N = n-1 and n, integers by
-    :func:`stirling_bell_arguments`.  With U_k = T(n,k) + nq T(n-1,k) and
-    G_i as in :func:`_deformed_products`, the value times the scale
-    (n+1)! q^(n+1) is the integer
-
-        (-1)^n n! G_n + sum_{i<n} (n+1)!/(i+1)! G_i
-                        sum_{k=i}^{n} (-1)^k k! C(k,i) p^(k-i) U_k,
-
-    where (n+1)!/(i+1)! is an integer because i < n; no step divides
-    before the one reduced value at the end.
-    """
-    p, q, zero, one = integer_parts(domain)
-    nq = n * q
-    signed = []
-    for k in range(n + 1):
-        u = row[k] + nq * prev[k] if k < n else row[k]
-        signed.append(u * ((-1) ** k * math.factorial(k)))
-    powers = [one]
-    for _ in range(n):
-        powers.append(powers[-1] * p)
-    out = (-1) ** n * math.factorial(n) * deformed[n]
-    for i in range(n):
-        inner = zero
-        for k in range(i, n + 1):
-            inner += math.comb(k, i) * powers[k - i] * signed[k]
-        out += math.perm(n + 1, n - i) * deformed[i] * inner
     return domain.coerce(scaled_value(out, 1, math.factorial(n + 1) * q ** (n + 1)))
 
 

@@ -22,10 +22,11 @@ from dataclasses import dataclass
 from .scalars import Domain, DomainError, Rational, Scalar, integer_parts, scaled_value
 from .combinatorics import (
     StirlingTable,
+    bell_partial,
     binomial,
     falling_factorial,
-    scaled_degenerate_stirling,
     stirling1_signed,
+    stirling_bell_arguments,
 )
 
 
@@ -93,11 +94,40 @@ def coeff_triangle(n_max: int, domain: Domain) -> CoeffTable:
     C_i(N) / q^(N-i).
     """
     rows = scaled_triangle_rows(n_max, domain)
+    return CoeffTable(domain, tuple([_unscaled(N, row, domain) for N, row in enumerate(rows)]))
+
+
+def scaled_stirling_row(N: int, domain: Domain, xs: list) -> list:
+    """Row N scaled to integers, by the Stirling closed form
+
+        c_i(N) = (-1)^N sum_{k=i}^{N} (-1)^k k! C(k,i) λ^(k-i) s(N,k),
+
+    s(N,k) = λ^(N-k) S-deformed(N,k).  At λ = p/q (p = λ, q = 1
+    symbolically) the Bell row T(N,k) = B_{N,k}(xs) = q^(N-k) s(N,k) of
+    the integer arguments xs of :func:`stirling_bell_arguments` (at least
+    N of them) gives C_i(N) = q^(N-i) c_i(N), the scale of
+    :func:`scaled_triangle_rows`, as the integer
+    (-1)^N sum_k (-1)^k k! C(k,i) p^(k-i) T(N,k); no step divides.
+    """
+    p, _, zero, one = integer_parts(domain)
+    signed = [bell_partial(N, k, xs) * ((-1) ** (N + k) * math.factorial(k))
+              for k in range(N + 1)]
+    powers = [one]
+    for _ in range(N):
+        powers.append(powers[-1] * p)
+    row = []
+    for i in range(N + 1):
+        acc = zero
+        for k in range(i, N + 1):
+            acc += math.comb(k, i) * powers[k - i] * signed[k]
+        row.append(acc)
+    return row
+
+
+def _unscaled(N: int, row: list, domain: Domain) -> tuple[Scalar, ...]:
+    """Row N from its integer scale: entry i is C_i(N) / q^(N-i)."""
     q = integer_parts(domain)[1]
-    return CoeffTable(domain, tuple([
-        tuple([domain.coerce(scaled_value(v, 1, q ** (N - i))) for i, v in enumerate(row)])
-        for N, row in enumerate(rows)
-    ]))
+    return tuple([domain.coerce(scaled_value(v, 1, q ** (N - i))) for i, v in enumerate(row)])
 
 
 def coeff_explicit_falling(N: int, domain: Domain) -> tuple[Scalar, ...]:
@@ -141,24 +171,12 @@ def coeff_explicit_falling(N: int, domain: Domain) -> tuple[Scalar, ...]:
 
 
 def coeff_explicit_stirling(N: int, domain: Domain) -> tuple[Scalar, ...]:
-    """Row N through scaled second-kind Stirling values:
-
-    c_i = (-1)^N sum_{k=i}^{N} (-1)^k k! C(k,i) λ^(k-i) s(N,k),
-
-    with s(N,k) = λ^(N-k) S-deformed(N,k) taken once per row.
-    """
+    """Row N through scaled second-kind Stirling values: the integer row
+    of :func:`scaled_stirling_row`, which the Stirling form of the
+    Bernoulli values also reads, divided back to c_0(N)..c_N(N)."""
     _check_row(N)
-    lam = domain.lam
-    scaled = [scaled_degenerate_stirling(N, k, domain) for k in range(N + 1)]
-    row = []
-    for i in range(N + 1):
-        acc = domain.zero
-        for k in range(i, N + 1):
-            coeff = math.factorial(k) * binomial(k, i)
-            term = coeff * lam ** (k - i) * scaled[k]
-            acc = acc + term if k % 2 == 0 else acc - term
-        row.append(domain.coerce(-acc if N % 2 else acc))
-    return tuple(row)
+    xs = stirling_bell_arguments(N + 1, domain)
+    return _unscaled(N, scaled_stirling_row(N, domain, xs), domain)
 
 
 def coeff_unrolled_recurrence(N: int, domain: Domain) -> tuple[Scalar, ...]:

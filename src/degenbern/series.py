@@ -491,12 +491,10 @@ def degenerate_log_over_t_series(domain: Domain, order: int) -> TruncatedSeries:
     return TruncatedSeries._raw(domain, tuple(coeffs))
 
 
-def classical_log_over_t_series(order: int, domain: Domain | None = None) -> TruncatedSeries:
+def classical_log_over_t_series(order: int) -> TruncatedSeries:
     """log(1+t)/t: coefficient of t^m is (-1)^m/(m+1)."""
-    if domain is None:
-        domain = EvaluatedDomain(0)
     return TruncatedSeries(
-        domain,
+        EvaluatedDomain(0),
         (Rational(-1 if m % 2 else 1, m + 1) for m in range(order)),
         order,
     )
@@ -512,6 +510,6 @@ def degenerate_log_reciprocal(domain: Domain, order: int) -> LaurentSeries:
     return LaurentSeries(1, degenerate_log_over_t_series(domain, order).reciprocal())
 
 
-def classical_log_reciprocal(order: int, domain: Domain | None = None) -> LaurentSeries:
+def classical_log_reciprocal(order: int) -> LaurentSeries:
     """1 / log(1+t), the λ = 0 counterpart, with a simple pole."""
-    return LaurentSeries(1, classical_log_over_t_series(order, domain).reciprocal())
+    return LaurentSeries(1, classical_log_over_t_series(order).reciprocal())

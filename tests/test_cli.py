@@ -235,8 +235,9 @@ def test_main_dispatches_through_the_current_run_function(monkeypatch, capsys):
 
 
 def test_a_routes_take_shared_values_once_per_row(monkeypatch, capsys):
-    # each row route takes s(N, k) for k = 0..N and (λl)_N for l = 0..N
-    # once per row: 65 distinct values each for N = 1..10
+    # each row route takes the Bell values T(N, k) for k = 0..N and
+    # (λl)_N for l = 0..N once per row: 65 distinct values each for
+    # N = 1..10
     from degenbern import combinatorics, ode_coeffs
 
     calls = Counter()
@@ -252,13 +253,13 @@ def test_a_routes_take_shared_values_once_per_row(monkeypatch, capsys):
             if getattr(module, name, None) is real:
                 monkeypatch.setattr(module, name, wrapper)
 
-    count(combinatorics, "scaled_degenerate_stirling")
+    count(combinatorics, "bell_partial")
     count(combinatorics, "falling_factorial")
     count(ode_coeffs, "coeff_triangle")
     assert cli.main(["a", "--max-N", "10", "--route", "all", "--format", "json"]) == 0
-    assert calls == {"scaled_degenerate_stirling": 65, "falling_factorial": 65, "coeff_triangle": 1}
+    assert calls == {"bell_partial": 65, "falling_factorial": 65, "coeff_triangle": 1}
     assert json.loads(capsys.readouterr().out)["payload"]["all_agree"] is True
     # the recurrence triangle is built only where it is shown or compared
     calls.clear()
     assert cli.main(["a", "--max-N", "10", "--route", "stirling", "--format", "json"]) == 0
-    assert calls == {"scaled_degenerate_stirling": 65}
+    assert calls == {"bell_partial": 65}

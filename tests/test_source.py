@@ -1,7 +1,8 @@
 """Source rules for the package: no tuple is built from a generator,
 every name the benchmark's tracer wraps exists, the Bell
-generating-function route keeps its own series product, and
-``__all__`` lists exactly the names the package root imports.
+generating-function route keeps its own series product, ``__all__``
+lists exactly the names the package root imports, and code outside
+``scalars.py`` forks on the domain only at listed sites.
 
 Under CPython 3.11, ``tuple(<generator>)`` and ``f(*<generator>)``
 allocate their tuple at a guessed length and then resize it.  The
@@ -93,3 +94,64 @@ def test_all_lists_exactly_the_imported_names():
     }
     assert len(degenbern.__all__) == len(set(degenbern.__all__))
     assert set(degenbern.__all__) == imported | {"__version__"}
+
+
+# every conditional on ``.is_symbolic`` outside scalars.py, by file and
+# enclosing function; a new fork on the domain has to be added on purpose
+DOMAIN_FORKS = {
+    ("series.py", "TruncatedSeries.__mul__"),  # the packed product at a rational λ
+    ("bernoulli.py", "_explicit_falling_form"),  # the λ^i quotient
+    ("ode_coeffs.py", "coeff_explicit_falling"),  # the λ^i quotient
+    ("verify.py", "verify_all"),  # the shared triangle
+}
+
+
+def domain_forks(source: str) -> list[tuple[int, str]]:
+    """(line, enclosing function) of each if, while, conditional
+    expression or comprehension filter whose test reads ``.is_symbolic``."""
+    found = []
+
+    def reads_domain(test) -> bool:
+        return any(isinstance(n, ast.Attribute) and n.attr == "is_symbolic"
+                   for n in ast.walk(test))
+
+    def visit(node, scope: str):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        tests = []
+        if isinstance(node, (ast.If, ast.IfExp, ast.While)):
+            tests = [node.test]
+        elif isinstance(node, ast.comprehension):
+            tests = node.ifs
+        found.extend((test.lineno, scope) for test in tests if reads_domain(test))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), "")
+    return sorted(found)
+
+
+def test_the_rule_sees_every_domain_fork():
+    source = (
+        "class A:\n"
+        "    def f(self, d):\n"
+        "        if d.is_symbolic:\n"
+        "            pass\n"
+        "        return 1 if d.domain.is_symbolic else [x for x in d if not x.is_symbolic]\n"
+        "\n"
+        "def g(d):\n"
+        "    while d.is_symbolic:\n"
+        "        pass\n"
+        "    return d.is_symbolic\n"
+    )
+    assert domain_forks(source) == [(3, "A.f"), (5, "A.f"), (5, "A.f"), (8, "g")]
+
+
+def test_domain_forks_are_at_the_listed_sites():
+    found = {
+        (path.name, scope)
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "scalars.py"
+        for _, scope in domain_forks(path.read_text(encoding="utf-8"))
+    }
+    assert found == DOMAIN_FORKS

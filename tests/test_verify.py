@@ -213,6 +213,32 @@ def test_corrupted_power_fails_the_stirling_triangle_that_reads_it(
         assert not verify_stirling_limit(4).verdict
 
 
+@pytest.mark.parametrize("dom", [SYMBOLIC, EvaluatedDomain(Fraction(-2, 5))], ids=["sym", "-2/5"])
+def test_corrupted_stirling_row_fails_both_routes_that_read_it(dom, monkeypatch):
+    # the triangle's Stirling route and the Stirling form of the
+    # Bernoulli values read the same integer rows, so one wrong entry of
+    # row 3 fails a_routes at (1, 3) and b_routes at n = 3
+    from degenbern import ode_coeffs
+
+    real = ode_coeffs.scaled_stirling_row
+
+    def tampered(N, domain, xs):
+        row = real(N, domain, xs)
+        if N == 3:
+            row[1] += 1
+        return row
+
+    for owner in (ode_coeffs, bernoulli):
+        monkeypatch.setattr(owner, "scaled_stirling_row", tampered)
+    a = verify_route_agreement_a(4, dom)
+    b = verify_route_agreement_b(4, dom)
+    assert not a.verdict and not b.verdict
+    assert (a.witness["i"], a.witness["N"], a.witness["route"]) == (1, 3, "stirling")
+    assert (b.witness["n"], b.witness["route"]) == (3, "stirling_form")
+    for r in (a, b):
+        assert r.witness["reference"] != r.witness["value"]
+
+
 def test_classical_derivative_rejects_unknown():
     with pytest.raises(ValueError):
         verify_classical_derivative(2, 10, "eq99")
