@@ -10,9 +10,13 @@ computation; trying to mix them raises :class:`DomainError`.
 No floats anywhere.  Rationals are :class:`fractions.Fraction`.  A
 polynomial in λ keeps integer numerators over one common denominator,
 in a canonical form, and does its ring arithmetic in integers: a sum
-cross-scales the two denominators, a product packs both numerator
-vectors into one integer each and multiplies once (Kronecker
-substitution), and each operation divides out one gcd at its end.
+cross-scales the two denominators, a product convolves the two
+numerator vectors, and each operation divides out one gcd at its end.
+A product picks its convolution by the shorter operand's length: up to
+a few numerators it multiplies term by term, and beyond that it packs
+both vectors into one integer each and multiplies once (Kronecker
+substitution), because packing and unpacking cost more than the few
+integer products a short operand needs.
 Equality of results is always exact equality of reduced rationals or
 of canonical numerator lists and denominators; the rational
 coefficients, the hashes and every rendered form are those of the
@@ -66,6 +70,27 @@ def _is_rational(value) -> bool:
     return isinstance(value, numbers.Rational)
 
 
+# A product whose shorter operand has at most this many numerators is
+# convolved term by term, a longer one is packed.  Timed per product,
+# packing wins from about 8 or 9 numerators on 20- and 60-bit entries
+# and not up to 12 on 200-bit ones; most numerators in the symbolic
+# routes are under 32 bits.
+_SCHOOLBOOK_MAX = 7
+
+
+def _schoolbook_product(a: list, b: list) -> list:
+    """Convolution of two nonempty integer vectors, one row of products
+    per entry of ``a``; cheapest when ``a`` is the shorter."""
+    x = a[0]
+    out = [x * y for y in b]
+    for i in range(1, len(a)):
+        x = a[i]
+        out.append(0)
+        for j, y in enumerate(b, i):
+            out[j] += x * y
+    return out
+
+
 def _kronecker_product(a: list, b: list) -> list:
     """Convolution of two nonempty integer vectors by one integer product.
 
@@ -107,7 +132,9 @@ class LambdaPoly:
     factor with all the numerators, so two polynomials are equal exactly
     when their numerator lists and denominators are.  Every operation
     works on integers and reduces by one gcd at its end; a product of
-    two polynomials is one Kronecker-packed integer multiplication (see
+    two polynomials is a term-by-term convolution when the shorter has
+    at most ``_SCHOOLBOOK_MAX`` numerators (:func:`_schoolbook_product`)
+    and one Kronecker-packed integer multiplication otherwise (see
     :func:`_kronecker_product`).  :attr:`coeffs` gives the reduced
     rational coefficients, built on first use and kept.
 
@@ -279,7 +306,11 @@ class LambdaPoly:
             a, b = self._nums, other._nums
             if not a or not b:
                 return LambdaPoly()
+            if len(a) > len(b):
+                a, b = b, a
             den = self._den * other._den
+            if len(a) <= _SCHOOLBOOK_MAX:
+                return LambdaPoly._reduced(_schoolbook_product(a, b), den)
             return LambdaPoly._reduced(_kronecker_product(a, b), den)
         if _is_rational(other):
             if not other:

@@ -12,7 +12,9 @@ rational λ a product scales both operands to integer numerators over
 one denominator each and convolves them with a single packed integer
 multiplication.  Over Q[λ] it stays a schoolbook sum of λ-polynomial
 products, because packing whole λ-polynomial series, whose common
-denominators grow like factorials, was slower in every form tried.
+denominators grow like factorials, was slower in every form tried; each
+of those products convolves term by term or packs by the length of its
+shorter operand (see :class:`LambdaPoly`).
 
 The named constructors at the bottom build the generating functions the
 rest of the package feeds on: the binomial series (1+t)**λ, the
@@ -131,7 +133,8 @@ class TruncatedSeries:
         Kronecker-packed integer product convolves the two numerator
         vectors; coefficient k is its k-th output over the product of the
         two lcms, reduced once.  Over Q[λ] the product stays a schoolbook
-        sum of λ-polynomial products, each one Kronecker-packed itself:
+        sum of λ-polynomial products, each of which picks direct or
+        Kronecker-packed convolution by its shorter operand's length:
         the common denominators of λ-polynomial series grow like
         factorials, and packing whole Q[λ] series lost to the schoolbook
         in every form tried, so the fork by domain is deliberate.

@@ -35,6 +35,7 @@ from .series import (
     powers,
 )
 from .combinatorics import (
+    StirlingTable,
     bell_partial,
     binomial,
     degenerate_stirling2,
@@ -460,11 +461,23 @@ def verify_route_agreement_bell(n_max: int = 10) -> IdentityReport:
     return IdentityReport("bell_routes", {"max_n": n_max}, ok, witness, None)
 
 
+def _scaled_triangle(scaled: StirlingTable | None, n_max: int, domain: Domain) -> StirlingTable:
+    """The given generating-function scaled Stirling triangle after a
+    size check, or a new one."""
+    if scaled is None:
+        return scaled_stirling_triangle(n_max, domain, via="generating_function")
+    if scaled.n_max < n_max:
+        raise ValueError("scaled Stirling triangle too small")
+    return scaled
+
+
 def verify_route_agreement_stirling(
-    n_max: int, domain: Domain = SYMBOLIC
+    n_max: int, domain: Domain = SYMBOLIC, *, scaled: StirlingTable | None = None
 ) -> IdentityReport:
     """Both deformed second-kind triangle routes agree, and both scaled
-    triangle routes agree."""
+    triangle routes agree.  The generating-function scaled triangle of
+    the same domain, with at least n_max rows, can be passed as
+    ``scaled``; otherwise one is built."""
     skip_gf_scaled = domain.lam_is_zero
 
     def pairs():
@@ -475,8 +488,8 @@ def verify_route_agreement_stirling(
             for via in ("generating_function", "bell_formula")]
         if not skip_gf_scaled:
             yield "scaled", "N", [
-                (via, scaled_stirling_triangle(n_max, domain, via=via))
-                for via in ("bell_formula", "generating_function")]
+                ("bell_formula", scaled_stirling_triangle(n_max, domain, via="bell_formula")),
+                ("generating_function", _scaled_triangle(scaled, n_max, domain))]
 
     checks = (
         ({index: n, "k": k, "triangle": triangle},
@@ -492,18 +505,19 @@ def verify_route_agreement_stirling(
 
 
 def verify_stirling_limit(
-    n_max: int, *, coeffs: CoeffTable | None = None
+    n_max: int, *, coeffs: CoeffTable | None = None, scaled: StirlingTable | None = None
 ) -> IdentityReport:
     """λ -> 0 bridges: scaled second-kind values land on the signed
     first-kind triangle, and the coefficient triangle's constant terms
-    are (-1)^(N+i) i! s(N, i).  A symbolic triangle with at least n_max
-    rows can be passed as ``coeffs``; otherwise one is built.  Both
-    sides are plain rationals."""
+    are (-1)^(N+i) i! s(N, i).  A symbolic coefficient triangle and a
+    symbolic generating-function scaled triangle, each with at least
+    n_max rows, can be passed as ``coeffs`` and ``scaled``; otherwise
+    they are built.  Both sides are plain rationals."""
     s1 = stirling1_signed(n_max)
     table = _triangle(coeffs, n_max, SYMBOLIC)
-    scaled_table = scaled_stirling_triangle(n_max, SYMBOLIC)
+    scaled_table = _scaled_triangle(scaled, n_max, SYMBOLIC)
     zero = Rational(0)
-    scaled = (
+    to_first = (
         ({"N": N, "k": k, "kind": "scaled_to_first"},
          "limit", poly_eval(scaled_table.value(N, k), zero),
          "expected", s1.value(N, k))
@@ -517,7 +531,7 @@ def verify_stirling_limit(
         for N in range(1, n_max + 1)
         for i in range(N + 1)
     )
-    ok, witness = _first_disagreement(chain(scaled, constants), None)
+    ok, witness = _first_disagreement(chain(to_first, constants), None)
     return IdentityReport("stirling_limit", {"max_n": n_max}, ok, witness, None)
 
 
@@ -617,7 +631,12 @@ def verify_all(
     reports.append(verify_route_agreement_a(min(N_max, 10), domain, coeffs=run.coeffs))
     reports.append(verify_route_agreement_b(min(n_max, 12), domain))
     reports.append(verify_route_agreement_bell(min(n_max, 10)))
-    reports.append(verify_route_agreement_stirling(min(n_max, 12), domain))
-    shared = run.coeffs if domain.is_symbolic else None
-    reports.append(verify_stirling_limit(min(n_max, 12), coeffs=shared))
+    # symbolic runs share the limit's symbolic tables with the routes
+    stirling_top = min(n_max, 12)
+    coeffs = scaled = None
+    if domain.is_symbolic:
+        coeffs = run.coeffs
+        scaled = scaled_stirling_triangle(stirling_top, SYMBOLIC)
+    reports.append(verify_route_agreement_stirling(stirling_top, domain, scaled=scaled))
+    reports.append(verify_stirling_limit(stirling_top, coeffs=coeffs, scaled=scaled))
     return reports

@@ -5,7 +5,7 @@ from fractions import Fraction
 from itertools import zip_longest
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from degenbern import (
     DomainError,
@@ -25,6 +25,8 @@ from degenbern import (
     scalar_to_latex,
     scalar_to_text,
 )
+from degenbern import scalars
+from degenbern.scalars import _SCHOOLBOOK_MAX as T
 
 
 def test_rational_parse_and_render():
@@ -179,8 +181,24 @@ def assert_matches(p, ref):
         assert hash(p) == hash(p.constant_term) == hash(ref[0] if ref else Fraction(0))
 
 
+def numerators(n, bits=20, den=1):
+    """n nonzero coefficients of alternating sign, each of about ``bits``
+    bits, over ``den``."""
+    return [Fraction((-1) ** i * ((1 << bits) - 3 * i - 1), den) for i in range(n)]
+
+
 @settings(max_examples=150, deadline=None)
 @given(wide_coeff_lists, wide_coeff_lists, wide_coeff_lists, wide_rationals)
+# operand lengths on both sides of the direct/packed crossover at T
+@example(numerators(T), numerators(T, den=7), numerators(T - 1), Fraction(3, 5))
+@example(numerators(T + 1), numerators(T + 1, den=7), numerators(T), Fraction(-2))
+@example(numerators(1), numerators(41, 60), numerators(40), Fraction(1, 3))
+@example(numerators(41, 60), numerators(T), numerators(T - 1), Fraction(5))
+@example(numerators(T + 1, 60), numerators(41, den=9), numerators(40), Fraction(-1, 7))
+# short operands with 200-bit coefficients
+@example(numerators(2, 200), numerators(3, 200, den=(1 << 64) - 59), numerators(2, 200),
+         Fraction((1 << 200) + 1, 3))
+@example(numerators(T, 200, den=5), numerators(1, 200), [], Fraction(0))
 def test_ring_matches_fraction_schoolbook(ca, cb, cd, x):
     a, b = LambdaPoly(ca), LambdaPoly(cb)
     ra, rb = ref_strip(ca), ref_strip(cb)
@@ -197,6 +215,22 @@ def test_ring_matches_fraction_schoolbook(ca, cb, cd, x):
     # d has lower degree than b, so a*b and a*(d - b) cancel at the top
     rd = ref_strip(cd)[:max(len(rb) - 1, 0)]
     assert_matches(a * b + a * (LambdaPoly(rd) - b), ref_mul(ra, rd))
+
+
+@pytest.mark.parametrize("short", [1, T, T + 1])
+def test_product_packs_only_long_operands(short, monkeypatch):
+    # a product convolves term by term while its shorter operand has at
+    # most T numerators, and packs once beyond that, in either order
+    real = scalars._kronecker_product
+    calls = []
+    monkeypatch.setattr(scalars, "_kronecker_product",
+                        lambda a, b: calls.append(None) or real(a, b))
+    ca, cb = numerators(short), numerators(41, 60, den=3)
+    a, b = LambdaPoly(ca), LambdaPoly(cb)
+    for x, y in ((a, b), (b, a)):
+        calls.clear()
+        assert_matches(x * y, ref_mul(ca, cb))
+        assert len(calls) == (0 if short <= T else 1)
 
 
 def test_render_text_canonical():

@@ -27,7 +27,7 @@ from degenbern import (
     verify_singular,
     verify_stirling_limit,
 )
-from degenbern import bernoulli, series
+from degenbern import bernoulli, scalars, series
 from degenbern import verify as verify_module
 
 
@@ -112,12 +112,10 @@ def test_classical_derivative_passes():
     assert r.parameters["lambda"] == "0"
 
 
-def test_evaluated_product_fault_fails_the_product_checks(monkeypatch):
-    # at a rational λ a series product is one integer convolution in
-    # series._kronecker_product; moving one of its outputs by 1 must
-    # fail every verifier built on evaluated products, while Q[λ]
-    # products, which pack through scalars, are untouched
-    real = series._kronecker_product
+def plant_off_by_one(monkeypatch, owner, name):
+    """Rebind owner.name, an integer convolution, so that output 2 of
+    every product long enough to have one moves by 1."""
+    real = getattr(owner, name)
 
     def off_by_one(a, b):
         out = real(a, b)
@@ -125,18 +123,63 @@ def test_evaluated_product_fault_fails_the_product_checks(monkeypatch):
             out[2] += 1
         return out
 
+    monkeypatch.setattr(owner, name, off_by_one)
+
+
+def test_evaluated_product_fault_fails_the_product_checks(monkeypatch):
+    # at a rational λ a series product is one integer convolution in
+    # series._kronecker_product; moving one of its outputs by 1 must
+    # fail every verifier built on evaluated products, while Q[λ]
+    # products, which convolve in scalars, are untouched
     evaluated = [
         lambda: verify_classical_derivative(3, 10, "eq41"),
         lambda: verify_classical_derivative(3, 10, "eq42"),
         lambda: verify_ode(2, 8, EvaluatedDomain(Fraction(7, 3))),
     ]
     assert all(check().verdict for check in evaluated)
-    monkeypatch.setattr(series, "_kronecker_product", off_by_one)
+    plant_off_by_one(monkeypatch, series, "_kronecker_product")
     for check in evaluated:
         r = check()
         assert not r.verdict
         assert r.witness["lhs"] != r.witness["rhs"]
     assert verify_ode(2, 8, SYMBOLIC).verdict
+
+
+def evaluated_products_pass():
+    return (verify_ode(2, 8, EvaluatedDomain(Fraction(7, 3))).verdict
+            and verify_classical_derivative(3, 10, "eq41").verdict)
+
+
+def assert_fails_with_witness(report):
+    assert not report.verdict
+    assert report.witness
+
+
+def test_short_symbolic_product_fault_fails_the_symbolic_checks(monkeypatch):
+    # a λ-polynomial product with a short operand convolves term by term
+    # in scalars._schoolbook_product; every symbolic family reads such
+    # products, and no evaluated check does
+    plant_off_by_one(monkeypatch, scalars, "_schoolbook_product")
+    for report in (
+        verify_ode(2, 8, SYMBOLIC),
+        verify_convolution(5),
+        verify_higher_order(2, 3),
+        verify_route_agreement_a(4),
+        verify_route_agreement_b(6),
+        verify_route_agreement_stirling(6),
+    ):
+        assert_fails_with_witness(report)
+    assert evaluated_products_pass()
+
+
+def test_long_symbolic_product_fault_fails_the_symbolic_checks(monkeypatch):
+    # products whose shorter operand is long pack in
+    # scalars._kronecker_product; the higher ODE members and the
+    # Bernoulli rows past n = 12 reach them
+    plant_off_by_one(monkeypatch, scalars, "_kronecker_product")
+    assert_fails_with_witness(verify_ode(4, 16, SYMBOLIC))
+    assert_fails_with_witness(verify_route_agreement_b(14))
+    assert evaluated_products_pass()
 
 
 def test_symbolic_series_products_keep_their_ring_products(monkeypatch):
@@ -448,6 +491,38 @@ def test_verify_all_shares_the_suite_triangle_with_the_context(monkeypatch):
     # one triangle for the ode/cor34 suites, the reconstruction context,
     # the a-route agreement and the (symbolic) Stirling limit
     assert calls == [4]
+
+
+def test_verify_all_builds_one_scaled_stirling_triangle(monkeypatch):
+    real = verify_module.scaled_stirling_triangle
+    calls = []
+
+    def logged(n_max, domain, via="generating_function"):
+        calls.append((n_max, via))
+        return real(n_max, domain, via=via)
+
+    monkeypatch.setattr(verify_module, "scaled_stirling_triangle", logged)
+    reports = verify_all(4, 4, order=14, max_j=2)
+    assert all(r.verdict for r in reports)
+    # the route agreement and the Stirling limit read one table
+    assert calls.count((4, "generating_function")) == 1
+    assert calls.count((4, "bell_formula")) == 1
+    # standalone, a failing deformed pair still builds no scaled table
+    calls.clear()
+    bump_stirling_table(monkeypatch, "degenerate_stirling2", 3, 2,
+                        lambda n, d, via="generating_function": via == "bell_formula")
+    assert not verify_route_agreement_stirling(4).verdict
+    assert calls == []
+
+
+def test_scaled_stirling_triangle_is_checked_for_size():
+    small = verify_module.scaled_stirling_triangle(3, SYMBOLIC)
+    with pytest.raises(ValueError):
+        verify_route_agreement_stirling(4, scaled=small)
+    with pytest.raises(ValueError):
+        verify_stirling_limit(4, scaled=small)
+    assert verify_route_agreement_stirling(2, scaled=small).verdict
+    assert verify_stirling_limit(2, scaled=small).verdict
 
 
 def test_report_json_shape():
