@@ -35,7 +35,7 @@ from .combinatorics import (
     stirling1_signed,
     stirling_bell_arguments,
 )
-from .ode_coeffs import scaled_stirling_row, scaled_triangle_rows
+from .ode_coeffs import scaled_falling_row, scaled_stirling_row, scaled_triangle_rows
 
 MULTINOMIAL_CAP = 24
 
@@ -202,30 +202,29 @@ def value_via_explicit(n: int, domain: Domain, form: str = "a_form") -> Scalar:
 
 
 def row_via_explicit(n_max: int, domain: Domain, form: str = "a_form") -> BernoulliRow:
-    """Values 0..n_max of one explicit form.
-
-    Forms "a_form" and "stirling_form" run the closing sum of
-    :func:`_explicit_a_form`, the first over the recurrence rows of
-    :func:`scaled_triangle_rows`, the second over the integer Stirling
-    rows of :func:`scaled_stirling_row` built from one list of Bell
-    arguments; form "falling_form" unwinds everything into alternating
-    falling-factorial sums with a verified λ-power shift.
+    """Values 0..n_max of one explicit form: the closing sum of
+    :func:`_explicit_a_form` over integer triangle rows 0..n_max at the
+    scale C_i(N) = q^(N-i) c_i(N), each form with rows of its own closed
+    form.  "a_form" takes the recurrence rows of
+    :func:`scaled_triangle_rows`, "stirling_form" the rows of
+    :func:`scaled_stirling_row` from one list of Bell arguments, and
+    "falling_form" the rows of :func:`scaled_falling_row`, alternating
+    sums of q^N (λl)_N = prod_j (lp - jq) divided by p^i, exactly because
+    C_i(N) is an integer.
     """
     require_deformed(domain, _ROUTE)
     if form not in EXPLICIT_FORMS:
         raise ValueError(f"unknown form {form!r}")
-    values: list[Scalar] = [domain.one]
-    if form == "falling_form":
-        values += [_explicit_falling_form(n, domain) for n in range(1, n_max + 1)]
+    if form == "a_form":
+        rows = scaled_triangle_rows(n_max, domain)
+    elif form == "stirling_form":
+        xs = stirling_bell_arguments(n_max + 1, domain)
+        rows = [scaled_stirling_row(N, domain, xs) for N in range(n_max + 1)]
     else:
-        if form == "a_form":
-            rows = scaled_triangle_rows(n_max, domain)
-        else:
-            xs = stirling_bell_arguments(n_max + 1, domain)
-            rows = [scaled_stirling_row(N, domain, xs) for N in range(n_max + 1)]
-        deformed = _deformed_products(n_max, domain)
-        values += [_explicit_a_form(n, domain, rows, deformed) for n in range(1, n_max + 1)]
-    return BernoulliRow(domain, 1, "explicit", tuple(values))
+        rows = [scaled_falling_row(N, domain) for N in range(n_max + 1)]
+    deformed = _deformed_products(n_max, domain)
+    values = [_explicit_a_form(n, domain, rows, deformed) for n in range(1, n_max + 1)]
+    return BernoulliRow(domain, 1, "explicit", tuple([domain.one] + values))
 
 
 def _deformed_products(n: int, domain: Domain) -> list:
@@ -263,56 +262,6 @@ def _explicit_a_form(n: int, domain: Domain, rows: list, deformed: list) -> Scal
     if n % 2:
         out = -out
     return domain.coerce(scaled_value(out, 1, math.factorial(n + 1) * q ** (n + 1)))
-
-
-def _explicit_falling_form(n: int, domain: Domain) -> Scalar:
-    """Value n from alternating falling-factorial sums, taken in
-    integers at λ = p/q (p = λ, q = 1 symbolically).
-
-    Scaled by q^n, the falling factorials (lλ)_n and (lλ+1)_n are
-    P_l = prod_{j<n} (lp - jq) and Q_l = prod_{j<n} (lp + q - jq).  The
-    sums A = sum_l (-1)^l C(n,l) P_l and B_k = sum_{l<=k} (-1)^l C(k,l) Q_l
-    do not depend on i and are taken once; inner sum i is
-    I_i = C(n,i) A + sum_{k=i}^{n-1} C(k,i) B_k.  Unscaled, I_i / q^n is
-    λ^i g(λ) with g an integer polynomial of degree at most n - i, so
-    I_i = sum_d g_d p^(i+d) q^(n-i-d) and H_i = I_i / p^i is exact:
-    symbolically a verified coefficient shift, at a rational λ a checked
-    integer division.  With G_i = prod_{j<=i} (q - jp), which is
-    q^(i+1) (1)(1-λ)...(1-iλ), the value is
-
-        ((-1)^n n! G_n + sum_{i<n} (n+1)!/(i+1)! G_i H_i) / ((n+1)! q^(n+1)).
-    """
-    p, q, zero, one = integer_parts(domain)
-    plain, shifted = [], []
-    for l in range(n + 1):
-        plain_l = shifted_l = one
-        for j in range(n):
-            plain_l *= l * p - j * q
-            shifted_l *= l * p + (1 - j) * q
-        plain.append(plain_l)
-        shifted.append(shifted_l)
-    plain_sum = zero
-    for l in range(n + 1):
-        plain_sum += (-1) ** l * math.comb(n, l) * plain[l]
-    alt = []
-    for k in range(n):
-        acc = zero
-        for l in range(k + 1):
-            acc += (-1) ** l * math.comb(k, l) * shifted[l]
-        alt.append(acc)
-    fact = math.factorial(n + 1)
-    deformed = _deformed_products(n, domain)
-    out = (-1) ** n * math.factorial(n) * deformed[n]
-    for i in range(n):
-        inner = math.comb(n, i) * plain_sum
-        for k in range(i, n):
-            inner += math.comb(k, i) * alt[k]
-        if domain.is_symbolic:
-            inner = inner.shifted_down(i)
-        else:
-            inner = exact_quotient(inner, p**i)
-        out += math.perm(n + 1, n - i) * deformed[i] * inner
-    return domain.coerce(scaled_value(out, 1, fact * q ** (n + 1)))
 
 
 def row_higher_order(r: int, n_max: int, domain: Domain) -> BernoulliRow:

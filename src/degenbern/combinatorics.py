@@ -84,6 +84,30 @@ def _falling_product(x, n: int, step):
     return acc if acc is not None else 1
 
 
+def alternating_falling_sums(a, b, n: int, one) -> list:
+    """D_0..D_n with D_k = sum_{l<=k} (-1)^l C(k,l) prod_{j<n} (la - jb).
+
+    The products are taken once for l = 0..n, and D_k is the first entry
+    of their k-th row of differences x_l - x_(l+1), taken in place, so no
+    binomial is needed.  Integers a, b (or integer-coefficient
+    λ-polynomials with the ring unit one) give integer sums.
+    """
+    steps = [j * b for j in range(n)]
+    row = []
+    for l in range(n + 1):
+        la = l * a
+        acc = one
+        for step in steps:
+            acc *= la - step
+        row.append(acc)
+    sums = []
+    for k in range(n + 1):
+        sums.append(row[0])
+        for l in range(n - k):
+            row[l] -= row[l + 1]
+    return sums
+
+
 # ---------------------------------------------------------------------------
 # Stirling triangles
 
@@ -133,16 +157,26 @@ def degenerate_stirling2(
     """λ-deformed Stirling triangle of the second kind.
 
     Route "generating_function" reads n! [t^n] (e_λ(t) - 1)^k / k! off
-    the deformed exponential; route "bell_formula" uses the alternating
-    binomial sum over deformed falling factorials.  Both give the same
-    polynomials; verify and the tests compare them.
+    the deformed exponential; route "bell_formula" takes the alternating
+    sum (-1)^k/k! sum_l (-1)^l C(k,l) (l|λ)_n over the deformed falling
+    factorials (l|λ)_n = l(l-λ)...(l-(n-1)λ).  At λ = p/q (p = λ, q = 1
+    symbolically) q^n (l|λ)_n = prod_j (lq - jp), so the sum over l is
+    D_k / q^n for the integers D_k of :func:`alternating_falling_sums`
+    at (a, b) = (q, p), and entry (n, k) is the one reduced value
+    (-1)^k D_k / (k! q^n).  Both routes give the same polynomials;
+    verify and the tests compare them.
     """
     if via == "generating_function":
         order = n_max + 1
         e_minus_1 = degenerate_exp_series(domain, order) - one_series(domain, order)
         return _power_table_triangle("degenerate_second", n_max, e_minus_1, 0)
     if via == "bell_formula":
-        return _deg_stirling2_bell(n_max, domain)
+        p, q, _, one = integer_parts(domain)
+        return StirlingTable("degenerate_second", n_max, tuple([
+            tuple([domain.coerce(scaled_value(d, (-1) ** k, math.factorial(k) * q**n))
+                   for k, d in enumerate(alternating_falling_sums(q, p, n, one))])
+            for n in range(n_max + 1)
+        ]))
     raise ValueError(f"unknown route {via!r}")
 
 
@@ -156,24 +190,6 @@ def _power_table_triangle(kind: str, n_max: int, base, lag: int) -> StirlingTabl
                for k in range(n + 1)])
         for n in range(n_max + 1)
     ]))
-
-
-def _deg_stirling2_bell(n_max: int, domain: Domain) -> StirlingTable:
-    lam = domain.lam
-    rows = []
-    for n in range(n_max + 1):
-        # (l|λ)_n for l = 0..n, shared by the whole row
-        falling = [generalized_falling(domain.coerce(l), n, lam) for l in range(n + 1)]
-        row = []
-        for k in range(n + 1):
-            acc = domain.zero
-            for l in range(k + 1):
-                term = binomial(k, l) * falling[l]
-                acc = acc + term if l % 2 == 0 else acc - term
-            sign = -1 if k % 2 else 1
-            row.append(acc * Rational(sign, math.factorial(k)))
-        rows.append(tuple(row))
-    return StirlingTable("degenerate_second", n_max, tuple(rows))
 
 
 # ---------------------------------------------------------------------------

@@ -5,13 +5,17 @@ Row N holds the N+1 scalars c_0..c_N with
 
     (-1)^N (1+t)^N F^(N) = sum_i c_i F^(i+1),     F = 1/log-deformed(1+t).
 
-Row 1 is (λ, 1) and the triangle grows by the two-term recurrence
-implemented in :func:`coeff_triangle`.  Three more routes compute whole
-rows independently (a double alternating sum over λ-multiples, a sum
-over scaled second-kind Stirling values, and an unrolled one-index
-recurrence); the verify module and the tests force all four to agree.
-Entry (i, N) is a λ-polynomial of degree N - i whose constant term is
-(-1)^(N+i) i! times the signed first-kind Stirling number s(N, i).
+Entry (i, N) is an integer-coefficient λ-polynomial of degree N - i whose
+constant term is (-1)^(N+i) i! times the signed first-kind Stirling
+number s(N, i), so at λ = p/q (p = λ, q = 1 symbolically) the scaled
+entry C_i(N) = q^(N-i) c_i(N) is an integer.  Three routes build whole
+rows at that scale and divide back once per entry: the two-term
+recurrence of :func:`coeff_triangle` (the reference), the Stirling
+closed form over integer Bell values, and the falling-factorial closed
+form over alternating sums of q^N (λl)_N = prod_j (lp - jq), whose one
+division, by p^i, is exact because C_i(N) is an integer.  A fourth
+route unrolls the recurrence in N alone.  The verify module and the
+tests force all four to agree.
 """
 
 from __future__ import annotations
@@ -19,11 +23,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .scalars import Domain, DomainError, Rational, Scalar, integer_parts, scaled_value
+from .scalars import (
+    Domain, DomainError, Rational, Scalar, exact_quotient, integer_parts, scaled_value,
+)
 from .combinatorics import (
     StirlingTable,
+    alternating_falling_sums,
     bell_partial,
-    binomial,
     falling_factorial,
     stirling1_signed,
     stirling_bell_arguments,
@@ -130,44 +136,43 @@ def _unscaled(N: int, row: list, domain: Domain) -> tuple[Scalar, ...]:
     return tuple([domain.coerce(scaled_value(v, 1, q ** (N - i))) for i, v in enumerate(row)])
 
 
-def coeff_explicit_falling(N: int, domain: Domain) -> tuple[Scalar, ...]:
-    """Row N as double alternating sums.
+def scaled_falling_row(N: int, domain: Domain) -> list:
+    """Row N scaled to integers, by the falling-factorial closed form
 
-    c_i = (-1)^N λ^(-i) sum_{k=i}^{N} C(k,i) S_k with
-    S_k = sum_{l=0}^{k} (-1)^l C(k,l) (λl)_N, where (x)_N is the plain
-    falling factorial; the N+1 falling factorials and the sums S_k do
-    not depend on i and are taken once per row.  Inner sum i is always
-    divisible by λ^i; symbolically the division is a verified
-    coefficient shift, at a fixed rational λ it is ordinary division.
-    At λ = 0 the expression is 0/0, so that point must go through
-    another route.
+        c_i(N) = (-1)^N λ^(-i) sum_{k=i}^{N} C(k,i) sum_{l=0}^{k} (-1)^l C(k,l) (λl)_N,
+
+    with (x)_N the plain falling factorial.  At λ = p/q (p = λ, q = 1
+    symbolically) the scale is q^N (λl)_N = prod_j (lp - jq); with the
+    sign (-1)^N spread over the N factors, (-1)^N q^N times inner sum k
+    is the integer D_k of :func:`alternating_falling_sums` at
+    (a, b) = (-p, -q).  So C_i(N) = q^(N-i) c_i(N), the scale of
+    :func:`scaled_triangle_rows`, is sum_k C(k,i) D_k / p^i, exact because
+    C_i(N) is an integer: symbolically a verified coefficient shift, at a
+    rational λ a checked integer division.  At λ = 0 it is 0/0, so that
+    point must go through another route.
     """
-    _check_row(N)
-    lam = domain.lam
     if domain.lam_is_zero:
         raise DomainError(
             "the alternating-sum route divides by λ^i and has no value at "
             "λ = 0; use the recurrence or Stirling route there"
         )
-    falling = [falling_factorial(l * lam, N) for l in range(N + 1)]
-    alternating = []
-    for k in range(N + 1):
-        acc = domain.zero
-        for l in range(k + 1):
-            term = binomial(k, l) * falling[l]
-            acc = acc + term if l % 2 == 0 else acc - term
-        alternating.append(acc)
+    p, q, zero, one = integer_parts(domain)
+    sums = alternating_falling_sums(-p, -q, N, one)
     row = []
     for i in range(N + 1):
-        inner = domain.zero
+        acc = zero
         for k in range(i, N + 1):
-            inner = inner + binomial(k, i) * alternating[k]
-        if domain.is_symbolic:
-            shifted = inner.shifted_down(i)
-        else:
-            shifted = inner / lam**i
-        row.append(-shifted if N % 2 else shifted)
-    return tuple(row)
+            acc += math.comb(k, i) * sums[k]
+        row.append(acc.shifted_down(i) if domain.is_symbolic else exact_quotient(acc, p**i))
+    return row
+
+
+def coeff_explicit_falling(N: int, domain: Domain) -> tuple[Scalar, ...]:
+    """Row N through double alternating sums over falling factorials (no
+    value at λ = 0): the integer row of :func:`scaled_falling_row`, which
+    the falling form of the Bernoulli values also reads, divided back."""
+    _check_row(N)
+    return _unscaled(N, scaled_falling_row(N, domain), domain)
 
 
 def coeff_explicit_stirling(N: int, domain: Domain) -> tuple[Scalar, ...]:

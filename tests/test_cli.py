@@ -235,9 +235,9 @@ def test_main_dispatches_through_the_current_run_function(monkeypatch, capsys):
 
 
 def test_a_routes_take_shared_values_once_per_row(monkeypatch, capsys):
-    # each row route takes the Bell values T(N, k) for k = 0..N and
-    # (λl)_N for l = 0..N once per row: 65 distinct values each for
-    # N = 1..10
+    # the Stirling route takes the Bell values T(N, k) for k = 0..N once
+    # per row, 65 distinct values for N = 1..10, and the falling route
+    # takes its alternating sums over (λl)_N in one call per row
     from degenbern import combinatorics, ode_coeffs
 
     calls = Counter()
@@ -254,10 +254,10 @@ def test_a_routes_take_shared_values_once_per_row(monkeypatch, capsys):
                 monkeypatch.setattr(module, name, wrapper)
 
     count(combinatorics, "bell_partial")
-    count(combinatorics, "falling_factorial")
+    count(combinatorics, "alternating_falling_sums")
     count(ode_coeffs, "coeff_triangle")
     assert cli.main(["a", "--max-N", "10", "--route", "all", "--format", "json"]) == 0
-    assert calls == {"bell_partial": 65, "falling_factorial": 65, "coeff_triangle": 1}
+    assert calls == {"bell_partial": 65, "alternating_falling_sums": 10, "coeff_triangle": 1}
     assert json.loads(capsys.readouterr().out)["payload"]["all_agree"] is True
     # the recurrence triangle is built only where it is shown or compared
     calls.clear()

@@ -3,6 +3,7 @@ construction, the three row routes, boundaries, degree
 shape, and the λ -> 0 constant terms."""
 
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -16,9 +17,11 @@ from degenbern import (
     coeff_limit_at_zero,
     coeff_triangle,
     coeff_unrolled_recurrence,
+    degenerate_stirling2,
     falling_factorial,
     poly_eval,
     render_poly_text,
+    row_via_explicit,
     stirling1_signed,
 )
 from degenbern.ode_coeffs import scaled_triangle_rows
@@ -45,16 +48,17 @@ def plain_triangle(n_max, lam):
     return rows
 
 
-@settings(max_examples=40, deadline=None)
-@given(
-    st.integers(min_value=0, max_value=16),
-    st.builds(
-        lambda sign, p, q: Fraction(sign * p, q),
-        st.sampled_from([1, -1]),
-        st.integers(min_value=1, max_value=(1 << 24) - 1),
-        st.integers(min_value=1, max_value=(1 << 20) - 1),
-    ),
+# λ of both signs, numerators up to 24 bits, denominators up to 20 bits
+wide_lambdas = st.builds(
+    lambda sign, p, q: Fraction(sign * p, q),
+    st.sampled_from([1, -1]),
+    st.integers(min_value=1, max_value=(1 << 24) - 1),
+    st.integers(min_value=1, max_value=(1 << 20) - 1),
 )
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=16), wide_lambdas)
 @example(16, Fraction(1))
 @example(16, Fraction(2))
 @example(16, Fraction(3))
@@ -69,6 +73,53 @@ def test_scaled_triangle_rows_match_plain_fractions(n_max, lam):
         assert [Fraction(v, q ** (N - i)) for i, v in enumerate(scaled[N])] == expected[N]
         assert list(table.row(N)) == expected[N]
         assert all(type(v) is Fraction for v in table.row(N))
+
+
+def plain_deformed_stirling2(n_max, lam):
+    """Rows 0..n_max of the deformed second-kind Stirling triangle by
+    S(n+1, k) = S(n, k-1) + (k - nλ) S(n, k), in plain Fractions."""
+    rows = [[Fraction(1)]]
+    for n in range(n_max):
+        row = rows[-1] + [Fraction(0)]
+        rows.append([(row[k - 1] if k else 0) + (k - n * lam) * row[k] for k in range(n + 2)])
+    return rows
+
+
+def plain_bernoulli_row(n_max, lam):
+    """b_0..b_n_max as n! times the coefficients of the reciprocal of
+    log-deformed(1+t) / t = sum_m (λ-1)...(λ-m) t^m / (m+1)!, in plain
+    Fractions."""
+    series, fall = [], Fraction(1)
+    for m in range(n_max + 1):
+        series.append(fall / factorial(m + 1))
+        fall *= lam - m - 1
+    inverse = [Fraction(1)]
+    for n in range(1, n_max + 1):
+        inverse.append(-sum(series[m] * inverse[n - m] for m in range(1, n + 1)))
+    return [factorial(n) * h for n, h in enumerate(inverse)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=1, max_value=14), wide_lambdas)
+# at λ = 1, 2, 3 some falling factors vanish
+@example(14, Fraction(1))
+@example(14, Fraction(2))
+@example(14, Fraction(3))
+def test_falling_closed_forms_match_plain_fractions(n, lam):
+    # the integer alternating falling sums behind the triangle's falling
+    # route, the Bell-formula Stirling triangle and the falling form
+    dom = EvaluatedDomain(lam)
+    triangle = plain_triangle(n, lam)
+    for N in range(1, n + 1):
+        row = coeff_explicit_falling(N, dom)
+        assert list(row) == triangle[N]
+        assert all(type(v) is Fraction for v in row)
+    stirling = degenerate_stirling2(n, dom, via="bell_formula").rows
+    assert [list(row) for row in stirling] == plain_deformed_stirling2(n, lam)
+    assert all(type(v) is Fraction for row in stirling for v in row)
+    values = row_via_explicit(n, dom, "falling_form").values
+    assert list(values) == plain_bernoulli_row(n, lam)
+    assert all(type(v) is Fraction for v in values)
 
 
 def test_boundary_entries():

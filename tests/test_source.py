@@ -1,8 +1,9 @@
 """Source rules for the package: no tuple is built from a generator,
 every name the benchmark's tracer wraps exists, the Bell
 generating-function route keeps its own series product, ``__all__``
-lists exactly the names the package root imports, and code outside
-``scalars.py`` forks on the domain only at listed sites.
+lists exactly the names the package root imports, code outside
+``scalars.py`` forks on the domain only at listed sites, and every
+docstring example runs.
 
 Under CPython 3.11, ``tuple(<generator>)`` and ``f(*<generator>)``
 allocate their tuple at a guessed length and then resize it.  The
@@ -15,6 +16,7 @@ start and leaves nothing behind.
 """
 
 import ast
+import doctest
 import importlib
 import importlib.util
 from pathlib import Path
@@ -100,8 +102,7 @@ def test_all_lists_exactly_the_imported_names():
 # enclosing function; a new fork on the domain has to be added on purpose
 DOMAIN_FORKS = {
     ("series.py", "TruncatedSeries.__mul__"),  # the packed product at a rational λ
-    ("bernoulli.py", "_explicit_falling_form"),  # the λ^i quotient
-    ("ode_coeffs.py", "coeff_explicit_falling"),  # the λ^i quotient
+    ("ode_coeffs.py", "scaled_falling_row"),  # the λ^i quotient
     ("verify.py", "verify_all"),  # the shared triangle
 }
 
@@ -155,3 +156,12 @@ def test_domain_forks_are_at_the_listed_sites():
         for _, scope in domain_forks(path.read_text(encoding="utf-8"))
     }
     assert found == DOMAIN_FORKS
+
+
+def test_every_module_passes_its_doctests():
+    names = [path.stem for path in sorted(PACKAGE.glob("*.py")) if path.stem != "__init__"]
+    results = {name: doctest.testmod(importlib.import_module(f"degenbern.{name}"))
+               for name in names}
+    results["__init__"] = doctest.testmod(degenbern)
+    assert {name: r.failed for name, r in results.items() if r.failed} == {}
+    assert results["scalars"].attempted > 0

@@ -282,6 +282,40 @@ def test_corrupted_stirling_row_fails_both_routes_that_read_it(dom, monkeypatch)
         assert r.witness["reference"] != r.witness["value"]
 
 
+@pytest.mark.parametrize("dom", [SYMBOLIC, EvaluatedDomain(Fraction(-2, 5))], ids=["sym", "-2/5"])
+def test_corrupted_alternating_sum_fails_every_route_that_reads_it(dom, monkeypatch):
+    # the triangle's falling route, the falling form of the Bernoulli
+    # values and the Bell-formula deformed Stirling triangle read the same
+    # alternating falling sums; D_0 at n = 3 enters only c_0(3), b_3 (and
+    # b_4) and S(3, 0), so a +1 there fails a_routes at (0, 3), b_routes at
+    # n = 3 and stirling_routes at (3, 0)
+    from degenbern import combinatorics, ode_coeffs
+
+    def reports():
+        return (verify_route_agreement_a(3, dom), verify_route_agreement_b(4, dom),
+                verify_route_agreement_stirling(3, dom))
+
+    assert all(r.verdict for r in reports())
+    real = combinatorics.alternating_falling_sums
+
+    def tampered(a, b, n, one):
+        sums = real(a, b, n, one)
+        if n == 3:
+            sums[0] += 1
+        return sums
+
+    for owner in (ode_coeffs, combinatorics):
+        monkeypatch.setattr(owner, "alternating_falling_sums", tampered)
+    a, b, s = reports()
+    assert not (a.verdict or b.verdict or s.verdict)
+    assert (a.witness["i"], a.witness["N"], a.witness["route"]) == (0, 3, "falling")
+    assert (b.witness["n"], b.witness["route"]) == (3, "falling_form")
+    assert (s.witness["n"], s.witness["k"], s.witness["triangle"]) == (3, 0, "degenerate_second")
+    for r in (a, b):
+        assert r.witness["reference"] != r.witness["value"]
+    assert s.witness["generating_function"] != s.witness["bell_formula"]
+
+
 def test_classical_derivative_rejects_unknown():
     with pytest.raises(ValueError):
         verify_classical_derivative(2, 10, "eq99")
