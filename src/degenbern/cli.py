@@ -223,11 +223,6 @@ def run_b(args, command: list[str]) -> tuple[dict, int]:
             )
         names = ["series"] if route == "series" else ["series", "convolution"]
     else:
-        if route in ("multinomial", "all") and max_n > bernoulli.MULTINOMIAL_CAP:
-            raise CLIError(
-                f"the multinomial route is capped at n <= {bernoulli.MULTINOMIAL_CAP}; "
-                "pick an explicit --route for larger tables"
-            )
         if route == "all":
             names = ["series", "recurrence", "multinomial", "explicit"]
         else:
@@ -270,8 +265,6 @@ def run_a(args, command: list[str]) -> tuple[dict, int]:
     if max_N < 1:
         raise CLIError("--max-N must be at least 1")
     route = args.route
-    if route == "falling" and domain.lam_is_zero:
-        raise CLIError("the falling-factorial route is undefined at lambda = 0")
     shown = "recurrence" if route == "all" else route
     with_agree = route == "all"
     names = [shown]

@@ -30,7 +30,6 @@ from .combinatorics import (
     StirlingTable,
     alternating_falling_sums,
     bell_partial,
-    falling_factorial,
     stirling1_signed,
     stirling_bell_arguments,
 )
@@ -187,34 +186,36 @@ def coeff_explicit_stirling(N: int, domain: Domain) -> tuple[Scalar, ...]:
 def coeff_unrolled_recurrence(N: int, domain: Domain) -> tuple[Scalar, ...]:
     """Row N by unrolling the triangle recurrence in N only.
 
-    The recursion bottoms out at the closed left-edge product
-    (N + λ - 1)(N + λ - 2)...(λ), and entry N is N!, so this route never
-    touches :func:`coeff_triangle`.  One memo serves the whole row.
+    From the diagonal c_i(i) = i!, the recurrence in N unrolls to
+
+        c_i(M) = i! P_(M-i) + i sum_{l<M-i} P_l c_(i-1)(M-l-1),
+        P_l = prod_{M'=M-l}^{M-1} (M' + (i+1)λ),
+
+    so column i needs only column i-1, and column 0 is the closed
+    left-edge product λ(λ+1)...(λ+M-1); the route never touches
+    :func:`coeff_triangle`.  The columns are swept for rows M = i..N at
+    the scale C_i(M) = q^(M-i) c_i(M) of :func:`scaled_triangle_rows`
+    (λ = p/q; p = λ, q = 1 symbolically), where the factors of P_l are
+    the integers M'q + (i+1)p, P_l grows by one of them per l and no step
+    divides; row N is divided back once.
     """
     _check_row(N)
-    memo: dict[tuple[int, int], Scalar] = {}
-    return tuple([_unrolled(i, N, domain, memo) for i in range(N + 1)])
-
-
-def _unrolled(i: int, N: int, domain: Domain, memo: dict) -> Scalar:
-    if i == 0:
-        # left edge closed form
-        return falling_factorial(N + domain.lam - 1, N)
-    key = (i, N)
-    if key in memo:
-        return memo[key]
-    lam = domain.lam
-    base = N + (i + 1) * lam - 1
-    value = math.factorial(i) * falling_factorial(base, N - i)
-    tail = domain.zero
-    for l in range(N - i):
-        tail = tail + falling_factorial(base, l) * _unrolled(
-            i - 1, N - l - 1, domain, memo
-        )
-    value = value + i * tail
-    value = domain.coerce(value)
-    memo[key] = value
-    return value
+    p, q, zero, one = integer_parts(domain)
+    row = []
+    below = []  # column i-1: C_(i-1)(M) at index M - i + 1
+    for i in range(N + 1):
+        factors = [m * q + (i + 1) * p for m in range(N)]
+        column = []
+        for M in range(i, N + 1):
+            tail, P = zero, one
+            for l in range(M - i):
+                if i:
+                    tail += P * below[M - l - i]
+                P *= factors[M - l - 1]
+            column.append(math.factorial(i) * P + i * tail)
+        row.append(column[-1])
+        below = column
+    return _unscaled(N, row, domain)
 
 
 def coeff_limit_at_zero(i: int, N: int, table: StirlingTable | None = None) -> Rational:

@@ -29,6 +29,7 @@ from .scalars import (
 from .series import (
     LaurentSeries,
     classical_log_reciprocal,
+    degenerate_exp_series,
     degenerate_log_over_t_series,
     degenerate_log_reciprocal,
     one_plus_t_power,
@@ -37,11 +38,10 @@ from .series import (
 from .combinatorics import (
     StirlingTable,
     bell_partial,
-    binomial,
     degenerate_stirling2,
-    falling_factorial,
     scaled_stirling_triangle,
     stirling1_signed,
+    stirling_bell_arguments,
 )
 from .ode_coeffs import (
     CoeffTable,
@@ -161,7 +161,8 @@ def verify_convolution(
     sum_{i=1}^{j} w_{j-i} (c_{n-i}(n) - n c_{n-i}(n-1))
         = c_{n-j}(n) - n! w_j,
 
-    with weights w_m = (1)(1-λ)...(1-(m-1)λ)/m!.
+    with weights w_m = (1)(1-λ)...(1-(m-1)λ)/m!, the coefficients of the
+    deformed exponential (1+λt)^(1/λ).
 
     Of row n of the table the check sees entries 1..n-1 only: entry
     (0, n) enters both sides with weight 1 and cancels, and (n, n) is
@@ -171,10 +172,7 @@ def verify_convolution(
     if n < 1:
         raise ValueError("the convolution identity starts at n = 1")
     table = _triangle(coeffs, n, domain)
-    lam = domain.lam
-    weights = [domain.one]
-    for m in range(1, n + 1):
-        weights.append(weights[-1] * (domain.one - (m - 1) * lam) / m)
+    weights = degenerate_exp_series(domain, n + 1).coeffs
     bracket = {i: table.value(n - i, n) - n * table.value(n - i, n - 1)
                for i in range(1, n + 1)}
     checks = (
@@ -278,52 +276,37 @@ def _ensure_ctx(ctx, domain, N, top_index):
     return ctx
 
 
-def _sum12(j: int, N: int, ctx: HigherOrderContext, domain: Domain):
-    """First two reconstruction sums for coefficient index j; for j >= 0
-    the smooth-part weight j!/(...)! applies, for j < 0 the weight is
-    1/(...)! (the singular-part normalization)."""
+def _reconstruction(j: int, N: int, ctx: HigherOrderContext, domain: Domain):
+    """The three reconstruction sums for coefficient index j, under both
+    readings of the third sum's factorial weight: (rhs, rhs_printed).
+
+    For j >= 0 the smooth-part weight j!/(...)! applies, for j < 0 the
+    weight is 1/(...)! (the singular-part normalization).  ``rhs`` reads
+    the third sum's weight as j!/(l+i)!, which the derivation produces;
+    ``rhs_printed`` reads it as j!/(l+1)!, the variant in the final
+    printed statement, with the reciprocal factorial of a negative
+    integer read as zero.  One pass over l takes each binomial and sign
+    once and each third-sum product c_i(N-1) b^(i+1)_(l+i) once, for both
+    readings.
+    """
     jw = math.factorial(j) if j >= 0 else 1
     aN = ctx.coeffs.row(N)
     aN1 = ctx.coeffs.row(N - 1)
-    total = domain.zero
+    s12 = derived = printed = domain.zero
     for l in range(-N, j + 1):
-        c = binomial(N + j - l - 1, j - l)
-        if not c:
-            continue
         sign = -1 if (N + j + l) % 2 else 1
-        cs = c * sign
+        cs = math.comb(N + j - l - 1, j - l) * sign * jw
         for i in range(max(0, -l), N + 1):
-            w = Rational(cs * jw, math.factorial(l + i))
-            total = total + w * aN[i] * ctx.b(i + 1, l + i)
+            s12 += Rational(cs, math.factorial(l + i)) * aN[i] * ctx.b(i + 1, l + i)
         for i in range(max(0, -l - 1), N):
-            w = Rational(cs * N * jw, math.factorial(l + i + 1))
-            total = total - w * aN1[i] * ctx.b(i + 1, l + i + 1)
-    return total
-
-
-def _sum3(j: int, N: int, ctx: HigherOrderContext, domain: Domain, printed: bool):
-    """Third reconstruction sum.  ``printed=False`` uses the weight
-    j!/(l+i)! that the derivation produces; ``printed=True`` uses the
-    j!/(l+1)! variant that appears in the final printed statement (with
-    the reciprocal factorial of a negative integer read as zero)."""
-    jw = math.factorial(j) if j >= 0 else 1
-    aN1 = ctx.coeffs.row(N - 1)
-    total = domain.zero
-    for l in range(-(N - 1), j + 1):
-        c = binomial(N + j - l - 1, j - l)
-        if not c:
-            continue
-        sign = -1 if (N + j + l) % 2 else 1
-        cs = c * sign * N
+            s12 -= Rational(cs * N, math.factorial(l + i + 1)) * aN1[i] * ctx.b(i + 1, l + i + 1)
+        # the third sum: empty at l = -N, where i would start at N
         for i in range(max(0, -l), N):
-            if printed:
-                if l + 1 < 0:
-                    continue
-                w = Rational(cs * jw, math.factorial(l + 1))
-            else:
-                w = Rational(cs * jw, math.factorial(l + i))
-            total = total - w * aN1[i] * ctx.b(i + 1, l + i)
-    return total
+            t = aN1[i] * ctx.b(i + 1, l + i)
+            derived -= Rational(cs * N, math.factorial(l + i)) * t
+            if l >= -1:
+                printed -= Rational(cs * N, math.factorial(l + 1)) * t
+    return s12 + derived, s12 + printed
 
 
 def verify_higher_order(
@@ -341,9 +324,7 @@ def verify_higher_order(
         raise ValueError("need j >= 0 and N >= 1")
     ctx = _ensure_ctx(ctx, domain, N, j + N)
     expected = ctx.b(1, j + N)
-    s12 = _sum12(j, N, ctx, domain)
-    rhs = s12 + _sum3(j, N, ctx, domain, printed=False)
-    rhs_printed = s12 + _sum3(j, N, ctx, domain, printed=True)
+    rhs, rhs_printed = _reconstruction(j, N, ctx, domain)
     check = ({"index": j + N}, "lhs", expected, "rhs", rhs)
     ok, witness = _first_disagreement([check], domain)
     params = {"j": j, "N": N, "lambda": domain.describe()}
@@ -362,7 +343,7 @@ def verify_singular(
     if N < 2 or not (-(N - 1) <= j <= -1):
         raise ValueError("singular exponents are -(N-1) <= j <= -1 for N >= 2")
     ctx = _ensure_ctx(ctx, domain, N, j + N)
-    value = _sum12(j, N, ctx, domain) + _sum3(j, N, ctx, domain, printed=False)
+    value = _reconstruction(j, N, ctx, domain)[0]
     ok = not value
     witness = None
     if not ok:
@@ -437,16 +418,14 @@ def verify_route_agreement_b(
 
 def verify_route_agreement_bell(n_max: int = 10) -> IdentityReport:
     """Partition-sum and generating-function Bell values agree, both on
-    an integer argument family and on the λ-polynomial family used by
-    the scaled Stirling bridge."""
-    lam = SYMBOLIC.lam
+    an integer argument family and on the λ-polynomial family
+    1, (λ-1), (λ-1)(λ-2), ... of the scaled Stirling values
+    (:func:`stirling_bell_arguments`)."""
 
     def families(m: int) -> dict:
         return {
             "integers": [Rational(i + 1) for i in range(m)],
-            "deformed": [
-                falling_factorial(lam - 1, i) if i else SYMBOLIC.one for i in range(m)
-            ],
+            "deformed": stirling_bell_arguments(m, SYMBOLIC),
         }
 
     checks = (

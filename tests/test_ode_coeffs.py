@@ -122,6 +122,40 @@ def test_falling_closed_forms_match_plain_fractions(n, lam):
     assert all(type(v) is Fraction for v in values)
 
 
+def plain_unrolled_row(N, lam):
+    """Row N by the recurrence unrolled in N, in plain Fractions:
+    c_i(M) = i! P(i, M) + i sum_{l<M-i} P(M-l, M) c_(i-1)(M-l-1), with
+    P(a, M) = prod_{a<=M'<M} (M' + (i+1)λ) taken afresh each time."""
+    c = {}
+    for i in range(N + 1):
+        def P(a, M):
+            out = Fraction(1)
+            for m in range(a, M):
+                out *= m + (i + 1) * lam
+            return out
+
+        for M in range(i, N + 1):
+            c[i, M] = factorial(i) * P(i, M)
+            if i:
+                c[i, M] += i * sum(P(M - l, M) * c[i - 1, M - l - 1] for l in range(M - i))
+    return [c[i, N] for i in range(N + 1)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=1, max_value=14), wide_lambdas)
+# at an integer λ the sweep's scale q^(M-i) is 1
+@example(14, Fraction(1))
+@example(14, Fraction(2))
+@example(14, Fraction(3))
+def test_unrolled_rows_match_plain_fractions(N, lam):
+    # the integer column sweep against the unrolled sums taken in
+    # Fractions, and against the recurrence
+    row = coeff_unrolled_recurrence(N, EvaluatedDomain(lam))
+    assert list(row) == plain_unrolled_row(N, lam)
+    assert list(row) == plain_triangle(N, lam)[N]
+    assert all(type(v) is Fraction for v in row)
+
+
 def test_boundary_entries():
     t = coeff_triangle(8, SYMBOLIC)
     lam = SYMBOLIC.lam

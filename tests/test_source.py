@@ -1,9 +1,9 @@
 """Source rules for the package: no tuple is built from a generator,
 every name the benchmark's tracer wraps exists, the Bell
 generating-function route keeps its own series product, ``__all__``
-lists exactly the names the package root imports, code outside
-``scalars.py`` forks on the domain only at listed sites, and every
-docstring example runs.
+lists exactly the names the package root imports, no module imports a
+name it never reads, code outside ``scalars.py`` forks on the domain
+only at listed sites, and every docstring example runs.
 
 Under CPython 3.11, ``tuple(<generator>)`` and ``f(*<generator>)``
 allocate their tuple at a guessed length and then resize it.  The
@@ -96,6 +96,46 @@ def test_all_lists_exactly_the_imported_names():
     }
     assert len(degenbern.__all__) == len(set(degenbern.__all__))
     assert set(degenbern.__all__) == imported | {"__version__"}
+
+
+def unused_imports(source: str) -> list[tuple[int, str]]:
+    """(line, name) of each name a module imports and never reads; a
+    ``__future__`` import binds no name."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported.setdefault(alias.asname or alias.name.split(".")[0], node.lineno)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in imported.items() if name not in read)
+
+
+def test_the_rule_sees_an_unused_import():
+    source = (
+        "from __future__ import annotations\n"
+        "import os, sys\n"
+        "from .a import b, c as d\n"
+        "import x.y\n"
+        "def f():\n"
+        "    from .e import g\n"
+        "    return sys.argv, d, x.y\n"
+    )
+    assert unused_imports(source) == [(2, "os"), (3, "b"), (6, "g")]
+
+
+def test_no_module_imports_an_unused_name():
+    # the package root re-exports what it imports, which the __all__
+    # rule above checks instead
+    found = [
+        f"{path.name}:{line}: {name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "__init__.py"
+        for line, name in unused_imports(path.read_text(encoding="utf-8"))
+    ]
+    assert found == []
 
 
 # every conditional on ``.is_symbolic`` outside scalars.py, by file and

@@ -4,6 +4,7 @@ and the regression pinning the third-sum factorial-weight discrepancy."""
 
 import dataclasses
 from fractions import Fraction
+from math import comb, factorial
 
 import pytest
 
@@ -316,6 +317,35 @@ def test_corrupted_alternating_sum_fails_every_route_that_reads_it(dom, monkeypa
     assert s.witness["generating_function"] != s.witness["bell_formula"]
 
 
+@pytest.mark.parametrize("dom", [SYMBOLIC, EvaluatedDomain(Fraction(-2, 5))], ids=["sym", "-2/5"])
+def test_corrupted_exp_coefficient_fails_both_identities_that_read_it(dom, monkeypatch):
+    # the convolution identity weighs with the coefficients of the
+    # deformed exponential, and the generating-function deformed Stirling
+    # triangle reads the powers of the same series: a +1 at t^2 fails
+    # cor_3_4 at j = 2 and stirling_routes at (2, 1)
+    from degenbern import combinatorics
+
+    assert verify_convolution(5, dom).verdict
+    assert verify_route_agreement_stirling(5, dom).verdict
+    real = series.degenerate_exp_series
+
+    def tampered(domain, order):
+        coeffs = list(real(domain, order).coeffs)
+        if order > 2:
+            coeffs[2] += 1
+        return series.TruncatedSeries(domain, coeffs)
+
+    for owner in (verify_module, combinatorics):
+        monkeypatch.setattr(owner, "degenerate_exp_series", tampered)
+    c = verify_convolution(5, dom)
+    s = verify_route_agreement_stirling(5, dom)
+    assert not c.verdict and not s.verdict
+    assert c.witness["j"] == 2
+    assert c.witness["lhs"] != c.witness["rhs"]
+    assert (s.witness["n"], s.witness["k"], s.witness["triangle"]) == (2, 1, "degenerate_second")
+    assert s.witness["generating_function"] != s.witness["bell_formula"]
+
+
 def test_classical_derivative_rejects_unknown():
     with pytest.raises(ValueError):
         verify_classical_derivative(2, 10, "eq99")
@@ -344,6 +374,62 @@ def test_printed_weight_variant_regression():
         r = verify_higher_order(j, N, SYMBOLIC, ctx)
         assert r.verdict
         assert not r.details["printed_weight_variant_matches"], (j, N)
+
+
+def recip_factorial(m):
+    return Fraction(1, factorial(m)) if m >= 0 else Fraction(0)
+
+
+def theorem_4_1_sums(j, N, ctx, printed):
+    """The three sums of Theorem 4.1 for coefficient index j, as printed,
+    in plain Fractions from the context's rows:
+
+        sum_{l=-N}^{j} (-1)^(N+j+l) C(N+j-l-1, j-l) w
+            [ sum_i c_i(N) b^(i+1)_(l+i) / (l+i)!
+              - N sum_i c_i(N-1) b^(i+1)_(l+i+1) / (l+i+1)!
+              - N sum_i c_i(N-1) b^(i+1)_(l+i) / (l+i)! ],
+
+    with w = j! (1 for j < 0), the last weight read as 1/(l+1)! when
+    ``printed``, and 1/m! = 0 for m < 0."""
+    w = factorial(j) if j >= 0 else 1
+    a, a1 = ctx.coeffs.row(N), ctx.coeffs.row(N - 1)
+
+    def b(r, idx):
+        return ctx.b(r, idx) if idx >= 0 else Fraction(0)
+
+    total = Fraction(0)
+    for l in range(-N, j + 1):
+        outer = (-1) ** (N + j + l) * comb(N + j - l - 1, j - l) * w
+        first = sum(a[i] * b(i + 1, l + i) * recip_factorial(l + i) for i in range(N + 1))
+        second = sum(a1[i] * b(i + 1, l + i + 1) * recip_factorial(l + i + 1) for i in range(N))
+        third = sum(a1[i] * b(i + 1, l + i) * recip_factorial(l + 1 if printed else l + i)
+                    for i in range(N))
+        total += outer * (first - N * second - N * third)
+    return total
+
+
+@pytest.mark.parametrize("lam", [Fraction(7, 3), Fraction(-2, 5)], ids=["7/3", "-2/5"])
+def test_reconstruction_matches_the_sums_as_printed(lam):
+    # both readings of the one-pass reconstruction against the three sums
+    # written out term by term; the printed weight reproduces b_(j+N)
+    # only at (j, N) = (0, 1) and (0, 2), as in the symbolic regression
+    dom = EvaluatedDomain(lam)
+    ctx = HigherOrderContext(dom, 4, 9)
+    for N in range(1, 5):
+        for j in range(6):
+            rhs = theorem_4_1_sums(j, N, ctx, printed=False)
+            printed = theorem_4_1_sums(j, N, ctx, printed=True)
+            assert verify_module._reconstruction(j, N, ctx, dom) == (rhs, printed)
+            assert rhs == ctx.b(1, j + N)
+            r = verify_higher_order(j, N, dom, ctx)
+            assert r.verdict
+            assert r.details["printed_weight_variant_matches"] is (printed == rhs)
+            assert (printed == rhs) is ((j, N) in ((0, 1), (0, 2))), (j, N)
+        for j in range(-(N - 1), 0):
+            value = theorem_4_1_sums(j, N, ctx, printed=False)
+            assert value == 0
+            assert verify_module._reconstruction(j, N, ctx, dom)[0] == value
+            assert verify_singular(j, N, dom, ctx).verdict
 
 
 def test_higher_order_fault_injection():
