@@ -94,6 +94,8 @@ def row_via_recurrence(n_max: int, domain: Domain) -> BernoulliRow:
     γ_n = q^n D_n b_n.  Value n is γ_n / (q^n D_n).
     """
     require_deformed(domain, _ROUTE)
+    if n_max < 0:
+        raise ValueError("n_max must be nonnegative")
     _, q, zero, one = integer_parts(domain)
     num = stirling_bell_arguments(n_max + 1, domain)
     gamma, scale = [one], [1]

@@ -210,8 +210,6 @@ def run_b(args, command: list[str]) -> tuple[dict, int]:
     domain = domain_from_string(args.lam)
     max_n = args.max_n
     r = args.order_r
-    if max_n < 0:
-        raise CLIError("--max-n must be nonnegative")
     if r < 1:
         raise CLIError("--order-r must be at least 1")
     route = args.route
@@ -304,8 +302,6 @@ def run_a(args, command: list[str]) -> tuple[dict, int]:
 
 def run_stirling(args, command: list[str]) -> tuple[dict, int]:
     max_n = args.max_n
-    if max_n < 0:
-        raise CLIError("--max-n must be nonnegative")
     kind = args.kind
     if kind == "first":
         table = stirling1_signed(max_n)
@@ -333,8 +329,6 @@ def run_stirling(args, command: list[str]) -> tuple[dict, int]:
 
 def run_classical(args, command: list[str]) -> tuple[dict, int]:
     max_n = args.max_n
-    if max_n < 0:
-        raise CLIError("--max-n must be nonnegative")
     values = [bernoulli.classical_row(max_n, route=r) for r in ("limit", "stirling")]
     rows, all_agree = _agree_rows(values, max_n)
     payload = {

@@ -140,6 +140,8 @@ def stirling1_signed(n_max: int) -> StirlingTable:
     Built from s(n+1, k) = s(n, k-1) - n s(n, k); row n lists the
     coefficients of the falling factorial x(x-1)...(x-n+1) in x.
     """
+    if n_max < 0:
+        raise ValueError("n_max must be nonnegative")
     rows = [(1,)]
     for n in range(n_max):
         prev = rows[-1]
@@ -166,6 +168,8 @@ def degenerate_stirling2(
     (-1)^k D_k / (k! q^n).  Both routes give the same polynomials;
     verify and the tests compare them.
     """
+    if n_max < 0:
+        raise ValueError("n_max must be nonnegative")
     if via == "generating_function":
         order = n_max + 1
         e_minus_1 = degenerate_exp_series(domain, order) - one_series(domain, order)
@@ -357,6 +361,8 @@ def scaled_stirling_triangle(
     "bell_formula" takes every value from the Bell formula.  Both give
     the same values; verify and the tests compare them.
     """
+    if n_max < 0:
+        raise ValueError("n_max must be nonnegative")
     if via == "generating_function":
         base = degenerate_log_over_t_series(domain, n_max + 1)
         return _power_table_triangle("scaled_second", n_max, base, 1)

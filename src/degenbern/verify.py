@@ -36,7 +36,6 @@ from .series import (
     powers,
 )
 from .combinatorics import (
-    StirlingTable,
     bell_partial,
     degenerate_stirling2,
     scaled_stirling_triangle,
@@ -356,14 +355,12 @@ def verify_singular(
 # cross-route agreement suites
 
 
-def verify_route_agreement_a(
-    N_max: int, domain: Domain = SYMBOLIC, *, coeffs: CoeffTable | None = None
-) -> IdentityReport:
+def verify_route_agreement_a(N_max: int, domain: Domain = SYMBOLIC) -> IdentityReport:
     """All row routes of the coefficient triangle agree with the
-    recurrence reference.  A reference triangle of the same domain with
-    at least N_max rows can be passed as ``coeffs``; otherwise one is
-    built."""
-    table = _triangle(coeffs, N_max, domain)
+    recurrence reference."""
+    if N_max < 1:
+        raise ValueError("the route agreement starts at N = 1")
+    table = coeff_triangle(N_max, domain)
     skip_falling = domain.lam_is_zero
     routes = {"stirling": coeff_explicit_stirling}
     if not skip_falling:
@@ -384,13 +381,11 @@ def verify_route_agreement_a(
     return IdentityReport("a_routes", params, ok, witness, None, details)
 
 
-def verify_route_agreement_b(
-    n_max: int, domain: Domain = SYMBOLIC, multinomial_cap: int = 14
-) -> IdentityReport:
+def verify_route_agreement_b(n_max: int, domain: Domain = SYMBOLIC) -> IdentityReport:
     """All Bernoulli-row routes agree with the series reference, and the
     higher-order rows match their convolution cross-check."""
     ref = bernoulli.row_via_series(n_max, domain).values
-    multi_top = min(n_max, multinomial_cap)
+    multi_top = min(n_max, 14)
     higher_top = min(n_max, 10)
 
     def rows():
@@ -421,6 +416,8 @@ def verify_route_agreement_bell(n_max: int = 10) -> IdentityReport:
     an integer argument family and on the λ-polynomial family
     1, (λ-1), (λ-1)(λ-2), ... of the scaled Stirling values
     (:func:`stirling_bell_arguments`)."""
+    if n_max < 0:
+        raise ValueError("n_max must be nonnegative")
 
     def families(m: int) -> dict:
         return {
@@ -440,23 +437,9 @@ def verify_route_agreement_bell(n_max: int = 10) -> IdentityReport:
     return IdentityReport("bell_routes", {"max_n": n_max}, ok, witness, None)
 
 
-def _scaled_triangle(scaled: StirlingTable | None, n_max: int, domain: Domain) -> StirlingTable:
-    """The given generating-function scaled Stirling triangle after a
-    size check, or a new one."""
-    if scaled is None:
-        return scaled_stirling_triangle(n_max, domain, via="generating_function")
-    if scaled.n_max < n_max:
-        raise ValueError("scaled Stirling triangle too small")
-    return scaled
-
-
-def verify_route_agreement_stirling(
-    n_max: int, domain: Domain = SYMBOLIC, *, scaled: StirlingTable | None = None
-) -> IdentityReport:
+def verify_route_agreement_stirling(n_max: int, domain: Domain = SYMBOLIC) -> IdentityReport:
     """Both deformed second-kind triangle routes agree, and both scaled
-    triangle routes agree.  The generating-function scaled triangle of
-    the same domain, with at least n_max rows, can be passed as
-    ``scaled``; otherwise one is built."""
+    triangle routes agree."""
     skip_gf_scaled = domain.lam_is_zero
 
     def pairs():
@@ -468,7 +451,7 @@ def verify_route_agreement_stirling(
         if not skip_gf_scaled:
             yield "scaled", "N", [
                 ("bell_formula", scaled_stirling_triangle(n_max, domain, via="bell_formula")),
-                ("generating_function", _scaled_triangle(scaled, n_max, domain))]
+                ("generating_function", scaled_stirling_triangle(n_max, domain))]
 
     checks = (
         ({index: n, "k": k, "triangle": triangle},
@@ -483,18 +466,13 @@ def verify_route_agreement_stirling(
     return IdentityReport("stirling_routes", params, ok, witness, None, details)
 
 
-def verify_stirling_limit(
-    n_max: int, *, coeffs: CoeffTable | None = None, scaled: StirlingTable | None = None
-) -> IdentityReport:
+def verify_stirling_limit(n_max: int) -> IdentityReport:
     """λ -> 0 bridges: scaled second-kind values land on the signed
     first-kind triangle, and the coefficient triangle's constant terms
-    are (-1)^(N+i) i! s(N, i).  A symbolic coefficient triangle and a
-    symbolic generating-function scaled triangle, each with at least
-    n_max rows, can be passed as ``coeffs`` and ``scaled``; otherwise
-    they are built.  Both sides are plain rationals."""
+    are (-1)^(N+i) i! s(N, i).  Both sides are plain rationals."""
     s1 = stirling1_signed(n_max)
-    table = _triangle(coeffs, n_max, SYMBOLIC)
-    scaled_table = _scaled_triangle(scaled, n_max, SYMBOLIC)
+    table = coeff_triangle(n_max, SYMBOLIC)
+    scaled_table = scaled_stirling_triangle(n_max, SYMBOLIC)
     zero = Rational(0)
     to_first = (
         ({"N": N, "k": k, "kind": "scaled_to_first"},
@@ -604,18 +582,10 @@ def verify_all(
         raise ValueError("need N_max >= 1")
     if order is None:
         order = 2 * max(N_max, n_max) + 8
-    run = _SuiteRun(tuple(SUITES), domain, N_max, n_max, order, max_j)
-    reports = run.reports()
-    # the suites' triangle has max(N_max, n_max) rows, enough for both
-    reports.append(verify_route_agreement_a(min(N_max, 10), domain, coeffs=run.coeffs))
-    reports.append(verify_route_agreement_b(min(n_max, 12), domain))
-    reports.append(verify_route_agreement_bell(min(n_max, 10)))
-    # symbolic runs share the limit's symbolic tables with the routes
-    stirling_top = min(n_max, 12)
-    coeffs = scaled = None
-    if domain.is_symbolic:
-        coeffs = run.coeffs
-        scaled = scaled_stirling_triangle(stirling_top, SYMBOLIC)
-    reports.append(verify_route_agreement_stirling(stirling_top, domain, scaled=scaled))
-    reports.append(verify_stirling_limit(stirling_top, coeffs=coeffs, scaled=scaled))
-    return reports
+    return _SuiteRun(tuple(SUITES), domain, N_max, n_max, order, max_j).reports() + [
+        verify_route_agreement_a(min(N_max, 10), domain),
+        verify_route_agreement_b(min(n_max, 12), domain),
+        verify_route_agreement_bell(min(n_max, 10)),
+        verify_route_agreement_stirling(min(n_max, 12), domain),
+        verify_stirling_limit(min(n_max, 12)),
+    ]

@@ -66,10 +66,13 @@ def test_criterion_03_derivative_family_residuals():
 
 def test_criterion_04_four_route_bernoulli_agreement():
     t0 = time.time()
-    ok = verify_route_agreement_b(12, SYMBOLIC, multinomial_cap=12).verdict
+    ok = verify_route_agreement_b(12, SYMBOLIC).verdict
     for lam in (Fraction(1, 2), Fraction(-1, 3), Fraction(2)):
         dom = EvaluatedDomain(lam)
-        ok = ok and verify_route_agreement_b(22, dom, multinomial_cap=22).verdict
+        ok = ok and verify_route_agreement_b(22, dom).verdict
+        # b_routes walks the compositions to n = 14; here to n = 22
+        ok = ok and (bernoulli.row_via_multinomial(22, dom).values
+                     == bernoulli.row_via_series(22, dom).values)
     _report(4, "four-route-bernoulli-n<=12-sym-and-n<=22-evaluated", ok, t0)
 
 

@@ -49,6 +49,16 @@ def test_low_values_by_hand():
     assert value_via_multinomial(2, SYMBOLIC) == (lam * lam - 1) / Fraction(6)
 
 
+# the six order-1 row routes
+ROUTES = {
+    "series": row_via_series,
+    "recurrence": row_via_recurrence,
+    "multinomial": row_via_multinomial,
+    **{form: lambda n, d, form=form: row_via_explicit(n, d, form)
+       for form in ("a_form", "stirling_form", "falling_form")},
+}
+
+
 def test_four_routes_agree_symbolic():
     n_max = 8
     ref = row_via_series(n_max, SYMBOLIC).values
@@ -175,9 +185,27 @@ def test_symbolic_row_specializes_to_evaluated():
 
 
 def test_lambda_one_collapses_to_delta():
+    # the deformed log of 1+t at λ = 1 is t itself
     dom = EvaluatedDomain(Fraction(1))
-    assert row_via_series(4, dom).values == (1, 0, 0, 0, 0)
-    assert row_via_recurrence(4, dom).values == (1, 0, 0, 0, 0)
+    for route, row_of in ROUTES.items():
+        assert row_of(14, dom).values == (1,) + (0,) * 14, route
+
+
+def test_lambda_minus_one_stops_after_b1():
+    # at λ = -1 the deformed log of 1+t is t/(1+t), so t over it is 1+t
+    dom = EvaluatedDomain(Fraction(-1))
+    for route, row_of in ROUTES.items():
+        assert row_of(14, dom).values == (1, 1) + (0,) * 13, route
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_symbolic_rows_have_no_odd_power_of_lambda_past_the_first(route):
+    # order 1 only: order 2 already has a λ^3 term at n = 3
+    # (test_higher_order_rows); the composition walk is exponential, so
+    # it stops at the b_routes cap of 14
+    n_max = 14 if route == "multinomial" else 20
+    for n, value in enumerate(ROUTES[route](n_max, SYMBOLIC).values):
+        assert not any(c for k, c in enumerate(value.coeffs) if k >= 3 and k % 2), n
 
 
 def test_higher_order_rows():

@@ -217,6 +217,10 @@ def test_bell_partial_known_values():
     assert bell_partial(0, 0, []) == 1
     assert bell_partial(3, 0, [Fraction(1), Fraction(1)]) == 0
     assert bell_partial(5, 1, [Fraction(0)] * 4 + [Fraction(7)]) == 7
+    # k > n reads no argument and gives the zero of their ring
+    for xs, zero in (([LAMBDA], SYMBOLIC.zero), ([Fraction(3)], Fraction(0)), ([], Fraction(0))):
+        value = bell_partial(2, 3, xs)
+        assert value == zero and type(value) is type(zero)
     with pytest.raises(ValueError):
         bell_partial(4, 2, [Fraction(1)])
 

@@ -181,6 +181,10 @@ def test_table_bounds():
         t.value(4, 3)
     with pytest.raises(ValueError):
         t.value(-1, 2)
+    with pytest.raises(ValueError):
+        t.row(4)
+    with pytest.raises(ValueError):
+        t.row(-1)
 
 
 ROW_ROUTES = (coeff_explicit_stirling, coeff_explicit_falling, coeff_unrolled_recurrence)
@@ -233,3 +237,12 @@ def test_constant_terms_are_signed_first_kind():
             for m in range(1, i + 1):
                 fact *= m
             assert expected == sign * fact * s1.value(N, i)
+            # without a table the function builds its own
+            assert coeff_limit_at_zero(i, N) == expected
+
+
+def test_limit_at_zero_needs_a_covering_first_kind_table():
+    with pytest.raises(ValueError):
+        coeff_limit_at_zero(1, 3, stirling1_signed(2))
+    with pytest.raises(ValueError):
+        coeff_limit_at_zero(1, 3, degenerate_stirling2(3, SYMBOLIC))

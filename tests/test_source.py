@@ -143,7 +143,6 @@ def test_no_module_imports_an_unused_name():
 DOMAIN_FORKS = {
     ("series.py", "TruncatedSeries.__mul__"),  # the packed product at a rational λ
     ("ode_coeffs.py", "scaled_falling_row"),  # the λ^i quotient
-    ("verify.py", "verify_all"),  # the shared triangle
 }
 
 

@@ -9,13 +9,15 @@ from math import comb, factorial
 import pytest
 
 from degenbern import (
-    CoeffTable,
     EvaluatedDomain,
     HigherOrderContext,
     LambdaPoly,
     LaurentSeries,
     SYMBOLIC,
     coeff_triangle,
+    degenerate_stirling2,
+    scaled_stirling_triangle,
+    stirling1_signed,
     verify_all,
     verify_classical_derivative,
     verify_convolution,
@@ -458,16 +460,7 @@ def test_higher_order_context_validation():
     assert HigherOrderContext(SYMBOLIC, 2, 4, coeffs=shared).coeffs is shared
 
 
-def test_route_reports_take_a_given_triangle():
-    dom = EvaluatedDomain(Fraction(-2, 3))
-    with pytest.raises(ValueError):
-        verify_route_agreement_a(3, dom, coeffs=coeff_triangle(2, dom))
-    with pytest.raises(ValueError):
-        verify_stirling_limit(3, coeffs=coeff_triangle(2, SYMBOLIC))
-    with pytest.raises(ValueError):
-        verify_route_agreement_a(3, dom, coeffs=coeff_triangle(3, SYMBOLIC))
-    with pytest.raises(ValueError):
-        verify_stirling_limit(3, coeffs=coeff_triangle(3, dom))
+def test_route_reports_take_a_given_triangle(monkeypatch):
     # a triangle of another domain is a usage error, not a failed identity
     half, third = EvaluatedDomain(Fraction(1, 2)), EvaluatedDomain(Fraction(1, 3))
     with pytest.raises(ValueError):
@@ -480,17 +473,11 @@ def test_route_reports_take_a_given_triangle():
         verify_convolution(3, half, coeff_triangle(2, half))
     assert verify_ode(2, 8, half, coeff_triangle(4, half)).verdict
     assert verify_convolution(3, half, coeff_triangle(4, half)).verdict
-    assert verify_route_agreement_a(3, dom, coeffs=coeff_triangle(5, dom)).verdict
-    assert verify_stirling_limit(3, coeffs=coeff_triangle(5, SYMBOLIC)).verdict
-    # the given table is the reference: a corrupted entry fails the report
-    for domain, report in (
-        (dom, lambda t: verify_route_agreement_a(3, dom, coeffs=t)),
-        (SYMBOLIC, lambda t: verify_stirling_limit(3, coeffs=t)),
-    ):
-        rows = [list(row) for row in coeff_triangle(3, domain).rows]
-        rows[2][1] = rows[2][1] + 1
-        bad = CoeffTable(domain, tuple(tuple(row) for row in rows))
-        assert not report(bad).verdict
+    # the a-route agreement and the limit build their own reference
+    # triangle: a corrupted entry in it fails the report
+    bump_triangle(monkeypatch, "coeff_triangle", 2, 1, lambda *a: True)
+    assert not verify_route_agreement_a(3, EvaluatedDomain(Fraction(-2, 3))).verdict
+    assert not verify_stirling_limit(3).verdict
 
 
 def test_singular_part_vanishes():
@@ -597,6 +584,35 @@ def test_verify_all_small():
     assert idents == sorted(idents, key=idents.index)
 
 
+def test_verify_all_default_order():
+    reports = verify_all(2, 3, max_j=1)
+    # 2 max(N_max, n_max) + 8
+    assert {r.parameters["order"] for r in reports if "order" in r.parameters} == {14}
+    assert all(r.verdict for r in reports)
+
+
+# builders and reports given a size that computes nothing
+SIZE_ERRORS = {
+    "row_via_recurrence": lambda: bernoulli.row_via_recurrence(-1, SYMBOLIC),
+    "convolution_row": lambda: bernoulli.convolution_row(2, -1, SYMBOLIC),
+    "classical_row": lambda: bernoulli.classical_row(-1, "stirling"),
+    "stirling1_signed": lambda: stirling1_signed(-1),
+    **{f"{builder.__name__}.{via}": (lambda builder=builder, via=via:
+                                     builder(-1, SYMBOLIC, via=via))
+       for builder in (degenerate_stirling2, scaled_stirling_triangle)
+       for via in ("generating_function", "bell_formula")},
+    "bell_routes": lambda: verify_route_agreement_bell(-1),
+    "stirling_routes": lambda: verify_route_agreement_stirling(-1),
+    "a_routes": lambda: verify_route_agreement_a(0),
+}
+
+
+@pytest.mark.parametrize("case", SIZE_ERRORS)
+def test_sizes_that_compute_nothing_are_rejected(case):
+    with pytest.raises(ValueError):
+        SIZE_ERRORS[case]()
+
+
 def test_verify_all_shares_the_suite_triangle_with_the_context(monkeypatch):
     real = verify_module.coeff_triangle
     calls = []
@@ -608,9 +624,9 @@ def test_verify_all_shares_the_suite_triangle_with_the_context(monkeypatch):
     monkeypatch.setattr(verify_module, "coeff_triangle", logged)
     reports = verify_all(4, 4, order=14, max_j=2)
     assert all(r.verdict for r in reports)
-    # one triangle for the ode/cor34 suites, the reconstruction context,
-    # the a-route agreement and the (symbolic) Stirling limit
-    assert calls == [4]
+    # one triangle for the ode/cor34 suites and the reconstruction
+    # context, then one each for the a-route agreement and the limit
+    assert calls == [4, 4, 4]
 
 
 def test_verify_all_builds_one_scaled_stirling_triangle(monkeypatch):
@@ -624,25 +640,16 @@ def test_verify_all_builds_one_scaled_stirling_triangle(monkeypatch):
     monkeypatch.setattr(verify_module, "scaled_stirling_triangle", logged)
     reports = verify_all(4, 4, order=14, max_j=2)
     assert all(r.verdict for r in reports)
-    # the route agreement and the Stirling limit read one table
-    assert calls.count((4, "generating_function")) == 1
-    assert calls.count((4, "bell_formula")) == 1
+    # one generating-function table each for the route agreement and the
+    # Stirling limit, and one Bell-formula table for the route agreement
+    assert calls == [(4, "bell_formula"), (4, "generating_function"),
+                     (4, "generating_function")]
     # standalone, a failing deformed pair still builds no scaled table
     calls.clear()
-    bump_stirling_table(monkeypatch, "degenerate_stirling2", 3, 2,
-                        lambda n, d, via="generating_function": via == "bell_formula")
+    bump_triangle(monkeypatch, "degenerate_stirling2", 3, 2,
+                  lambda n, d, via="generating_function": via == "bell_formula")
     assert not verify_route_agreement_stirling(4).verdict
     assert calls == []
-
-
-def test_scaled_stirling_triangle_is_checked_for_size():
-    small = verify_module.scaled_stirling_triangle(3, SYMBOLIC)
-    with pytest.raises(ValueError):
-        verify_route_agreement_stirling(4, scaled=small)
-    with pytest.raises(ValueError):
-        verify_stirling_limit(4, scaled=small)
-    assert verify_route_agreement_stirling(2, scaled=small).verdict
-    assert verify_stirling_limit(2, scaled=small).verdict
 
 
 def test_report_json_shape():
@@ -692,9 +699,10 @@ def bump_row(mp, name, n, hit=lambda *a: True):
     mp.setattr(bernoulli, name, tampered)
 
 
-def bump_stirling_table(mp, name, n, k, hit):
-    """Rebind verify.name so that entry (n, k) of the triangles it
-    returns moves by 1 wherever hit(*args) holds."""
+def bump_triangle(mp, name, n, k, hit):
+    """Rebind verify.name so that entry k of row n of the triangles
+    (coefficient or Stirling) it returns moves by 1 wherever hit(*args)
+    holds."""
     real = getattr(verify_module, name)
     mp.setattr(verify_module, name, lambda *a, **kw: (
         bumped_rows(real(*a, **kw), n, k) if hit(*a, **kw) else real(*a, **kw)))
@@ -735,7 +743,7 @@ def fault_order_r(name, r):
 
 def fault_classical(which):
     def run(mp, dom):
-        bump_stirling_table(mp, "stirling1_signed", 2, 1, lambda *a: True)
+        bump_triangle(mp, "stirling1_signed", 2, 1, lambda *a: True)
         return verify_classical_derivative(2, 4, which)
     return run
 
@@ -752,19 +760,24 @@ def fault_bell(family):
 
 
 def fault_stirling_triangle(mp, dom):
-    bump_stirling_table(mp, "degenerate_stirling2", 3, 2,
-                        lambda n, d, via="generating_function": via == "bell_formula")
+    bump_triangle(mp, "degenerate_stirling2", 3, 2,
+                  lambda n, d, via="generating_function": via == "bell_formula")
     return verify_route_agreement_stirling(3, dom)
 
 
 def fault_stirling_scaled(mp, dom):
-    bump_stirling_table(mp, "scaled_stirling_triangle", 3, 1,
-                        lambda n, d, via="generating_function": via == "generating_function")
+    bump_triangle(mp, "scaled_stirling_triangle", 3, 1,
+                  lambda n, d, via="generating_function": via == "generating_function")
     return verify_route_agreement_stirling(3, dom)
 
 
 def fault_limit_scaled(mp, dom):
-    bump_stirling_table(mp, "scaled_stirling_triangle", 3, 1, lambda *a, **kw: True)
+    bump_triangle(mp, "scaled_stirling_triangle", 3, 1, lambda *a, **kw: True)
+    return verify_stirling_limit(3)
+
+
+def fault_limit_coeffs(mp, dom):
+    bump_triangle(mp, "coeff_triangle", 2, 1, lambda *a: True)
     return verify_stirling_limit(3)
 
 
@@ -856,7 +869,7 @@ WITNESS_CASES = {
     "stirling_limit.scaled_to_first": (fault_limit_scaled, {"sym": {
         "N": 3, "k": 1, "kind": "scaled_to_first", "limit": "3", "expected": "2"}}),
     "stirling_limit.coeff_constant_term": (
-        lambda mp, d: verify_stirling_limit(3, coeffs=corrupted_triangle(3, SYMBOLIC, 1, 2)),
+        fault_limit_coeffs,
         {"sym": {"N": 2, "i": 1, "kind": "coeff_constant_term", "limit": "2", "expected": "1"}},
     ),
 }
