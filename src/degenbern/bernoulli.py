@@ -41,7 +41,12 @@ MULTINOMIAL_CAP = 24
 
 EXPLICIT_FORMS = ("a_form", "stirling_form", "falling_form")
 
-_ROUTE = "a second-kind Bernoulli route"
+
+def _check_route(n_max: int, domain: Domain) -> None:
+    """The guard of every route: a deformed domain and n_max >= 0."""
+    require_deformed(domain, "a second-kind Bernoulli route")
+    if n_max < 0:
+        raise ValueError("n_max must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -67,7 +72,7 @@ class BernoulliRow:
 def row_via_series(n_max: int, domain: Domain) -> BernoulliRow:
     """n! times the coefficients of the reciprocal of the deformed
     log-over-t series.  This is the reference route."""
-    require_deformed(domain, _ROUTE)
+    _check_route(n_max, domain)
     body = degenerate_log_over_t_series(domain, n_max + 1).reciprocal()
     values = tuple([body[n] * math.factorial(n) for n in range(n_max + 1)])
     return BernoulliRow(domain, 1, "series", values)
@@ -93,9 +98,7 @@ def row_via_recurrence(n_max: int, domain: Domain) -> BernoulliRow:
     by their common factor before later values use them, which keeps
     γ_n = q^n D_n b_n.  Value n is γ_n / (q^n D_n).
     """
-    require_deformed(domain, _ROUTE)
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
+    _check_route(n_max, domain)
     _, q, zero, one = integer_parts(domain)
     num = stirling_bell_arguments(n_max + 1, domain)
     gamma, scale = [one], [1]
@@ -153,9 +156,7 @@ def row_via_multinomial(n_max: int, domain: Domain) -> BernoulliRow:
     is L_(t+m).  Bucket t is divided by q^t L_t and multiplied by t! at
     the end.
     """
-    require_deformed(domain, _ROUTE)
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
+    _check_route(n_max, domain)
     if n_max > MULTINOMIAL_CAP:
         raise ValueError(
             f"multinomial route is exponential; n = {n_max} exceeds the cap "
@@ -214,7 +215,7 @@ def row_via_explicit(n_max: int, domain: Domain, form: str = "a_form") -> Bernou
     sums of q^N (λl)_N = prod_j (lp - jq) divided by p^i, exactly because
     C_i(N) is an integer.
     """
-    require_deformed(domain, _ROUTE)
+    _check_route(n_max, domain)
     if form not in EXPLICIT_FORMS:
         raise ValueError(f"unknown form {form!r}")
     if form == "a_form":
@@ -269,7 +270,7 @@ def _explicit_a_form(n: int, domain: Domain, rows: list, deformed: list) -> Scal
 def row_higher_order(r: int, n_max: int, domain: Domain) -> BernoulliRow:
     """Values of order r: n! times the coefficients of the r-th power of
     the reciprocal deformed log-over-t series."""
-    require_deformed(domain, _ROUTE)
+    _check_route(n_max, domain)
     if r < 1:
         raise ValueError("order r must be >= 1")
     body = degenerate_log_over_t_series(domain, n_max + 1).reciprocal() ** r
@@ -280,7 +281,7 @@ def row_higher_order(r: int, n_max: int, domain: Domain) -> BernoulliRow:
 def convolution_row(r: int, n_max: int, domain: Domain) -> BernoulliRow:
     """Order-r values as the r-fold binomial convolution of the order-1
     row; independent cross-check for :func:`row_higher_order`."""
-    require_deformed(domain, _ROUTE)
+    _check_route(n_max, domain)
     if r < 1:
         raise ValueError("order r must be >= 1")
     base = row_via_recurrence(n_max, domain).values

@@ -14,7 +14,7 @@ import io
 import json
 import sys
 
-from . import __version__, bernoulli
+from . import __version__, bernoulli, ode_coeffs
 from .scalars import (
     DomainError,
     EvaluatedDomain,
@@ -29,12 +29,7 @@ from .combinatorics import (
     scaled_stirling_triangle,
     stirling1_signed,
 )
-from .ode_coeffs import (
-    coeff_explicit_falling,
-    coeff_explicit_stirling,
-    coeff_triangle,
-)
-from .verify import SUITES, suite_reports, verify_all
+from .verify import SUITES, default_order, suite_reports, verify_all
 
 
 class CLIError(Exception):
@@ -208,38 +203,23 @@ def _agree_rows(columns_values: list, max_n: int) -> tuple[list, bool]:
 
 def run_b(args, command: list[str]) -> tuple[dict, int]:
     domain = domain_from_string(args.lam)
-    max_n = args.max_n
-    r = args.order_r
-    if r < 1:
-        raise CLIError("--order-r must be at least 1")
-    route = args.route
-    if r > 1:
-        if route not in ("series", "all"):
-            raise CLIError(
-                "for --order-r > 1 only the series route (and its "
-                "convolution cross-check via --route all) is defined"
-            )
-        names = ["series"] if route == "series" else ["series", "convolution"]
-    else:
+    max_n, r, route = args.max_n, args.order_r, args.route
+    # routes are looked up at call time, so a rebound one is the one run
+    if r == 1:
+        names = ["series", "recurrence", "multinomial", "explicit"] if route == "all" else [route]
+        columns_values = [
+            getattr(bernoulli, "row_via_" + name)(max_n, domain).values for name in names
+        ]
+    elif route in ("series", "all"):
+        names = ["series", "convolution"] if route == "all" else ["series"]
+        columns_values = [bernoulli.row_higher_order(r, max_n, domain).values]
         if route == "all":
-            names = ["series", "recurrence", "multinomial", "explicit"]
-        else:
-            names = [route]
-
-    def compute(name: str):
-        if r > 1:
-            if name == "series":
-                return bernoulli.row_higher_order(r, max_n, domain).values
-            return bernoulli.convolution_row(r, max_n, domain).values
-        if name == "series":
-            return bernoulli.row_via_series(max_n, domain).values
-        if name == "recurrence":
-            return bernoulli.row_via_recurrence(max_n, domain).values
-        if name == "multinomial":
-            return bernoulli.row_via_multinomial(max_n, domain).values
-        return bernoulli.row_via_explicit(max_n, domain, "a_form").values
-
-    columns_values = [compute(name) for name in names]
+            columns_values.append(bernoulli.convolution_row(r, max_n, domain).values)
+    else:
+        raise CLIError(
+            "for --order-r other than 1 only the series route (and its "
+            "convolution cross-check via --route all) is defined"
+        )
     with_agree = len(names) > 1
     if with_agree:
         rows, all_agree = _agree_rows(columns_values, max_n)
@@ -263,18 +243,21 @@ def run_a(args, command: list[str]) -> tuple[dict, int]:
     if max_N < 1:
         raise CLIError("--max-N must be at least 1")
     route = args.route
-    shown = "recurrence" if route == "all" else route
     with_agree = route == "all"
-    names = [shown]
+    names = [route]
     if with_agree:
-        names += ["stirling"] if domain.lam_is_zero else ["stirling", "falling"]
-    routes = {"stirling": coeff_explicit_stirling, "falling": coeff_explicit_falling}
-    if "recurrence" in names:
-        table = coeff_triangle(max_N, domain)
-        routes["recurrence"] = lambda N, _: table.row(N)
+        names = ["recurrence", "stirling"] + ([] if domain.lam_is_zero else ["falling"])
+
+    def row_route(name: str):
+        if name == "recurrence":
+            table = ode_coeffs.coeff_triangle(max_N, domain)
+            return lambda N, _: table.row(N)
+        return getattr(ode_coeffs, "coeff_explicit_" + name)
+
+    routes = [row_route(name) for name in names]
 
     def build_row(N: int):
-        values, *others = [routes[name](N, domain) for name in names]
+        values, *others = [row_of(N, domain) for row_of in routes]
         row = [N, *values] + [None] * (max_N - N)
         if with_agree:
             row.append(all(other == values for other in others))
@@ -351,22 +334,11 @@ def run_verify(args, command: list[str]) -> tuple[dict, int]:
     else:
         domain = domain_from_string("sym" if args.lam is None else args.lam)
     max_N = args.max_N
-    if max_N < 1:
-        raise CLIError("--max-N must be at least 1")
-    max_j = args.max_j
-    if max_j < 0:
-        raise CLIError("--max-j must be nonnegative")
-    order = args.order if args.order is not None else 2 * max_N + 8
-    if order < 2:
-        raise CLIError("--order must be at least 2")
+    order = default_order(max_N, max_N) if args.order is None else args.order
     if suite == "all":
-        reports = verify_all(
-            N_max=max_N, n_max=max_N, order=order, domain=domain, max_j=max_j
-        )
+        reports = verify_all(max_N, max_N, order, domain, args.max_j)
     else:
-        if suite == "cor42" and max_N < 2:
-            raise CLIError("the singular-part suite needs --max-N >= 2")
-        reports = suite_reports((suite,), domain, max_N, max_N, order, max_j)
+        reports = suite_reports((suite,), domain, max_N, max_N, order, args.max_j)
     all_pass = all(r.verdict for r in reports)
     payload = {
         "kind": "verification",

@@ -230,22 +230,13 @@ def verify_classical_derivative(N: int, order: int, which: str = "eq41") -> Iden
 class HigherOrderContext:
     """Shared tables for the reconstruction sums: the coefficient
     triangle through row max_N and the order-r Bernoulli rows through
-    index max_index for every 1 <= r <= max_N + 1.  A triangle of the
-    same domain with at least max_N rows can be passed as ``coeffs``;
-    otherwise one is built."""
+    index max_index for every 1 <= r <= max_N + 1."""
 
-    def __init__(
-        self,
-        domain: Domain,
-        max_N: int,
-        max_index: int,
-        *,
-        coeffs: CoeffTable | None = None,
-    ):
+    def __init__(self, domain: Domain, max_N: int, max_index: int):
         if max_N < 1:
             raise ValueError("need max_N >= 1")
         self.domain = domain
-        self.coeffs = _triangle(coeffs, max_N, domain)
+        self.coeffs = coeff_triangle(max_N, domain)
         base = degenerate_log_over_t_series(domain, max_index + 1).reciprocal()
         self._rows = {
             r: tuple([power[n] * math.factorial(n) for n in range(max_index + 1)])
@@ -286,7 +277,7 @@ def _reconstruction(j: int, N: int, ctx: HigherOrderContext, domain: Domain):
     printed statement, with the reciprocal factorial of a negative
     integer read as zero.  One pass over l takes each binomial and sign
     once and each third-sum product c_i(N-1) b^(i+1)_(l+i) once, for both
-    readings.
+    readings; the printed one is taken for j >= 0 only, where it is read.
     """
     jw = math.factorial(j) if j >= 0 else 1
     aN = ctx.coeffs.row(N)
@@ -303,7 +294,7 @@ def _reconstruction(j: int, N: int, ctx: HigherOrderContext, domain: Domain):
         for i in range(max(0, -l), N):
             t = aN1[i] * ctx.b(i + 1, l + i)
             derived -= Rational(cs * N, math.factorial(l + i)) * t
-            if l >= -1:
+            if j >= 0 and l >= -1:
                 printed -= Rational(cs * N, math.factorial(l + 1)) * t
     return s12 + derived, s12 + printed
 
@@ -498,9 +489,9 @@ def verify_stirling_limit(n_max: int) -> IdentityReport:
 
 @dataclass
 class _SuiteRun:
-    """Parameters of one run of the identity suites, plus the tables the
-    suites share.  Each table is built on first use, sized for every
-    suite in ``suites``."""
+    """Parameters of one run of the identity suites, checked on
+    construction, plus the tables the suites share.  Each table is built
+    on first use, sized for every suite in ``suites``."""
 
     suites: tuple
     domain: Domain
@@ -509,11 +500,17 @@ class _SuiteRun:
     order: int
     max_j: int
 
+    def __post_init__(self):
+        if self.N_max < 1:
+            raise ValueError("need N_max >= 1")
+        if self.max_j < 0:
+            raise ValueError("need max_j >= 0")
+        if self.order < 2:
+            raise ValueError("order too small to compare anything")
+
     @cached_property
     def coeffs(self) -> CoeffTable:
-        # thm41 and cor42 read it through the context, up to row N_max
-        top = {"ode": self.N_max, "cor34": self.n_max, "thm41": self.N_max,
-               "cor42": self.N_max}
+        top = {"ode": self.N_max, "cor34": self.n_max}
         size = max(top[s] for s in self.suites if s in top)
         return coeff_triangle(size, self.domain)
 
@@ -521,10 +518,13 @@ class _SuiteRun:
     def ctx(self) -> HigherOrderContext:
         top = {"thm41": self.max_j + self.N_max, "cor42": self.N_max - 1}
         size = max(top[s] for s in self.suites if s in top)
-        return HigherOrderContext(self.domain, self.N_max, size, coeffs=self.coeffs)
+        return HigherOrderContext(self.domain, self.N_max, size)
 
     def reports(self) -> list:
-        return [report for suite in self.suites for report in SUITES[suite](self)]
+        reports = [report for suite in self.suites for report in SUITES[suite](self)]
+        if not reports:
+            raise ValueError(f"{'/'.join(self.suites)} compares nothing at these sizes")
+        return reports
 
 
 # suite token -> the reports of its family, in order; verifiers are
@@ -560,12 +560,17 @@ SUITES = {
 }
 
 
+def default_order(N_max: int, n_max: int) -> int:
+    """Truncation order of a suite run when none is given."""
+    return 2 * max(N_max, n_max) + 8
+
+
 def suite_reports(
     suites, domain: Domain, N_max: int, n_max: int, order: int, max_j: int
 ) -> list[IdentityReport]:
     """Reports of the named identity suites, in the order named.  N_max
     bounds the ode, eq41, thm41 and cor42 families, n_max the cor34 and
-    eq42 ones."""
+    eq42 ones.  Sizes that compare nothing raise ValueError."""
     return _SuiteRun(tuple(suites), domain, N_max, n_max, order, max_j).reports()
 
 
@@ -577,11 +582,8 @@ def verify_all(
     max_j: int = 8,
 ) -> list[IdentityReport]:
     """Run every identity family and agreement suite; deterministic
-    report order.  ``order`` defaults to 2 max(N_max, n_max) + 8."""
-    if N_max < 1:
-        raise ValueError("need N_max >= 1")
-    if order is None:
-        order = 2 * max(N_max, n_max) + 8
+    report order.  ``order`` defaults to :func:`default_order`."""
+    order = default_order(N_max, n_max) if order is None else order
     return _SuiteRun(tuple(SUITES), domain, N_max, n_max, order, max_j).reports() + [
         verify_route_agreement_a(min(N_max, 10), domain),
         verify_route_agreement_b(min(n_max, 12), domain),

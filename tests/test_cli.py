@@ -1,6 +1,7 @@
 """CLI front end: golden files, format agreement, determinism across
 runs, and the exit-code contract."""
 
+import argparse
 import csv
 import gc
 import io
@@ -159,6 +160,43 @@ def test_error_contract(argv, runtime):
     if runtime:
         assert proc.stderr.startswith("error:")
         assert proc.stderr.count("\n") == 1
+
+
+NEGATIVE_SIZES = [
+    ["b", "--max-n", "-1"],
+    ["b", "--max-n", "-1", "--order-r", "2"],
+    ["classical", "--max-n", "-1"],
+]
+
+
+@pytest.mark.parametrize("argv", NEGATIVE_SIZES, ids=[" ".join(argv) for argv in NEGATIVE_SIZES])
+def test_negative_row_size_names_n_max(argv):
+    proc = run_cli(argv, check=False)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error:") and "n_max" in proc.stderr
+
+
+def route_choices(subcommand: str) -> tuple:
+    subparsers = next(a for a in cli.build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    parser = subparsers.choices[subcommand]
+    return next(a for a in parser._actions if a.dest == "route").choices
+
+
+def test_every_route_choice_names_a_library_route():
+    # run_b and run_a look their routes up by name, so a renamed route
+    # must fail here rather than at a command line
+    from degenbern import bernoulli, ode_coeffs
+
+    b_routes = [name for name in route_choices("b") if name != "all"]
+    a_routes = [name for name in route_choices("a") if name not in ("recurrence", "all")]
+    assert b_routes and a_routes
+    missing = [f"bernoulli.row_via_{name}" for name in b_routes
+               if not callable(getattr(bernoulli, "row_via_" + name, None))]
+    missing += [f"ode_coeffs.coeff_explicit_{name}" for name in a_routes
+                if not callable(getattr(ode_coeffs, "coeff_explicit_" + name, None))]
+    assert missing == []
 
 
 @pytest.mark.parametrize("suite", ["eq41", "eq42"])

@@ -452,12 +452,6 @@ def test_higher_order_context_validation():
         verify_higher_order(1, 1, EvaluatedDomain(Fraction(1, 2)), ctx)
     with pytest.raises(ValueError):
         verify_higher_order(-1, 1)
-    with pytest.raises(ValueError):
-        HigherOrderContext(SYMBOLIC, 3, 4, coeffs=coeff_triangle(2, SYMBOLIC))
-    with pytest.raises(ValueError):
-        HigherOrderContext(SYMBOLIC, 2, 4, coeffs=coeff_triangle(2, EvaluatedDomain(2)))
-    shared = coeff_triangle(3, SYMBOLIC)
-    assert HigherOrderContext(SYMBOLIC, 2, 4, coeffs=shared).coeffs is shared
 
 
 def test_route_reports_take_a_given_triangle(monkeypatch):
@@ -613,6 +607,31 @@ def test_sizes_that_compute_nothing_are_rejected(case):
         SIZE_ERRORS[case]()
 
 
+# suite runs (suites, N_max, n_max, order, max_j) that would compare nothing
+EMPTY_SUITE_RUNS = {
+    "ode at N_max 0": (("ode",), 0, 2, 8, 2),
+    "thm41 at max_j -1": (("thm41",), 2, 2, 8, -1),
+    "thm41 at order 1": (("thm41",), 2, 2, 1, 2),
+    "cor42 at N_max 1": (("cor42",), 1, 1, 8, 2),
+    "cor34 at n_max 0": (("cor34",), 2, 0, 8, 2),
+}
+
+
+@pytest.mark.parametrize("case", EMPTY_SUITE_RUNS)
+def test_suite_runs_that_compare_nothing_are_rejected(case):
+    suites, N_max, n_max, order, max_j = EMPTY_SUITE_RUNS[case]
+    with pytest.raises(ValueError):
+        verify_module.suite_reports(suites, SYMBOLIC, N_max, n_max, order, max_j)
+
+
+def test_verify_all_runs_where_one_suite_is_empty():
+    # cor42 yields nothing at N_max = 1, but the other families do
+    reports = verify_all(1, 1)
+    idents = {r.identity for r in reports}
+    assert "cor_4_2" not in idents and "thm_4_1" in idents
+    assert all(r.verdict for r in reports)
+
+
 def test_verify_all_shares_the_suite_triangle_with_the_context(monkeypatch):
     real = verify_module.coeff_triangle
     calls = []
@@ -624,9 +643,10 @@ def test_verify_all_shares_the_suite_triangle_with_the_context(monkeypatch):
     monkeypatch.setattr(verify_module, "coeff_triangle", logged)
     reports = verify_all(4, 4, order=14, max_j=2)
     assert all(r.verdict for r in reports)
-    # one triangle for the ode/cor34 suites and the reconstruction
-    # context, then one each for the a-route agreement and the limit
-    assert calls == [4, 4, 4]
+    # one triangle for the ode/cor34 suites, one that the reconstruction
+    # context builds itself, then one each for the a-route agreement and
+    # the limit
+    assert calls == [4, 4, 4, 4]
 
 
 def test_verify_all_builds_one_scaled_stirling_triangle(monkeypatch):
@@ -782,7 +802,9 @@ def fault_limit_coeffs(mp, dom):
 
 
 def _ctx(dom, max_index):
-    return HigherOrderContext(dom, 2, max_index, coeffs=corrupted_triangle(2, dom, 1, 2))
+    ctx = HigherOrderContext(dom, 2, max_index)
+    ctx.coeffs = corrupted_triangle(2, dom, 1, 2)
+    return ctx
 
 
 A13 = {"i": 1, "N": 3}
