@@ -22,6 +22,7 @@ from .scalars import (
     cancel_common,
     exact_quotient,
     integer_parts,
+    packed_dots,
     poly_eval,
     scaled_value,
 )
@@ -96,7 +97,9 @@ def row_via_recurrence(n_max: int, domain: Domain) -> BernoulliRow:
     built without cancelling, D_60 has 303 bits while the coefficients
     of b_60 have a 31-bit common denominator.  So γ_n and D_n are divided
     by their common factor before later values use them, which keeps
-    γ_n = q^n D_n b_n.  Value n is γ_n / (q^n D_n).
+    γ_n = q^n D_n b_n.  Value n is γ_n / (q^n D_n).  At a rational λ the
+    sum adds int products; over Q[λ] it is one packed dot product
+    (:func:`packed_dots`).
     """
     _check_route(n_max, domain)
     _, q, zero, one = integer_parts(domain)
@@ -106,10 +109,15 @@ def row_via_recurrence(n_max: int, domain: Domain) -> BernoulliRow:
         top = 1
         for l in range(n):
             top = math.lcm(top, (n - l + 1) * scale[l])
-        acc = zero
-        for l in range(n):
-            factor = math.comb(n, l) * exact_quotient(top, (n - l + 1) * scale[l])
-            acc += num[n - l] * factor * gamma[l]
+        if domain.is_symbolic:
+            row = [(math.comb(n, l) * exact_quotient(top, (n - l + 1) * scale[l]), n - l, l)
+                   for l in range(n)]
+            acc = packed_dots(num[:n + 1], gamma, [(row, 1)])[0]
+        else:
+            acc = zero
+            for l in range(n):
+                factor = math.comb(n, l) * exact_quotient(top, (n - l + 1) * scale[l])
+                acc += num[n - l] * factor * gamma[l]
         acc, top = cancel_common(acc, top)
         gamma.append(-acc)
         scale.append(top)

@@ -24,7 +24,8 @@ import math
 from dataclasses import dataclass
 
 from .scalars import (
-    Domain, DomainError, Rational, Scalar, exact_quotient, integer_parts, scaled_value,
+    Domain, DomainError, Rational, Scalar, exact_quotient, integer_parts, packed_dots,
+    scaled_value,
 )
 from .combinatorics import (
     StirlingTable,
@@ -112,7 +113,9 @@ def scaled_stirling_row(N: int, domain: Domain, xs: list) -> list:
     the integer arguments xs of :func:`stirling_bell_arguments` (at least
     N of them) gives C_i(N) = q^(N-i) c_i(N), the scale of
     :func:`scaled_triangle_rows`, as the integer
-    (-1)^N sum_k (-1)^k k! C(k,i) p^(k-i) T(N,k); no step divides.
+    (-1)^N sum_k (-1)^k k! C(k,i) p^(k-i) T(N,k); no step divides.  At a
+    rational λ the sums add int products; over Q[λ] the N+1 sums are one
+    call of :func:`packed_dots`.
     """
     p, _, zero, one = integer_parts(domain)
     signed = [bell_partial(N, k, xs) * ((-1) ** (N + k) * math.factorial(k))
@@ -120,6 +123,9 @@ def scaled_stirling_row(N: int, domain: Domain, xs: list) -> list:
     powers = [one]
     for _ in range(N):
         powers.append(powers[-1] * p)
+    if domain.is_symbolic:
+        sums = [[(math.comb(k, i), k - i, k) for k in range(i, N + 1)] for i in range(N + 1)]
+        return packed_dots(powers, signed, [(terms, 1) for terms in sums])
     row = []
     for i in range(N + 1):
         acc = zero

@@ -16,7 +16,11 @@ A product picks its convolution by the shorter operand's length: up to
 a few numerators it multiplies term by term, and beyond that it packs
 both vectors into one integer each and multiplies once (Kronecker
 substitution), because packing and unpacking cost more than the few
-integer products a short operand needs.
+integer products a short operand needs.  A whole sum of products of
+integer-coefficient polynomials, the inner loop of the symbolic series
+product, reciprocal and Bernoulli recurrence, is one packed integer dot
+product (:func:`packed_dots`) with one reduction at its end, instead of
+a polynomial object and a gcd per term.
 Equality of results is always exact equality of reduced rationals or
 of canonical numerator lists and denominators; the rational
 coefficients, the hashes and every rendered form are those of the
@@ -91,6 +95,30 @@ def _schoolbook_product(a: list, b: list) -> list:
     return out
 
 
+def _pack(v: list, w: int) -> int:
+    """An integer vector packed into one int: its polynomial's value at
+    ``2**w``, lowest coefficient in the lowest ``w`` bits."""
+    x = 0
+    for c in reversed(v):
+        x = (x << w) + c
+    return x
+
+
+def _unpack(z: int, w: int, size: int) -> list:
+    """The ``size`` lowest ``w``-bit slots of ``z`` as signed integers,
+    for slots each known to hold a value under ``2**(w-1)`` in size.  A
+    negative value borrows from the slot above; each slot is read as a
+    signed value and subtracted before shifting, which returns the
+    borrow."""
+    mask, half = (1 << w) - 1, 1 << (w - 1)
+    out = []
+    for _ in range(size):
+        c = ((z + half) & mask) - half
+        out.append(c)
+        z = (z - c) >> w
+    return out
+
+
 def _kronecker_product(a: list, b: list) -> list:
     """Convolution of two nonempty integer vectors by one integer product.
 
@@ -100,25 +128,45 @@ def _kronecker_product(a: list, b: list) -> list:
     and the product is cut back into ``w``-bit slots.  The slot width
     ``w = bits(max|a|) + bits(max|b|) + bits(min(len)) + 1`` bounds every
     product coefficient ``c`` by ``|c| < 2**(w-1)``, so each slot holds
-    one signed coefficient.  A negative coefficient borrows from the
-    slot above; unpacking reads the lowest slot as a signed value and
-    subtracts it before shifting, which returns the borrow.
+    one signed coefficient.
     """
     w = (max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length()
          + min(len(a), len(b)).bit_length() + 1)
-    x = 0
-    for c in reversed(a):
-        x = (x << w) + c
-    y = 0
-    for c in reversed(b):
-        y = (y << w) + c
-    z = x * y
-    mask, half = (1 << w) - 1, 1 << (w - 1)
+    return _unpack(_pack(a, w) * _pack(b, w), w, len(a) + len(b) - 1)
+
+
+def packed_dots(lefts: list, rights: list, rows: list) -> list:
+    """Sums of products of integer-coefficient λ-polynomials
+    (denominator 1), one reduced λ-polynomial per row: row
+    ``(terms, den)`` gives the sum of ``f * lefts[i] * rights[j]`` over
+    the triples ``(f, i, j)`` of ``terms``, for int factors ``f``,
+    divided by the positive int ``den``.
+
+    Every operand is packed once at ``2**w``, for one slot width ``w``
+    shared by all rows, as in :func:`_kronecker_product`, so each term is
+    one big-integer product; the products of a row add as ints, and each
+    row is cut back into ``w``-bit slots and reduced once.  With
+    ``S = sum |f| * min(len a_i, len b_j) * max|a_i| * max|b_j|`` over
+    the terms of a row, every coefficient of that row's sum is at most
+    ``S`` in size, and the slot width ``w = bits(max S) + 1`` gives
+    ``S < 2**(w-1)``, so each slot holds one signed coefficient.
+    """
+    a = [p._nums for p in lefts]
+    b = [p._nums for p in rights]
+    ha = [max(map(abs, v)) if v else 0 for v in a]
+    hb = [max(map(abs, v)) if v else 0 for v in b]
+    bound = max([sum([abs(f) * min(len(a[i]), len(b[j])) * ha[i] * hb[j] for f, i, j in terms])
+                 for terms, _ in rows] + [0])
+    w = bound.bit_length() + 1
+    pa = [_pack(v, w) for v in a]
+    pb = [_pack(v, w) for v in b]
     out = []
-    for _ in range(len(a) + len(b) - 1):
-        c = ((z + half) & mask) - half
-        out.append(c)
-        z = (z - c) >> w
+    for terms, den in rows:
+        z = 0
+        for f, i, j in terms:
+            z += f * pa[i] * pb[j]
+        # a top slot t holding a nonzero value puts |z| at 2**(t*w - 1) or above
+        out.append(LambdaPoly._reduced(_unpack(z, w, z.bit_length() // w + 1), den))
     return out
 
 
@@ -135,8 +183,11 @@ class LambdaPoly:
     two polynomials is a term-by-term convolution when the shorter has
     at most ``_SCHOOLBOOK_MAX`` numerators (:func:`_schoolbook_product`)
     and one Kronecker-packed integer multiplication otherwise (see
-    :func:`_kronecker_product`).  :attr:`coeffs` gives the reduced
-    rational coefficients, built on first use and kept.
+    :func:`_kronecker_product`).  Sums of such products in the series
+    arithmetic do not go through these operators: :func:`packed_dots`
+    adds them as packed integers and builds one polynomial per sum.
+    :attr:`coeffs` gives the reduced rational coefficients, built on
+    first use and kept.
 
     No list is changed once a polynomial holds it.  Lists rather than
     tuples: CPython keeps up to 2000 freed tuples of each small length

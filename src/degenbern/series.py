@@ -10,11 +10,12 @@ series body and follows the same bookkeeping.
 Products are exact in both domains but computed two ways.  At a
 rational λ a product scales both operands to integer numerators over
 one denominator each and convolves them with a single packed integer
-multiplication.  Over Q[λ] it stays a schoolbook sum of λ-polynomial
-products, because packing whole λ-polynomial series, whose common
-denominators grow like factorials, was slower in every form tried; each
-of those products convolves term by term or packs by the length of its
-shorter operand (see :class:`LambdaPoly`).
+multiplication.  Over Q[λ], whose series have common denominators that
+grow like factorials, each output coefficient is instead one packed dot
+product of integer-coefficient λ-polynomials over the lcm of its own
+terms' denominators (:func:`packed_dots`), with every operand packed
+once per product.  The symbolic sums of the reciprocal take the same
+dot product.
 
 The named constructors at the bottom build the generating functions the
 rest of the package feeds on: the binomial series (1+t)**λ, the
@@ -40,6 +41,7 @@ from .scalars import (
     _kronecker_product,
     exact_quotient,
     integer_parts,
+    packed_dots,
     power_by_squaring,
     scaled_value,
 )
@@ -132,12 +134,19 @@ class TruncatedSeries:
         as integer numerators over the lcm of their denominators, and one
         Kronecker-packed integer product convolves the two numerator
         vectors; coefficient k is its k-th output over the product of the
-        two lcms, reduced once.  Over Q[λ] the product stays a schoolbook
-        sum of λ-polynomial products, each of which picks direct or
-        Kronecker-packed convolution by its shorter operand's length:
-        the common denominators of λ-polynomial series grow like
-        factorials, and packing whole Q[λ] series lost to the schoolbook
-        in every form tried, so the fork by domain is deliberate.
+        two lcms, reduced once.  Over Q[λ] the common denominators of a
+        series grow like factorials, and packing whole Q[λ] series over
+        one denominator each lost in every form tried, so the fork by
+        domain is deliberate.  There each output takes the lcm of its own
+        terms' denominators: with a_i = n_i / d_i and b_j = n'_j / d'_j
+        split into integer-coefficient numerators and positive
+        denominators, coefficient k is
+
+            sum_{i+j=k} (L_k / (d_i d'_j)) n_i n'_j / L_k,   L_k = lcm d_i d'_j,
+
+        and all m of these sums are one call of :func:`packed_dots`: each
+        numerator is packed once, each term is one integer product, and
+        each coefficient is reduced once.
         """
         if isinstance(other, TruncatedSeries):
             self._check(other)
@@ -154,15 +163,14 @@ class TruncatedSeries:
                 return TruncatedSeries._raw(
                     self._domain, tuple([Rational(c, d) for c in z[:m]])
                 )
-            zero = self._domain.zero
-            out = [zero] * m
-            for i, ca in enumerate(self._coeffs[:m]):
-                if not ca:
-                    continue
-                for j in range(m - i):
-                    cb = other._coeffs[j]
-                    if cb:
-                        out[i + j] += ca * cb
+            a, b = self._coeffs[:m], other._coeffs[:m]
+            da, db = [c.denominator for c in a], [c.denominator for c in b]
+            rows = []
+            for k in range(m):
+                ds = [da[i] * db[k - i] for i in range(k + 1)]
+                top = lcm(*ds)
+                rows.append(([(top // d, i, k - i) for i, d in enumerate(ds)], top))
+            out = packed_dots([c.numerator for c in a], [c.numerator for c in b], rows)
             return TruncatedSeries._raw(self._domain, tuple(out))
         try:
             return self.scale(other)
@@ -188,7 +196,10 @@ class TruncatedSeries:
             Γ_0 = 1,   Γ_n = -sum_k s_k (E_n / (w_k E_(n-k))) Γ_(n-k),
 
         and each quotient is an integer because w_k E_(n-k) is one of the
-        terms whose lcm is E_n.  Coefficient n is Γ_n / (E_n a_0).
+        terms whose lcm is E_n.  Coefficient n is Γ_n / (E_n a_0).  At a
+        rational λ the sum for Γ_n adds int products; over Q[λ] it is one
+        packed dot product (:func:`packed_dots`), so no term builds a
+        λ-polynomial of its own.
         """
         if self.order == 0:
             raise ValueError("cannot invert a series of order 0")
@@ -209,9 +220,13 @@ class TruncatedSeries:
                 d = w[k] * scale[n - k]
                 terms.append((k, d))
                 top = lcm(top, d)
-            acc = zero
-            for k, d in terms:
-                acc += s[k] * exact_quotient(top, d) * gamma[n - k]
+            if domain.is_symbolic:
+                row = [(exact_quotient(top, d), k, n - k) for k, d in terms]
+                acc = packed_dots(s[:n + 1], gamma, [(row, 1)])[0]
+            else:
+                acc = zero
+                for k, d in terms:
+                    acc += s[k] * exact_quotient(top, d) * gamma[n - k]
             gamma.append(-acc)
             scale.append(top)
         a, b = inv0.numerator, inv0.denominator

@@ -208,6 +208,22 @@ def test_symbolic_rows_have_no_odd_power_of_lambda_past_the_first(route):
         assert not any(c for k, c in enumerate(value.coeffs) if k >= 3 and k % 2), n
 
 
+@pytest.mark.parametrize("route", ["series", "recurrence", "a_form"])
+def test_symbolic_rows_have_the_shape_of_the_generating_function(route):
+    # properties of b_n(λ) itself, read off the symbolic rows up to n = 30
+    # without comparing two routes: the degree is at most n; λ^k has a
+    # zero coefficient for odd k >= 3, because b_n(λ) = Σ_k B_k λ^k (...)
+    # with B_k = 0 there; at λ = 1, t / log_1(1+t) = 1; at λ = -1,
+    # t / log_(-1)(1+t) = 1 + t.  Order 1 only: orders 2 and 3 have odd
+    # powers (test_higher_order_rows)
+    values = ROUTES[route](30, SYMBOLIC).values
+    for n, value in enumerate(values):
+        assert value.degree <= n, n
+        assert not any(value.coefficient(k) for k in range(3, n + 1, 2)), n
+    assert [v.evaluate(1) for v in values] == [1] + [0] * 30
+    assert [v.evaluate(-1) for v in values] == [1, 1] + [0] * 29
+
+
 def test_higher_order_rows():
     r2 = row_higher_order(2, 3, SYMBOLIC)
     assert [render_poly_text(v) for v in r2.values] == [

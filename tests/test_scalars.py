@@ -233,6 +233,86 @@ def test_product_packs_only_long_operands(short, monkeypatch):
         assert len(calls) == (0 if short <= T else 1)
 
 
+# integer-coefficient operands for packed_dots: zero polynomials,
+# negative entries, up to 40 numerators of up to 400 bits
+wide_ints = st.integers(min_value=-(1 << 400), max_value=1 << 400)
+int_polys = st.one_of(
+    st.lists(st.integers(min_value=-9, max_value=9), max_size=40),
+    st.lists(wide_ints, max_size=40),
+).map(LambdaPoly)
+
+
+@st.composite
+def dot_batches(draw):
+    """(lefts, rights, rows) for packed_dots: up to four rows of 1 to 40
+    terms over shared operand lists, factors zero, negative or wide."""
+    lefts = draw(st.lists(int_polys, min_size=1, max_size=6))
+    rights = draw(st.lists(int_polys, min_size=1, max_size=6))
+    term = st.tuples(
+        st.one_of(st.integers(min_value=-5, max_value=5), wide_ints),
+        st.integers(min_value=0, max_value=len(lefts) - 1),
+        st.integers(min_value=0, max_value=len(rights) - 1),
+    )
+    dens = st.one_of(st.just(1), st.integers(min_value=1, max_value=1 << 80))
+    rows = draw(st.lists(st.tuples(st.lists(term, min_size=1, max_size=40), dens),
+                         min_size=1, max_size=4))
+    return lefts, rights, rows
+
+
+def ref_dots(lefts, rights, rows):
+    """The rows of packed_dots in plain λ-polynomial arithmetic."""
+    return [sum((f * lefts[i] * rights[j] for f, i, j in terms), LambdaPoly()) / den
+            for terms, den in rows]
+
+
+def full_slot(bits, length, sign):
+    """One term whose product has a coefficient of size exactly
+    S = |f| * min(len) * max|a| * max|b| = 2**bits - 1, the bound the
+    slot width is chosen from: the largest value a slot then holds."""
+    assert (2**bits - 1) % length == 0
+    a = LambdaPoly([1] * length)
+    b = LambdaPoly([sign] * length)
+    return [a], [b], [([((2**bits - 1) // length, 0, 0)], 1)]
+
+
+@settings(max_examples=120, deadline=None)
+@given(dot_batches())
+@example(full_slot(400, 1, -1))
+@example(full_slot(400, 3, 1))
+@example(full_slot(400, 5, -1))
+@example(full_slot(64, 15, -1))
+def test_packed_dots_match_ring_arithmetic(batch):
+    lefts, rights, rows = batch
+    assert scalars.packed_dots(lefts, rights, rows) == ref_dots(lefts, rights, rows)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.tuples(st.one_of(st.integers(min_value=-5, max_value=5), wide_ints),
+                          wide_ints, wide_ints), min_size=1, max_size=40))
+def test_packed_dots_of_constants_are_int_sums(terms):
+    # on constant polynomials each slot is one int: the sum must be the
+    # plain int sum of f * a * b
+    lefts = [LambdaPoly.constant(a) for _, a, _ in terms]
+    rights = [LambdaPoly.constant(b) for _, _, b in terms]
+    rows = [([(f, k, k) for k, (f, _, _) in enumerate(terms)], 1)]
+    assert scalars.packed_dots(lefts, rights, rows) == [
+        LambdaPoly.constant(sum(f * a * b for f, a, b in terms))]
+
+
+def test_packed_dots_at_the_slot_bound_among_smaller_rows():
+    # the slot width is that of the largest row; a full slot in one row
+    # must not spill into the next coefficient, and the small rows read
+    # back exactly at the wide slots
+    lefts, rights, rows = full_slot(200, 5, -1)
+    lefts.append(LambdaPoly([-1, 2, -3]))
+    rights.append(LambdaPoly([0, 0, 7]))
+    rows += [([(-2, 1, 1), (1, 0, 1)], 3), ([(0, 0, 0)], 1), ([], 1)]
+    out = scalars.packed_dots(lefts, rights, rows)
+    assert out == ref_dots(lefts, rights, rows)
+    assert out[0].coeffs[4] == -(2**200 - 1)
+    assert out[2] == out[3] == LambdaPoly()
+
+
 def test_render_text_canonical():
     assert render_poly_text(LambdaPoly()) == "0"
     assert render_poly_text(LambdaPoly.constant(5)) == "5"

@@ -142,6 +142,10 @@ def test_no_module_imports_an_unused_name():
 # enclosing function; a new fork on the domain has to be added on purpose
 DOMAIN_FORKS = {
     ("series.py", "TruncatedSeries.__mul__"),  # the packed product at a rational λ
+    # over Q[λ] the sums are packed dot products; the int sums stay plain loops
+    ("series.py", "TruncatedSeries.reciprocal"),
+    ("bernoulli.py", "row_via_recurrence"),
+    ("ode_coeffs.py", "scaled_stirling_row"),
     ("ode_coeffs.py", "scaled_falling_row"),  # the λ^i quotient
 }
 

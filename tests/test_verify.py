@@ -11,6 +11,7 @@ import pytest
 from degenbern import (
     EvaluatedDomain,
     HigherOrderContext,
+    LAMBDA,
     LambdaPoly,
     LaurentSeries,
     SYMBOLIC,
@@ -30,7 +31,7 @@ from degenbern import (
     verify_singular,
     verify_stirling_limit,
 )
-from degenbern import bernoulli, scalars, series
+from degenbern import bernoulli, ode_coeffs, scalars, series
 from degenbern import verify as verify_module
 
 
@@ -176,29 +177,63 @@ def test_short_symbolic_product_fault_fails_the_symbolic_checks(monkeypatch):
 
 
 def test_long_symbolic_product_fault_fails_the_symbolic_checks(monkeypatch):
-    # products whose shorter operand is long pack in
-    # scalars._kronecker_product; the higher ODE members and the
-    # Bernoulli rows past n = 12 reach them
+    # λ-polynomial products whose shorter operand is long pack in
+    # scalars._kronecker_product; the explicit forms of the Bernoulli
+    # rows past n = 12 reach them
     plant_off_by_one(monkeypatch, scalars, "_kronecker_product")
-    assert_fails_with_witness(verify_ode(4, 16, SYMBOLIC))
     assert_fails_with_witness(verify_route_agreement_b(14))
     assert evaluated_products_pass()
 
 
-def test_symbolic_series_products_keep_their_ring_products(monkeypatch):
-    # Q[λ] series products stay schoolbook sums of λ-polynomial
-    # products: the count of verify_ode(4, 12) is pinned
-    real = LambdaPoly.__mul__
-    calls = []
+def plant_in_packed_dots(monkeypatch):
+    """Rebind packed_dots in every module that calls it so that
+    coefficient 2 of every sum of degree 2 or more moves by 1 over the
+    sum's reduced denominator."""
+    real = scalars.packed_dots
+
+    def off_by_one(lefts, rights, rows):
+        return [p + LAMBDA**2 * Fraction(1, p.denominator) if p.degree >= 2 else p
+                for p in real(lefts, rights, rows)]
+
+    for owner in (series, bernoulli, ode_coeffs):
+        monkeypatch.setattr(owner, "packed_dots", off_by_one)
+
+
+def test_packed_dot_fault_fails_the_symbolic_checks(monkeypatch):
+    # the Q[λ] series product, the symbolic reciprocal and the symbolic
+    # Bernoulli recurrence sum their products in scalars.packed_dots;
+    # evaluated sums never reach it
+    plant_in_packed_dots(monkeypatch)
+    for report in (
+        verify_ode(4, 16, SYMBOLIC),
+        verify_ode(2, 8, SYMBOLIC),
+        verify_route_agreement_b(14),
+    ):
+        assert_fails_with_witness(report)
+    assert evaluated_products_pass()
+
+
+def test_symbolic_series_products_sum_in_packed_dots(monkeypatch):
+    # a Q[λ] series product is one packed_dots call for all its output
+    # coefficients, and each symbolic reciprocal step one more, instead
+    # of a λ-polynomial product per term: the counts of verify_ode(4, 12)
+    # are pinned (1130 λ-polynomial products when each term was one)
+    real_mul, real_dots = LambdaPoly.__mul__, scalars.packed_dots
+    products, rows = [], []
 
     def counted(self, other):
-        calls.append(None)
-        return real(self, other)
+        products.append(None)
+        return real_mul(self, other)
+
+    def counted_dots(lefts, rights, batch):
+        rows.append(len(batch))
+        return real_dots(lefts, rights, batch)
 
     monkeypatch.setattr(LambdaPoly, "__mul__", counted)
     monkeypatch.setattr(LambdaPoly, "__rmul__", counted)
+    monkeypatch.setattr(series, "packed_dots", counted_dots)
     assert verify_ode(4, 12, SYMBOLIC).verdict
-    assert len(calls) == 1130
+    assert (len(products), len(rows), sum(rows)) == (296, 20, 95)
 
 
 def corrupt_power(mp, owner, index=1, hit=lambda base: True):
@@ -264,8 +299,6 @@ def test_corrupted_stirling_row_fails_both_routes_that_read_it(dom, monkeypatch)
     # the triangle's Stirling route and the Stirling form of the
     # Bernoulli values read the same integer rows, so one wrong entry of
     # row 3 fails a_routes at (1, 3) and b_routes at n = 3
-    from degenbern import ode_coeffs
-
     real = ode_coeffs.scaled_stirling_row
 
     def tampered(N, domain, xs):
@@ -292,7 +325,7 @@ def test_corrupted_alternating_sum_fails_every_route_that_reads_it(dom, monkeypa
     # alternating falling sums; D_0 at n = 3 enters only c_0(3), b_3 (and
     # b_4) and S(3, 0), so a +1 there fails a_routes at (0, 3), b_routes at
     # n = 3 and stirling_routes at (3, 0)
-    from degenbern import combinatorics, ode_coeffs
+    from degenbern import combinatorics
 
     def reports():
         return (verify_route_agreement_a(3, dom), verify_route_agreement_b(4, dom),
