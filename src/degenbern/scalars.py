@@ -20,7 +20,10 @@ integer products a short operand needs.  A whole sum of products of
 integer-coefficient polynomials, the inner loop of the symbolic series
 product, reciprocal and Bernoulli recurrence, is one packed integer dot
 product (:func:`packed_dots`) with one reduction at its end, instead of
-a polynomial object and a gcd per term.
+a polynomial object and a gcd per term.  Sums of products of rational
+scalars in either domain, such as the verifiers' weighted sums, clear
+their denominators over one lcm per sum and take the same route
+(:func:`rational_dots`).
 Equality of results is always exact equality of reduced rationals or
 of canonical numerator lists and denominators; the rational
 coefficients, the hashes and every rendered form are those of the
@@ -168,6 +171,34 @@ def packed_dots(lefts: list, rights: list, rows: list) -> list:
         # a top slot t holding a nonzero value puts |z| at 2**(t*w - 1) or above
         out.append(LambdaPoly._reduced(_unpack(z, w, z.bit_length() // w + 1), den))
     return out
+
+
+def rational_dots(domain: Domain, lefts, rights, rows: list) -> list:
+    """Sums of products of values of ``domain``, one reduced value per
+    row: row ``terms`` gives the sum of ``(f / g) * lefts[i] * rights[j]``
+    over the quadruples ``(f, g, i, j)`` of ``terms``, for int ``f`` and
+    positive int ``g``; an empty row gives zero.
+
+    Each row is cleared of denominators over one lcm: with ``d`` the
+    product of ``g`` and the two operands' denominators and ``L`` the
+    lcm of the ``d`` of its terms, a term is the integer factor
+    ``f * L / d`` times the two numerators, and the row is their sum
+    over ``L``.  Over Q[λ] all rows are one call of :func:`packed_dots`;
+    at a rational λ each row is a plain int sum, reduced once.
+    """
+    na = [x.numerator for x in lefts]
+    nb = [x.numerator for x in rights]
+    da = [x.denominator for x in lefts]
+    db = [x.denominator for x in rights]
+    cleared = []
+    for terms in rows:
+        ds = [g * da[i] * db[j] for _, g, i, j in terms]
+        top = lcm(*ds)
+        cleared.append(([(f * (top // d), i, j) for (f, _, i, j), d in zip(terms, ds)], top))
+    if domain.is_symbolic:
+        return packed_dots(na, nb, cleared)
+    return [Rational(sum([f * na[i] * nb[j] for f, i, j in terms]), top)
+            for terms, top in cleared]
 
 
 class LambdaPoly:

@@ -13,9 +13,9 @@ one denominator each and convolves them with a single packed integer
 multiplication.  Over Q[λ], whose series have common denominators that
 grow like factorials, each output coefficient is instead one packed dot
 product of integer-coefficient λ-polynomials over the lcm of its own
-terms' denominators (:func:`packed_dots`), with every operand packed
+terms' denominators (:func:`rational_dots`), with every operand packed
 once per product.  The symbolic sums of the reciprocal take the same
-dot product.
+dot product (:func:`packed_dots`).
 
 The named constructors at the bottom build the generating functions the
 rest of the package feeds on: the binomial series (1+t)**λ, the
@@ -27,7 +27,7 @@ second-kind Bernoulli values.
 from __future__ import annotations
 
 from itertools import accumulate, repeat
-from math import comb, factorial, lcm
+from math import comb, factorial, lcm, perm
 from operator import mul
 from typing import Iterable
 
@@ -43,6 +43,7 @@ from .scalars import (
     integer_parts,
     packed_dots,
     power_by_squaring,
+    rational_dots,
     scaled_value,
 )
 
@@ -137,16 +138,12 @@ class TruncatedSeries:
         two lcms, reduced once.  Over Q[λ] the common denominators of a
         series grow like factorials, and packing whole Q[λ] series over
         one denominator each lost in every form tried, so the fork by
-        domain is deliberate.  There each output takes the lcm of its own
-        terms' denominators: with a_i = n_i / d_i and b_j = n'_j / d'_j
-        split into integer-coefficient numerators and positive
-        denominators, coefficient k is
-
-            sum_{i+j=k} (L_k / (d_i d'_j)) n_i n'_j / L_k,   L_k = lcm d_i d'_j,
-
-        and all m of these sums are one call of :func:`packed_dots`: each
-        numerator is packed once, each term is one integer product, and
-        each coefficient is reduced once.
+        domain is deliberate.  There coefficient k is the sum of a_i b_j
+        over i + j = k, and all m of these sums are one call of
+        :func:`rational_dots`, which clears each sum over the lcm of its
+        own terms' denominators and adds it as one packed integer dot
+        product: each numerator is packed once, each term is one integer
+        product, and each coefficient is reduced once.
         """
         if isinstance(other, TruncatedSeries):
             self._check(other)
@@ -163,14 +160,8 @@ class TruncatedSeries:
                 return TruncatedSeries._raw(
                     self._domain, tuple([Rational(c, d) for c in z[:m]])
                 )
-            a, b = self._coeffs[:m], other._coeffs[:m]
-            da, db = [c.denominator for c in a], [c.denominator for c in b]
-            rows = []
-            for k in range(m):
-                ds = [da[i] * db[k - i] for i in range(k + 1)]
-                top = lcm(*ds)
-                rows.append(([(top // d, i, k - i) for i, d in enumerate(ds)], top))
-            out = packed_dots([c.numerator for c in a], [c.numerator for c in b], rows)
+            rows = [[(1, 1, i, k - i) for i in range(k + 1)] for k in range(m)]
+            out = rational_dots(self._domain, self._coeffs[:m], other._coeffs[:m], rows)
             return TruncatedSeries._raw(self._domain, tuple(out))
         try:
             return self.scale(other)
@@ -383,19 +374,26 @@ class LaurentSeries:
             return LaurentSeries(self._pole - k, self._body)
         return LaurentSeries(0, _pad_low(self._body, k - self._pole))
 
-    def derivative(self) -> "LaurentSeries":
-        """d/dt of t**(-p) G as t**(-(p+1)) (t G' - p G).
+    def derivative(self, n: int = 1) -> "LaurentSeries":
+        """The n-th derivative of t**(-p) G in one pass.
 
-        Both ingredients are computable through the body order, so the
-        known window shrinks by exactly one exponent, matching the
-        series rule.
+        d^n/dt^n takes c t**e to e(e-1)...(e-n+1) c t**(e-n), so the
+        result is t**(-(p+n)) times the body whose coefficient k is
+        multiplied by the integer falling factorial of e = k - p.  Every
+        coefficient is known through the body order, so the known window
+        shrinks by exactly n exponents, as after n first derivatives.  At
+        pole 0 each of those steps strips the constant term's zero
+        derivative from the body, so a pole-0 body needs at least n
+        coefficients.
         """
+        if n < 1:
+            raise ValueError("derivative order must be positive")
         g = self._body.coeffs
-        if not g:
-            raise ValueError("cannot differentiate an order-0 body")
         p = self._pole
-        body = tuple([k * g[k] - p * g[k] for k in range(len(g))])
-        return LaurentSeries(p + 1, TruncatedSeries._raw(self.domain, body))
+        if len(g) < (n if p == 0 else 1):
+            raise ValueError("cannot differentiate an order-0 body")
+        body = tuple([_falling(k - p, n) * c for k, c in enumerate(g)])
+        return LaurentSeries(p + n, TruncatedSeries._raw(self.domain, body))
 
     # comparison -------------------------------------------------------
 
@@ -418,6 +416,11 @@ class LaurentSeries:
 
     def __repr__(self):
         return f"LaurentSeries[pole={self._pole}, top={self.top_exponent}]"
+
+
+def _falling(e: int, n: int) -> int:
+    """The falling factorial e(e-1)...(e-n+1) of an integer e."""
+    return perm(e, n) if e >= 0 else (-1) ** n * perm(n - 1 - e, n)
 
 
 def _pad_low(body: TruncatedSeries, k: int) -> TruncatedSeries:

@@ -15,19 +15,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property
 from itertools import chain
-from operator import add
 
 from .scalars import (
     Domain,
     Rational,
     SYMBOLIC,
     poly_eval,
+    rational_dots,
     scalar_to_json,
 )
 from .series import (
     LaurentSeries,
+    TruncatedSeries,
     classical_log_reciprocal,
     degenerate_exp_series,
     degenerate_log_over_t_series,
@@ -114,9 +115,24 @@ def _laurent_report(
     return IdentityReport(identity, params, ok, witness, compared)
 
 
-def _weighted_sum(weights, series):
-    """sum_i weights[i] series[i], added left to right."""
-    return reduce(add, [s.scale(w) for w, s in zip(weights, series)])
+def _weighted_sum(weights, series) -> LaurentSeries:
+    """sum_i weights[i] series[i] of Laurent series, known from the
+    largest pole through the smallest top exponent, as the sum added
+    series by series would be.  The coefficient at each exponent is one
+    row of :func:`rational_dots`, and each series coefficient in that
+    window is one operand."""
+    pole = max(s.pole for s in series)
+    top = min(s.top_exponent for s in series)
+    rights, origins = [], []
+    for s in series:
+        # where this series' coefficient of t**0 sits among the operands
+        origins.append(len(rights) + s.pole)
+        rights.extend(s.body.coeffs[:top + s.pole + 1])
+    rows = [[(1, 1, i, at + e) for i, (s, at) in enumerate(zip(series, origins)) if e >= -s.pole]
+            for e in range(-pole, top + 1)]
+    domain = series[0].domain
+    body = rational_dots(domain, weights, rights, rows)
+    return LaurentSeries(pole, TruncatedSeries._raw(domain, tuple(body)))
 
 
 # ---------------------------------------------------------------------------
@@ -138,9 +154,7 @@ def verify_ode(
     if order < 2:
         raise ValueError("order too small to compare anything")
     F = degenerate_log_reciprocal(domain, order + N)
-    deriv = F
-    for _ in range(N):
-        deriv = deriv.derivative()
+    deriv = F.derivative(N)
     window = deriv.body.order
     lhs = deriv * LaurentSeries.from_series(
         one_plus_t_power(domain, N, window)
@@ -203,9 +217,7 @@ def verify_classical_derivative(N: int, order: int, which: str = "eq41") -> Iden
     table = stirling1_signed(N)
     inv = LaurentSeries.from_series(one_plus_t_power(F0.domain, -N, F0.body.order))
 
-    lhs = F0 if which == "eq41" else F0.shifted(1)
-    for _ in range(N):
-        lhs = lhs.derivative()
+    lhs = (F0 if which == "eq41" else F0.shifted(1)).derivative(N)
 
     pows = powers(F0, N + 1)
     signs = [(-1) ** k * math.factorial(k) for k in range(N + 1)]
@@ -215,7 +227,7 @@ def verify_classical_derivative(N: int, order: int, which: str = "eq41") -> Iden
     else:
         # F0^(k+1) times (-1)^k k! (N s(N-1,k) + (s(N,k) + N s(N-1,k)) t)
         low = [w * N * table.value(N - 1, k) for k, w in enumerate(signs)]
-        high = map(add, here, low)
+        high = [h + w for h, w in zip(here, low)]
         rhs = _weighted_sum(low, pows) + _weighted_sum(high, pows).shifted(1)
     rhs = rhs * inv
     identity = "eq_41" if which == "eq41" else "eq_42"
@@ -266,7 +278,7 @@ def _ensure_ctx(ctx, domain, N, top_index):
     return ctx
 
 
-def _reconstruction(j: int, N: int, ctx: HigherOrderContext, domain: Domain):
+def _reconstruction(j: int, N: int, ctx: HigherOrderContext, domain: Domain) -> tuple:
     """The three reconstruction sums for coefficient index j, under both
     readings of the third sum's factorial weight: (rhs, rhs_printed).
 
@@ -275,28 +287,35 @@ def _reconstruction(j: int, N: int, ctx: HigherOrderContext, domain: Domain):
     the third sum's weight as j!/(l+i)!, which the derivation produces;
     ``rhs_printed`` reads it as j!/(l+1)!, the variant in the final
     printed statement, with the reciprocal factorial of a negative
-    integer read as zero.  One pass over l takes each binomial and sign
-    once and each third-sum product c_i(N-1) b^(i+1)_(l+i) once, for both
-    readings; the printed one is taken for j >= 0 only, where it is read.
+    integer read as zero; its third sum is taken for j >= 0 only, where
+    it is read.  One call of :func:`rational_dots` takes the first two sums
+    as one row and each reading of the third sum as another, so each
+    product is taken once, over the entries of triangle rows N and N-1
+    and the values b^(r)_idx, each entered once: the sums read b^(r)
+    through idx = j + min(r, N).
     """
     jw = math.factorial(j) if j >= 0 else 1
-    aN = ctx.coeffs.row(N)
-    aN1 = ctx.coeffs.row(N - 1)
-    s12 = derived = printed = domain.zero
+    lefts = ctx.coeffs.row(N) + ctx.coeffs.row(N - 1)
+    rights, start = [], {}
+    for r in range(1, N + 2):
+        start[r] = len(rights)
+        rights.extend(ctx.b(r, idx) for idx in range(j + min(r, N) + 1))
+    s12, derived, printed = [], [], []
     for l in range(-N, j + 1):
         sign = -1 if (N + j + l) % 2 else 1
         cs = math.comb(N + j - l - 1, j - l) * sign * jw
         for i in range(max(0, -l), N + 1):
-            s12 += Rational(cs, math.factorial(l + i)) * aN[i] * ctx.b(i + 1, l + i)
+            s12.append((cs, math.factorial(l + i), i, start[i + 1] + l + i))
         for i in range(max(0, -l - 1), N):
-            s12 -= Rational(cs * N, math.factorial(l + i + 1)) * aN1[i] * ctx.b(i + 1, l + i + 1)
+            s12.append((-cs * N, math.factorial(l + i + 1), N + 1 + i, start[i + 1] + l + i + 1))
         # the third sum: empty at l = -N, where i would start at N
         for i in range(max(0, -l), N):
-            t = aN1[i] * ctx.b(i + 1, l + i)
-            derived -= Rational(cs * N, math.factorial(l + i)) * t
+            derived.append((-cs * N, math.factorial(l + i), N + 1 + i, start[i + 1] + l + i))
             if j >= 0 and l >= -1:
-                printed -= Rational(cs * N, math.factorial(l + 1)) * t
-    return s12 + derived, s12 + printed
+                printed.append((-cs * N, math.factorial(l + 1), N + 1 + i, start[i + 1] + l + i))
+    rows = [s12, derived, printed]
+    first_two, third, third_printed = rational_dots(domain, lefts, rights, rows)
+    return first_two + third, first_two + third_printed
 
 
 def verify_higher_order(
@@ -503,7 +522,7 @@ class _SuiteRun:
     def __post_init__(self):
         if self.N_max < 1:
             raise ValueError("need N_max >= 1")
-        if self.max_j < 0:
+        if self.max_j < 0 and "thm41" in self.suites:
             raise ValueError("need max_j >= 0")
         if self.order < 2:
             raise ValueError("order too small to compare anything")
@@ -570,7 +589,8 @@ def suite_reports(
 ) -> list[IdentityReport]:
     """Reports of the named identity suites, in the order named.  N_max
     bounds the ode, eq41, thm41 and cor42 families, n_max the cor34 and
-    eq42 ones.  Sizes that compare nothing raise ValueError."""
+    eq42 ones, and max_j the thm41 one only.  Sizes that compare nothing
+    raise ValueError."""
     return _SuiteRun(tuple(suites), domain, N_max, n_max, order, max_j).reports()
 
 

@@ -139,6 +139,7 @@ ERROR_CASES = [
     (["verify", "--suite", "ode", "--max-N", "-1"], True),
     (["verify", "--suite", "ode", "--order", "1"], True),
     (["verify", "--suite", "thm41", "--max-j", "-1"], True),
+    (["verify", "--suite", "all", "--max-N", "2", "--max-j", "-1"], True),
     (["verify", "--suite", "cor42", "--max-N", "1"], True),
     (["verify", "--suite", "nope"], False),
     (["b", "--max-n", "3", "--threads", "2"], False),
@@ -197,6 +198,16 @@ def test_every_route_choice_names_a_library_route():
     missing += [f"ode_coeffs.coeff_explicit_{name}" for name in a_routes
                 if not callable(getattr(ode_coeffs, "coeff_explicit_" + name, None))]
     assert missing == []
+
+
+@pytest.mark.parametrize("suite", ["ode", "cor42"])
+def test_max_j_binds_only_the_thm41_suite(suite):
+    # only thm41 reads max_j, so another suite runs at max_j = -1 and
+    # reports what it reports at max_j = 0
+    docs = [json.loads(run_cli(["verify", "--suite", suite, "--max-N", "3", "--max-j", j]).stdout)
+            for j in ("-1", "0")]
+    assert docs[0]["payload"] == docs[1]["payload"]
+    assert docs[0]["payload"]["reports"]
 
 
 @pytest.mark.parametrize("suite", ["eq41", "eq42"])

@@ -313,6 +313,57 @@ def test_packed_dots_at_the_slot_bound_among_smaller_rows():
     assert out[2] == out[3] == LambdaPoly()
 
 
+@st.composite
+def rational_dot_batches(draw):
+    """(domain, lefts, rights, rows) for rational_dots: operands of one
+    domain with mixed denominators, zero and negative ones among them,
+    and up to five rows of 0 to 3 or 30 to 50 terms with zero, negative
+    and wide factors f and divisors g."""
+    domain = draw(st.sampled_from([SYMBOLIC, EvaluatedDomain(Fraction(7, 3))]))
+    scalar = st.one_of(st.just(Fraction(0)), wide_rationals)
+    if domain.is_symbolic:
+        scalar = st.lists(scalar, max_size=12).map(LambdaPoly)
+    operands = st.lists(scalar, min_size=1, max_size=6)
+    lefts, rights = draw(operands), draw(operands)
+    term = st.tuples(
+        st.one_of(st.integers(min_value=-5, max_value=5), wide_ints),
+        st.one_of(st.integers(min_value=1, max_value=720),
+                  st.integers(min_value=1, max_value=1 << 90)),
+        st.integers(min_value=0, max_value=len(lefts) - 1),
+        st.integers(min_value=0, max_value=len(rights) - 1),
+    )
+    sizes = st.one_of(st.integers(min_value=0, max_value=3),
+                      st.integers(min_value=30, max_value=50))
+    rows = draw(st.lists(sizes.flatmap(lambda n: st.lists(term, min_size=n, max_size=n)),
+                         max_size=5))
+    return domain, lefts, rights, rows
+
+
+@settings(max_examples=80, deadline=None)
+@given(rational_dot_batches())
+def test_rational_dots_match_ring_arithmetic(batch):
+    # each row against sum((f/g) * a * b) in the domain's own arithmetic
+    domain, lefts, rights, rows = batch
+    expected = [sum((Fraction(f, g) * lefts[i] * rights[j] for f, g, i, j in terms), domain.zero)
+                for terms in rows]
+    got = scalars.rational_dots(domain, lefts, rights, rows)
+    assert got == expected
+    assert all(isinstance(v, type(domain.zero)) for v in got)
+
+
+def test_rational_dots_of_rows_of_very_different_sizes():
+    # an empty row, a one-term row and a long row in one call, in both
+    # domains, with the long row's terms cancelling to zero
+    for domain, x, y in (
+        (SYMBOLIC, LambdaPoly([Fraction(1, 3), -2]), LambdaPoly([5, Fraction(-7, 4)])),
+        (EvaluatedDomain(Fraction(-2, 5)), Fraction(1, 3), Fraction(-7, 4)),
+    ):
+        rows = [[], [(3, 2, 0, 0)], [(k, k + 1, 0, 0) for k in range(40)]
+                + [(-k, k + 1, 0, 0) for k in range(40)]]
+        assert scalars.rational_dots(domain, [x], [y], rows) == [
+            domain.zero, Fraction(3, 2) * x * y, domain.zero]
+
+
 def test_render_text_canonical():
     assert render_poly_text(LambdaPoly()) == "0"
     assert render_poly_text(LambdaPoly.constant(5)) == "5"

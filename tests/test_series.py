@@ -179,6 +179,42 @@ def test_laurent_derivative_matches_series_on_polynomials():
     assert all(L.coefficient(k) == d[k] for k in range(d.order))
 
 
+def derivative_steps(L, n):
+    for _ in range(n):
+        L = L.derivative()
+    return L
+
+
+@pytest.mark.parametrize("domain", [SYMBOLIC, EvaluatedDomain(Fraction(-7, 3))],
+                         ids=["sym", "-7/3"])
+def test_nth_derivative_equals_n_first_derivatives(domain):
+    # poles 0 to 3, and the pole-0 body of eq42, t/log(1+t), whose
+    # leading zeros the canonical form strips at every step
+    F = degenerate_log_reciprocal(domain, 12)
+    cases = [F.shifted(1), F, F**2, F**3, classical_log_reciprocal(12).shifted(1)]
+    assert [L.pole for L in cases] == [0, 1, 2, 3, 0]
+    for L in cases:
+        for n in range(1, 7):
+            one, steps = L.derivative(n), derivative_steps(L, n)
+            assert (one.pole, one.top_exponent) == (steps.pole, steps.top_exponent)
+            assert one.body.coeffs == steps.body.coeffs
+
+
+def test_nth_derivative_needs_what_n_first_derivatives_need():
+    # a pole-0 body of three coefficients takes three steps, not four;
+    # a pole keeps its body's length, so one coefficient is enough
+    body = LaurentSeries(0, polynomial_series(Q, (3, 1, 4), 3))
+    assert body.derivative(3) == derivative_steps(body, 3)
+    assert body.derivative(3).top_exponent == -1
+    for differentiate in (lambda: body.derivative(4), lambda: derivative_steps(body, 4)):
+        with pytest.raises(ValueError):
+            differentiate()
+    pole = LaurentSeries(2, polynomial_series(Q, (5,), 1))
+    assert pole.derivative(6) == derivative_steps(pole, 6)
+    with pytest.raises(ValueError):
+        pole.derivative(0)
+
+
 def test_laurent_mul_scale_shift():
     F = classical_log_reciprocal(7)
     t = F.shifted(1)

@@ -2,8 +2,8 @@
 every name the benchmark's tracer wraps exists, the Bell
 generating-function route keeps its own series product, ``__all__``
 lists exactly the names the package root imports, no module imports a
-name it never reads, code outside ``scalars.py`` forks on the domain
-only at listed sites, and every docstring example runs.
+name it never reads, code forks on the domain only at listed sites, and
+every docstring example runs.
 
 Under CPython 3.11, ``tuple(<generator>)`` and ``f(*<generator>)``
 allocate their tuple at a guessed length and then resize it.  The
@@ -138,9 +138,12 @@ def test_no_module_imports_an_unused_name():
     assert found == []
 
 
-# every conditional on ``.is_symbolic`` outside scalars.py, by file and
-# enclosing function; a new fork on the domain has to be added on purpose
+# every conditional on ``.is_symbolic``, by file and enclosing function;
+# a new fork on the domain has to be added on purpose
 DOMAIN_FORKS = {
+    ("scalars.py", "integer_parts"),  # λ = p/q as ints, or λ over q = 1
+    # the one dot-product helper: Q[λ] rows packed, rational rows as int sums
+    ("scalars.py", "rational_dots"),
     ("series.py", "TruncatedSeries.__mul__"),  # the packed product at a rational λ
     # over Q[λ] the sums are packed dot products; the int sums stay plain loops
     ("series.py", "TruncatedSeries.reciprocal"),
@@ -195,7 +198,6 @@ def test_domain_forks_are_at_the_listed_sites():
     found = {
         (path.name, scope)
         for path in sorted(PACKAGE.glob("*.py"))
-        if path.name != "scalars.py"
         for _, scope in domain_forks(path.read_text(encoding="utf-8"))
     }
     assert found == DOMAIN_FORKS

@@ -195,15 +195,18 @@ def plant_in_packed_dots(monkeypatch):
         return [p + LAMBDA**2 * Fraction(1, p.denominator) if p.degree >= 2 else p
                 for p in real(lefts, rights, rows)]
 
-    for owner in (series, bernoulli, ode_coeffs):
+    for owner in (scalars, series, bernoulli, ode_coeffs):
         monkeypatch.setattr(owner, "packed_dots", off_by_one)
 
 
 def test_packed_dot_fault_fails_the_symbolic_checks(monkeypatch):
-    # the Q[λ] series product, the symbolic reciprocal and the symbolic
-    # Bernoulli recurrence sum their products in scalars.packed_dots;
-    # evaluated sums never reach it
+    # the Q[λ] series product (through scalars.rational_dots), the
+    # symbolic reciprocal and the symbolic Bernoulli recurrence sum their
+    # products in scalars.packed_dots; evaluated sums never reach it
+    F = series.degenerate_log_over_t_series(SYMBOLIC, 8)
+    square = F * F
     plant_in_packed_dots(monkeypatch)
+    assert F * F != square
     for report in (
         verify_ode(4, 16, SYMBOLIC),
         verify_ode(2, 8, SYMBOLIC),
@@ -215,9 +218,12 @@ def test_packed_dot_fault_fails_the_symbolic_checks(monkeypatch):
 
 def test_symbolic_series_products_sum_in_packed_dots(monkeypatch):
     # a Q[λ] series product is one packed_dots call for all its output
-    # coefficients, and each symbolic reciprocal step one more, instead
-    # of a λ-polynomial product per term: the counts of verify_ode(4, 12)
-    # are pinned (1130 λ-polynomial products when each term was one)
+    # coefficients, and so are the weighted sum of the powers of F and
+    # each symbolic reciprocal step, instead of a λ-polynomial product per
+    # term: the counts of verify_ode(4, 12) are pinned, 15 reciprocal
+    # steps of one row and six calls of 16 rows (1130 λ-polynomial
+    # products when each term was one, 296 when the weighted sum scaled
+    # each power and the derivative took four passes)
     real_mul, real_dots = LambdaPoly.__mul__, scalars.packed_dots
     products, rows = [], []
 
@@ -231,9 +237,42 @@ def test_symbolic_series_products_sum_in_packed_dots(monkeypatch):
 
     monkeypatch.setattr(LambdaPoly, "__mul__", counted)
     monkeypatch.setattr(LambdaPoly, "__rmul__", counted)
+    monkeypatch.setattr(scalars, "packed_dots", counted_dots)
     monkeypatch.setattr(series, "packed_dots", counted_dots)
     assert verify_ode(4, 12, SYMBOLIC).verdict
-    assert (len(products), len(rows), sum(rows)) == (296, 20, 95)
+    assert (len(products), len(rows), sum(rows)) == (104, 21, 111)
+
+
+def plant_in_rational_dots(monkeypatch):
+    """Rebind rational_dots in every module that calls it so that the
+    first output of every call moves by 1."""
+    real = scalars.rational_dots
+
+    def off_by_one(domain, lefts, rights, rows):
+        out = real(domain, lefts, rights, rows)
+        if out:
+            out[0] += 1
+        return out
+
+    for owner in (series, verify_module):
+        monkeypatch.setattr(owner, "rational_dots", off_by_one)
+
+
+def test_rational_dot_fault_fails_the_checks_that_sum_through_it(monkeypatch):
+    # Theorem 4.1's reconstruction and its singular part, the weighted
+    # sums of powers and the Q[λ] series product all sum in
+    # scalars.rational_dots, in both domains
+    plant_in_rational_dots(monkeypatch)
+    for report in (
+        verify_higher_order(2, 3),
+        verify_higher_order(1, 2, EvaluatedDomain(Fraction(7, 3))),
+        verify_singular(-1, 3),
+        verify_singular(-2, 4, EvaluatedDomain(Fraction(-2, 5))),
+        verify_ode(4, 12, SYMBOLIC),
+        verify_ode(2, 8, EvaluatedDomain(Fraction(7, 3))),
+        verify_classical_derivative(3, 10, "eq41"),
+    ):
+        assert_fails_with_witness(report)
 
 
 def corrupt_power(mp, owner, index=1, hit=lambda base: True):
