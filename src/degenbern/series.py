@@ -233,6 +233,13 @@ class TruncatedSeries:
             tuple([(n + 1) * self._coeffs[n + 1] for n in range(self.order - 1)]),
         )
 
+    def truncated(self, order: int) -> "TruncatedSeries":
+        """The same series known only below ``order``; a cut above the
+        known order, or below 0, is an error."""
+        if not 0 <= order <= self.order:
+            raise ValueError(f"cannot cut order {self.order} to {order}")
+        return TruncatedSeries._raw(self._domain, self._coeffs[:order])
+
     def __eq__(self, other):
         """Coefficientwise equality over the common known range."""
         if not isinstance(other, TruncatedSeries):

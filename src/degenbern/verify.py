@@ -20,6 +20,7 @@ from itertools import chain
 
 from .scalars import (
     Domain,
+    EvaluatedDomain,
     Rational,
     SYMBOLIC,
     poly_eval,
@@ -140,28 +141,35 @@ def _weighted_sum(weights, series) -> LaurentSeries:
 
 
 def verify_ode(
-    N: int, order: int, domain: Domain = SYMBOLIC, coeffs: CoeffTable | None = None
+    N: int,
+    order: int,
+    domain: Domain = SYMBOLIC,
+    coeffs: CoeffTable | None = None,
+    table: list | None = None,
 ) -> IdentityReport:
     """Check (-1)^N (1+t)^N F^(N) = sum_i c_i(N) F^(i+1) exactly, where
     the c_i(N) are the coefficient-triangle entries.
 
     F is built at truncation order ``order + N`` so that after N
     derivative applications the comparison still covers ``order``
-    meaningful coefficients starting at exponent -(N+1).
+    meaningful coefficients starting at exponent -(N+1).  ``table``, the
+    powers of F at a larger order (see :func:`_power_table`), is cut to
+    that order instead.
     """
     if N < 1:
         raise ValueError("the derivative family starts at N = 1")
     if order < 2:
         raise ValueError("order too small to compare anything")
-    F = degenerate_log_reciprocal(domain, order + N)
-    deriv = F.derivative(N)
+    pows = _power_table(
+        table, N, order, domain, lambda m: degenerate_log_reciprocal(domain, m))
+    deriv = pows[0].derivative(N)
     window = deriv.body.order
     lhs = deriv * LaurentSeries.from_series(
         one_plus_t_power(domain, N, window)
     )
     if N % 2:
         lhs = -lhs
-    rhs = _weighted_sum(_triangle(coeffs, N, domain).row(N), powers(F, N + 1))
+    rhs = _weighted_sum(_triangle(coeffs, N, domain).row(N), pows)
     params = {"N": N, "order": order, "lambda": domain.describe()}
     return _laurent_report("ode_family", params, lhs, rhs)
 
@@ -204,29 +212,33 @@ def verify_convolution(
 # classical derivative expansions (λ = 0)
 
 
-def verify_classical_derivative(N: int, order: int, which: str = "eq41") -> IdentityReport:
+def verify_classical_derivative(
+    N: int, order: int, which: str = "eq41", table: list | None = None
+) -> IdentityReport:
     """Check the N-th derivative expansion of 1/log(1+t) ("eq41") or of
-    t/log(1+t) ("eq42") against its first-kind-Stirling closed form."""
+    t/log(1+t) ("eq42") against its first-kind-Stirling closed form.
+    F0 = 1/log(1+t) is built at order ``order + N``, or cut to it from
+    ``table``, the powers of F0 at a larger order."""
     if N < 1:
         raise ValueError("derivative expansions start at N = 1")
     if order < 2:
         raise ValueError("order too small to compare anything")
     if which not in ("eq41", "eq42"):
         raise ValueError(f"unknown identity {which!r}")
-    F0 = classical_log_reciprocal(order + N)
-    table = stirling1_signed(N)
+    pows = _power_table(table, N, order, EvaluatedDomain(0), classical_log_reciprocal)
+    F0 = pows[0]
+    s1 = stirling1_signed(N)
     inv = LaurentSeries.from_series(one_plus_t_power(F0.domain, -N, F0.body.order))
 
     lhs = (F0 if which == "eq41" else F0.shifted(1)).derivative(N)
 
-    pows = powers(F0, N + 1)
     signs = [(-1) ** k * math.factorial(k) for k in range(N + 1)]
-    here = [w * table.value(N, k) for k, w in enumerate(signs)]
+    here = [w * s1.value(N, k) for k, w in enumerate(signs)]
     if which == "eq41":
         rhs = _weighted_sum(here, pows)
     else:
         # F0^(k+1) times (-1)^k k! (N s(N-1,k) + (s(N,k) + N s(N-1,k)) t)
-        low = [w * N * table.value(N - 1, k) for k, w in enumerate(signs)]
+        low = [w * N * s1.value(N - 1, k) for k, w in enumerate(signs)]
         high = [h + w for h, w in zip(here, low)]
         rhs = _weighted_sum(low, pows) + _weighted_sum(high, pows).shifted(1)
     rhs = rhs * inv
@@ -268,6 +280,19 @@ def _triangle(coeffs: CoeffTable | None, n_max: int, domain: Domain) -> CoeffTab
     if coeffs.n_max < n_max or coeffs.domain != domain:
         raise ValueError("coefficient triangle too small or of another domain")
     return coeffs
+
+
+def _power_table(table: list | None, N: int, order: int, domain: Domain, build) -> list:
+    """F, F**2, ..., F**(N+1) with bodies of order ``order + N``: the
+    powers of F = ``build(order + N)``, or the first N + 1 of ``table``
+    cut to that order, since a truncated series is exact below its
+    order.  A table with too few powers, of another domain or too short
+    to cut is a ValueError."""
+    if table is None:
+        return powers(build(order + N), N + 1)
+    if len(table) < N + 1 or table[0].domain != domain:
+        raise ValueError("power table too small or of another domain")
+    return [LaurentSeries(p.pole, p.body.truncated(order + N)) for p in table[:N + 1]]
 
 
 def _ensure_ctx(ctx, domain, N, top_index):
@@ -509,8 +534,10 @@ def verify_stirling_limit(n_max: int) -> IdentityReport:
 @dataclass
 class _SuiteRun:
     """Parameters of one run of the identity suites, checked on
-    construction, plus the tables the suites share.  Each table is built
-    on first use, sized for every suite in ``suites``."""
+    construction, plus the tables the suites share: the coefficient
+    triangle, the powers of F (ode) and of F0 (eq41, eq42), and the
+    reconstruction context.  Each is built on first use, sized for every
+    suite in ``suites``."""
 
     suites: tuple
     domain: Domain
@@ -534,6 +561,17 @@ class _SuiteRun:
         return coeff_triangle(size, self.domain)
 
     @cached_property
+    def ode_powers(self) -> list:
+        F = degenerate_log_reciprocal(self.domain, self.order + self.N_max)
+        return powers(F, self.N_max + 1)
+
+    @cached_property
+    def classical_powers(self) -> list:
+        top = {"eq41": self.N_max, "eq42": self.n_max}
+        size = max(top[s] for s in self.suites if s in top)
+        return powers(classical_log_reciprocal(self.order + size), size + 1)
+
+    @cached_property
     def ctx(self) -> HigherOrderContext:
         top = {"thm41": self.max_j + self.N_max, "cor42": self.N_max - 1}
         size = max(top[s] for s in self.suites if s in top)
@@ -551,7 +589,7 @@ class _SuiteRun:
 # tracing or in a test) reaches every suite
 SUITES = {
     "ode": lambda run: [
-        verify_ode(N, run.order, run.domain, run.coeffs)
+        verify_ode(N, run.order, run.domain, run.coeffs, table=run.ode_powers)
         for N in range(1, run.N_max + 1)
     ],
     "cor34": lambda run: [
@@ -559,11 +597,11 @@ SUITES = {
         for n in range(1, run.n_max + 1)
     ],
     "eq41": lambda run: [
-        verify_classical_derivative(N, run.order, "eq41")
+        verify_classical_derivative(N, run.order, "eq41", table=run.classical_powers)
         for N in range(1, run.N_max + 1)
     ],
     "eq42": lambda run: [
-        verify_classical_derivative(n, run.order, "eq42")
+        verify_classical_derivative(n, run.order, "eq42", table=run.classical_powers)
         for n in range(1, run.n_max + 1)
     ],
     "thm41": lambda run: [

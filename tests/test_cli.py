@@ -92,7 +92,7 @@ def test_verify_exit_zero_on_pass():
 
 
 def test_verify_exit_one_on_failure(monkeypatch, capsys):
-    def fake(N, order, domain, coeffs=None):
+    def fake(N, order, domain, coeffs=None, table=None):
         return IdentityReport(
             identity="ode_family",
             parameters={"N": N, "order": order, "lambda": "sym"},

@@ -385,3 +385,21 @@ def test_powers_match_pow(domain):
                     assert power.pole == expected.pole
                     power, expected = power.body, expected.body
                 assert power.coeffs == expected.coeffs
+
+
+@pytest.mark.parametrize("domain", [SYMBOLIC, EvaluatedDomain(Fraction(7, 3))], ids=["sym", "7/3"])
+def test_a_cut_power_is_the_power_built_at_the_lower_order(domain):
+    # a truncated series is exact below its order: cutting the powers of
+    # the reciprocal log from order 14 gives the powers built at order 9
+    # coefficient for coefficient, and a cut cannot add known order
+    high = powers(degenerate_log_reciprocal(domain, 14), 4)
+    low = powers(degenerate_log_reciprocal(domain, 9), 4)
+    for cut, built in zip(high, low):
+        assert cut.body.truncated(9).coeffs == built.body.coeffs
+    s = high[0].body
+    assert s.truncated(s.order).coeffs == s.coeffs
+    assert s.truncated(0).order == 0
+    with pytest.raises(ValueError):
+        s.truncated(s.order + 1)
+    with pytest.raises(ValueError):
+        s.truncated(-1)

@@ -7,6 +7,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from degenbern import (
     EvaluatedDomain,
@@ -719,6 +720,99 @@ def test_verify_all_shares_the_suite_triangle_with_the_context(monkeypatch):
     # context builds itself, then one each for the a-route agreement and
     # the limit
     assert calls == [4, 4, 4, 4]
+
+
+def test_verify_all_builds_one_power_table_per_family(monkeypatch):
+    calls = []
+
+    def logged(name):
+        real = getattr(verify_module, name)
+
+        def build(*args):
+            calls.append((name, args[-1]))
+            return real(*args)
+
+        monkeypatch.setattr(verify_module, name, build)
+
+    for name in ("degenerate_log_reciprocal", "classical_log_reciprocal",
+                 "degenerate_log_over_t_series"):
+        logged(name)
+    reports = verify_all(4, 4, order=14, max_j=2)
+    assert all(r.verdict for r in reports)
+    # F at order 14 + 4 for the ode suite, F0 at the same order for eq41
+    # and eq42 together, and the reconstruction context's own base
+    # through index max_j + N_max
+    assert sorted(calls) == [("classical_log_reciprocal", 18),
+                             ("degenerate_log_over_t_series", 7),
+                             ("degenerate_log_reciprocal", 18)]
+
+
+SUITE_DOMAINS = [SYMBOLIC, EvaluatedDomain(Fraction(7, 3)),
+                 EvaluatedDomain(Fraction(-2, 5)), EvaluatedDomain(1)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 6), st.integers(0, 6), st.integers(2, 20), st.sampled_from(SUITE_DOMAINS))
+def test_suite_reports_equal_the_standalone_reports(N_max, n_max, order, dom):
+    # each report of a suite run cuts the run's power table to the order
+    # a standalone call builds, so the two are the same document
+    got = verify_module.suite_reports(("ode", "eq41", "eq42"), dom, N_max, n_max, order, 0)
+    expected = (
+        [verify_ode(N, order, dom) for N in range(1, N_max + 1)]
+        + [verify_classical_derivative(N, order, "eq41") for N in range(1, N_max + 1)]
+        + [verify_classical_derivative(n, order, "eq42") for n in range(1, n_max + 1)]
+    )
+    assert [r.to_json_dict() for r in got] == [r.to_json_dict() for r in expected]
+
+
+def bumped_power(p, index):
+    """A copy of the Laurent series p with body coefficient index moved
+    by 1."""
+    coeffs = list(p.body.coeffs)
+    coeffs[index] += 1
+    return LaurentSeries(p.pole, series.TruncatedSeries(p.domain, coeffs))
+
+
+@pytest.mark.parametrize("suites, table, failing", [
+    (("ode",), "ode_powers", "ode_family"),
+    # eq42 reads its F0 body one coefficient less far than eq41
+    (("eq41", "eq42"), "classical_powers", "eq_41"),
+])
+@pytest.mark.parametrize("dom", [SYMBOLIC, EvaluatedDomain(Fraction(7, 3))], ids=["sym", "7/3"])
+def test_a_fault_at_the_cut_fails_only_the_largest_report(suites, table, failing, dom):
+    # report N cuts the run's F to order + N and reads all of it, so the
+    # last body coefficient of the shared F, at order + N_max - 1, is
+    # read by the N = N_max report alone.  Report N reads F**k only
+    # through body index order - 2 + k, so the same coefficient of the
+    # square is read by no report.
+    N_max, order = 4, 10
+
+    def failures(power):
+        run = verify_module._SuiteRun(suites, dom, N_max, N_max, order, 0)
+        pows = list(getattr(run, table))
+        pows[power] = bumped_power(pows[power], order + N_max - 1)
+        setattr(run, table, pows)
+        return [(r.identity, r.parameters["N"]) for r in run.reports() if not r.verdict]
+
+    assert failures(0) == [(failing, N_max)]
+    assert failures(1) == []
+
+
+def test_a_given_power_table_is_checked():
+    # a table too short, with too few powers or of another domain is a
+    # usage error, not a failed identity; a larger one is cut to size
+    sevens = EvaluatedDomain(Fraction(7, 3))
+    table = series.powers(series.degenerate_log_reciprocal(SYMBOLIC, 12), 4)
+    for args in [(3, 10, SYMBOLIC), (4, 8, SYMBOLIC), (2, 8, sevens)]:
+        with pytest.raises(ValueError):
+            verify_ode(*args, table=table)
+    assert verify_ode(3, 9, table=table) == verify_ode(3, 9)
+    classical = series.powers(series.classical_log_reciprocal(12), 4)
+    for N, order, t in [(3, 10, classical), (4, 8, classical), (2, 8, table)]:
+        with pytest.raises(ValueError):
+            verify_classical_derivative(N, order, "eq42", table=t)
+    assert (verify_classical_derivative(3, 9, "eq42", table=classical)
+            == verify_classical_derivative(3, 9, "eq42"))
 
 
 def test_verify_all_builds_one_scaled_stirling_triangle(monkeypatch):
