@@ -457,3 +457,13 @@ def main(argv=None) -> int:
     except (CLIError, DomainError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (MemoryError, OverflowError) as exc:
+        # a size whose tables do not fit in memory, or in an index
+        sizes = ", ".join(
+            f"--{name.replace('_', '-')} {value}"
+            for name in ("max_n", "max_N", "order_r", "max_j", "order")
+            if (value := getattr(args, name, None)) is not None
+        )
+        print(f"error: {sizes}: too large to compute ({type(exc).__name__})",
+              file=sys.stderr)
+        return 2

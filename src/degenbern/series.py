@@ -27,7 +27,7 @@ second-kind Bernoulli values.
 from __future__ import annotations
 
 from itertools import accumulate, repeat
-from math import comb, factorial, lcm, perm
+from math import factorial, lcm, perm
 from operator import mul
 from typing import Iterable
 
@@ -467,16 +467,8 @@ def polynomial_series(domain: Domain, coeffs: Iterable, order: int) -> Truncated
 
 def one_plus_t_power(domain: Domain, exponent: int, order: int) -> TruncatedSeries:
     """(1+t)**exponent for any integer exponent, exactly known."""
-    if exponent >= 0:
-        return polynomial_series(
-            domain,
-            (comb(exponent, j) for j in range(min(exponent + 1, order))),
-            order,
-        )
     return TruncatedSeries(
-        domain,
-        ((-1) ** j * comb(-exponent + j - 1, j) for j in range(order)),
-        order,
+        domain, (_falling(exponent, j) // factorial(j) for j in range(order)), order
     )
 
 

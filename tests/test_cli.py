@@ -178,6 +178,29 @@ def test_negative_row_size_names_n_max(argv):
     assert proc.stderr.startswith("error:") and "n_max" in proc.stderr
 
 
+# (run function, argv, the sizes the error line names); no test builds a
+# size that large, the run function is rebound to raise what one would
+RESOURCE_CASES = [
+    ("run_b", ["b", "--max-n", "4"], "--max-n 4, --order-r 1"),
+    ("run_verify", ["verify", "--suite", "ode", "--max-N", "3", "--order", "40"],
+     "--max-N 3, --max-j 8, --order 40"),
+]
+
+
+@pytest.mark.parametrize("error", [MemoryError, OverflowError])
+@pytest.mark.parametrize("runner,argv,sizes", RESOURCE_CASES,
+                         ids=[runner for runner, _, _ in RESOURCE_CASES])
+def test_a_size_too_large_exits_two(monkeypatch, capsys, error, runner, argv, sizes):
+    def fake(args, command):
+        raise error()
+
+    monkeypatch.setattr(cli, runner, fake)
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {sizes}: too large to compute ({error.__name__})\n"
+
+
 def route_choices(subcommand: str) -> tuple:
     subparsers = next(a for a in cli.build_parser()._actions
                       if isinstance(a, argparse._SubParsersAction))

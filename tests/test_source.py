@@ -2,8 +2,10 @@
 every name the benchmark's tracer wraps exists, the Bell
 generating-function route keeps its own series product, ``__all__``
 lists exactly the names the package root imports, no module imports a
-name it never reads, code forks on the domain only at listed sites, and
-every docstring example runs.
+name it never reads, code forks on the domain only at listed sites,
+every docstring example and the README's quick tour run, and every
+``$ degenbern`` example and the JSON document shape in the README are
+what the command prints.  A README failure names the README line.
 
 Under CPython 3.11, ``tuple(<generator>)`` and ``f(*<generator>)``
 allocate their tuple at a guessed length and then resize it.  The
@@ -16,14 +18,21 @@ start and leaves nothing behind.
 """
 
 import ast
+import contextlib
 import doctest
 import importlib
 import importlib.util
+import io
+import itertools
+import json
+import shlex
 from pathlib import Path
 
 import degenbern
+from degenbern import cli
 
 PACKAGE = Path(degenbern.__file__).resolve().parent
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def generator_tuples(source: str) -> list[tuple[int, str]]:
@@ -204,9 +213,82 @@ def test_domain_forks_are_at_the_listed_sites():
 
 
 def test_every_module_passes_its_doctests():
+    # doctest prints each failure with its file and line; the README's
+    # quick tour is a doctest session too
+    report = io.StringIO()
     names = [path.stem for path in sorted(PACKAGE.glob("*.py")) if path.stem != "__init__"]
-    results = {name: doctest.testmod(importlib.import_module(f"degenbern.{name}"))
-               for name in names}
-    results["__init__"] = doctest.testmod(degenbern)
-    assert {name: r.failed for name, r in results.items() if r.failed} == {}
+    with contextlib.redirect_stdout(report):
+        results = {name: doctest.testmod(importlib.import_module(f"degenbern.{name}"))
+                   for name in names}
+        results["__init__"] = doctest.testmod(degenbern)
+        results["README.md"] = doctest.testfile(
+            str(README), module_relative=False, encoding="utf-8")
+    failed = {name: r.failed for name, r in results.items() if r.failed}
+    assert failed == {}, report.getvalue()
     assert results["scalars"].attempted > 0
+    assert results["README.md"].attempted > 0
+
+
+def fenced_blocks(text: str) -> list[tuple[int, str, list[str]]]:
+    """(line of the opening fence, info string, body lines) of each
+    fenced block of a Markdown text."""
+    blocks, start = [], None
+    for number, line in enumerate(text.splitlines(), 1):
+        if not line.startswith("```"):
+            if start is not None:
+                body.append(line)
+        elif start is None:
+            start, info, body = number, line[3:].strip(), []
+        else:
+            blocks.append((start, info, body))
+            start = None
+    return blocks
+
+
+def cli_examples(text: str) -> list[tuple[int, list[str], str]]:
+    """(line, argv, shown output) of each ``$ degenbern`` example of a
+    Markdown text; the output runs to the next blank line or the end of
+    its block."""
+    return [
+        (start + 1 + i, shlex.split(line)[2:],
+         "".join(out + "\n" for out in itertools.takewhile(bool, body[i + 1:])))
+        for start, _, body in fenced_blocks(text)
+        for i, line in enumerate(body)
+        if line.startswith("$ degenbern ")
+    ]
+
+
+def test_the_readme_parser_finds_examples_and_their_lines():
+    text = "a\n```\n$ degenbern b --max-n 0\nx\n\n$ degenbern a --max-N 1\ny\nz\n```\n```json\n{}\n```\n"
+    assert fenced_blocks(text) == [
+        (2, "", ["$ degenbern b --max-n 0", "x", "", "$ degenbern a --max-N 1", "y", "z"]),
+        (10, "json", ["{}"]),
+    ]
+    assert cli_examples(text) == [
+        (3, ["b", "--max-n", "0"], "x\n"), (6, ["a", "--max-N", "1"], "y\nz\n")]
+
+
+def run_main(argv: list[str]) -> tuple[int, str]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    return code, out.getvalue()
+
+
+def test_every_readme_cli_example_prints_what_it_shows():
+    text = README.read_text(encoding="utf-8")
+    examples = cli_examples(text)
+    # an example outside a fenced block would go unchecked
+    assert len(examples) == text.count("\n$ degenbern ") > 0
+    wrong = [f"README.md:{line}: $ degenbern {shlex.join(argv)}"
+             for line, argv, shown in examples if run_main(argv) != (0, shown)]
+    assert wrong == []
+
+
+def test_the_readme_json_shape_is_the_output_of_its_command():
+    [(line, _, body)] = [b for b in fenced_blocks(README.read_text(encoding="utf-8"))
+                         if b[1] == "json"]
+    shown = json.loads("\n".join(body))
+    code, out = run_main(shown["command"])
+    assert (code, json.loads(out)) == (0, shown), \
+        f"README.md:{line}: not the output of $ degenbern {shlex.join(shown['command'])}"
