@@ -190,7 +190,7 @@ def _power_table_triangle(kind: str, n_max: int, base, lag: int) -> StirlingTabl
     domain = base.domain
     cols = [one_series(domain, n_max + 1)] + powers(base, n_max)
     return StirlingTable(kind, n_max, tuple([
-        tuple([cols[k][n - lag * k] * Rational(math.factorial(n), math.factorial(k))
+        tuple([cols[k][n - lag * k] * math.perm(n, n - k)
                for k in range(n + 1)])
         for n in range(n_max + 1)
     ]))

@@ -25,9 +25,9 @@ scalars in either domain, such as the verifiers' weighted sums, clear
 their denominators over one lcm per sum and take the same route
 (:func:`rational_dots`).
 Equality of results is always exact equality of reduced rationals or
-of canonical numerator lists and denominators; the rational
-coefficients, the hashes and every rendered form are those of the
-reduced coefficients.
+of canonical numerator lists and denominators.  The renderers print
+each reduced coefficient from its numerator and the common denominator
+by one gcd, never building the rational coefficients.
 """
 
 from __future__ import annotations
@@ -74,7 +74,7 @@ def rational_to_string(q) -> str:
 
 
 def _is_rational(value) -> bool:
-    return isinstance(value, numbers.Rational)
+    return type(value) is int or type(value) is Fraction or isinstance(value, numbers.Rational)
 
 
 # A product whose shorter operand has at most this many numerators is
@@ -210,15 +210,9 @@ class LambdaPoly:
     polynomial is the empty list over 1) and the denominator shares no
     factor with all the numerators, so two polynomials are equal exactly
     when their numerator lists and denominators are.  Every operation
-    works on integers and reduces by one gcd at its end; a product of
-    two polynomials is a term-by-term convolution when the shorter has
-    at most ``_SCHOOLBOOK_MAX`` numerators (:func:`_schoolbook_product`)
-    and one Kronecker-packed integer multiplication otherwise (see
-    :func:`_kronecker_product`).  Sums of such products in the series
-    arithmetic do not go through these operators: :func:`packed_dots`
-    adds them as packed integers and builds one polynomial per sum.
-    :attr:`coeffs` gives the reduced rational coefficients, built on
-    first use and kept.
+    works on integers and reduces by one gcd at its end (see the module
+    notes for products and sums of products).  :attr:`coeffs` gives the
+    reduced rational coefficients, built on first use and kept.
 
     No list is changed once a polynomial holds it.  Lists rather than
     tuples: CPython keeps up to 2000 freed tuples of each small length
@@ -274,6 +268,8 @@ class LambdaPoly:
 
     @classmethod
     def constant(cls, value) -> "LambdaPoly":
+        if type(value) is int:
+            return cls._make([value] if value else [], 1)
         q = Rational(value)
         return cls._make([q.numerator] if q else [], q.denominator)
 
@@ -375,7 +371,7 @@ class LambdaPoly:
     def __sub__(self, other):
         if isinstance(other, LambdaPoly) or _is_rational(other):
             return self + (-other if isinstance(other, LambdaPoly)
-                           else LambdaPoly.constant(-Rational(other)))
+                           else LambdaPoly.constant(-other))
         return NotImplemented
 
     def __rsub__(self, other):
@@ -394,6 +390,8 @@ class LambdaPoly:
             if len(a) <= _SCHOOLBOOK_MAX:
                 return LambdaPoly._reduced(_schoolbook_product(a, b), den)
             return LambdaPoly._reduced(_kronecker_product(a, b), den)
+        if type(other) is int:
+            return LambdaPoly._reduced([c * other for c in self._nums], self._den)
         if _is_rational(other):
             if not other:
                 return LambdaPoly()
@@ -508,7 +506,9 @@ def scaled_value(value, num: int, den: int):
     integer-coefficient λ-polynomial value: the last step of an
     integer-scaled route."""
     if isinstance(value, LambdaPoly):
-        return value if num == den else value * Rational(num, den)
+        if num == den:
+            return value
+        return LambdaPoly._reduced([c * num for c in value._nums], value._den * den)
     return Rational(value * num, den)
 
 
@@ -665,56 +665,48 @@ def domain_from_string(s: str) -> Domain:
 # documents are byte-reproducible.
 
 
+def _ratio_text(c: int, den: int) -> str:
+    """``c/den`` in lowest terms: ``p/q``, or ``p`` for q = 1."""
+    g = gcd(c, den)
+    return str(c // g) if g == den else f"{c // g}/{den // g}"
+
+
 def render_poly_text(p: LambdaPoly) -> str:
     """Canonical plain-text form, ascending powers: ``-1/6+1/6*λ^2``."""
-    if not p.coeffs:
-        return "0"
-    parts = []
-    for i, c in enumerate(p.coeffs):
+    den, out = p._den, ""
+    for i, c in enumerate(p._nums):
         if not c:
             continue
-        if i == 0:
-            mag = rational_to_string(abs(c))
-        else:
+        mag = _ratio_text(abs(c), den)
+        if i:
             lam = "λ" if i == 1 else f"λ^{i}"
-            mag = lam if abs(c) == 1 else f"{rational_to_string(abs(c))}*{lam}"
-        sign = "-" if c < 0 else "+"
-        parts.append((sign, mag))
-    first_sign, first_mag = parts[0]
-    out = (first_sign if first_sign == "-" else "") + first_mag
-    for sign, mag in parts[1:]:
-        out += sign + mag
-    return out
+            mag = lam if mag == "1" else f"{mag}*{lam}"
+        out += ("-" if c < 0 else "+" if out else "") + mag
+    return out or "0"
 
 
-def _latex_rational(q, strip_one: bool = False) -> str:
-    q = Rational(q)
-    sign = "-" if q < 0 else ""
-    q = abs(q)
-    if strip_one and q == 1:
-        return sign
-    if q.denominator == 1:
-        return f"{sign}{q.numerator}"
-    return f"{sign}\\frac{{{q.numerator}}}{{{q.denominator}}}"
+def _latex_rational(c: int, den: int, strip_one: bool = False) -> str:
+    """``c/den`` in lowest terms; ``strip_one`` prints ±1 as its sign."""
+    g = gcd(c, den)
+    sign, a, b = "-" if c < 0 else "", abs(c) // g, den // g
+    if b == 1:
+        return sign if strip_one and a == 1 else f"{sign}{a}"
+    return f"{sign}\\frac{{{a}}}{{{b}}}"
 
 
 def render_poly_latex(p: LambdaPoly) -> str:
     """Canonical LaTeX form, ascending powers: ``2+9\\lambda+7\\lambda^{2}``."""
-    if not p.coeffs:
-        return "0"
-    terms = []
-    for i, c in enumerate(p.coeffs):
+    den, out = p._den, ""
+    for i, c in enumerate(p._nums):
         if not c:
             continue
-        if i == 0:
-            terms.append(_latex_rational(c))
-        else:
+        if i:
             lam = "\\lambda" if i == 1 else f"\\lambda^{{{i}}}"
-            terms.append(_latex_rational(c, strip_one=True) + lam)
-    out = terms[0]
-    for t in terms[1:]:
-        out += t if t.startswith("-") else "+" + t
-    return out
+            t = _latex_rational(c, den, strip_one=True) + lam
+        else:
+            t = _latex_rational(c, den)
+        out += t if not out or t.startswith("-") else "+" + t
+    return out or "0"
 
 
 def scalar_to_text(v) -> str:
@@ -726,13 +718,15 @@ def scalar_to_text(v) -> str:
 def scalar_to_latex(v) -> str:
     if isinstance(v, LambdaPoly):
         return render_poly_latex(v)
-    return _latex_rational(v)
+    q = Rational(v)
+    return _latex_rational(q.numerator, q.denominator)
 
 
 def scalar_to_json(v):
     """JSON form: ``"p/q"`` for rationals, ascending string list for polys."""
     if isinstance(v, LambdaPoly):
-        return [rational_to_string(c) for c in v.coeffs]
+        den = v._den
+        return [_ratio_text(c, den) for c in v._nums]
     return rational_to_string(v)
 
 

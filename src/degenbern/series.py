@@ -475,13 +475,13 @@ def one_plus_t_power(domain: Domain, exponent: int, order: int) -> TruncatedSeri
 def degenerate_exp_series(domain: Domain, order: int) -> TruncatedSeries:
     """(1+λt)**(1/λ): coefficient of t^n is (1)(1-λ)(1-2λ)...(1-(n-1)λ)/n!,
     which stays polynomial in λ."""
-    lam = domain.lam
+    # at λ = p/q: the integer product q(q-p)...(q-(n-1)p) over q^n n!
+    p, q, _, acc = integer_parts(domain)
     coeffs = []
-    acc = domain.one
     for n in range(order):
         if n:
-            acc = acc * (domain.one - (n - 1) * lam)
-        coeffs.append(acc / factorial(n))
+            acc = acc * (q - (n - 1) * p)
+        coeffs.append(scaled_value(acc, 1, q**n * factorial(n)))
     return TruncatedSeries._raw(domain, tuple(coeffs))
 
 
@@ -501,13 +501,13 @@ def degenerate_log_over_t_series(domain: Domain, order: int) -> TruncatedSeries:
     The λ = 0 point is excluded by definition of the deformation.
     """
     require_deformed(domain, "the deformed logarithm series")
-    lam = domain.lam
+    # at λ = p/q: the integer product (p-q)...(p-mq) over q^m (m+1)!
+    p, q, _, acc = integer_parts(domain)
     coeffs = []
-    acc = domain.one
     for m in range(order):
         if m:
-            acc = acc * (lam - m)
-        coeffs.append(acc / ((m + 1) * factorial(m)))
+            acc = acc * (p - m * q)
+        coeffs.append(scaled_value(acc, 1, q**m * factorial(m + 1)))
     return TruncatedSeries._raw(domain, tuple(coeffs))
 
 

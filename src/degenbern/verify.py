@@ -454,19 +454,17 @@ def verify_route_agreement_bell(n_max: int = 10) -> IdentityReport:
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
 
-    def families(m: int) -> dict:
-        return {
-            "integers": [Rational(i + 1) for i in range(m)],
-            "deformed": stirling_bell_arguments(m, SYMBOLIC),
-        }
-
+    families = {
+        "integers": [Rational(i + 1) for i in range(n_max + 1)],
+        "deformed": stirling_bell_arguments(n_max + 1, SYMBOLIC),
+    }
     checks = (
         ({"n": n, "k": k, "family": fam},
-         "partition_sum", bell_partial(n, k, xs, via="partition_sum"),
-         "generating_function", bell_partial(n, k, xs, via="generating_function"))
+         "partition_sum", bell_partial(n, k, xs[:n - k + 1], via="partition_sum"),
+         "generating_function", bell_partial(n, k, xs[:n - k + 1], via="generating_function"))
         for n in range(n_max + 1)
         for k in range(n + 1)
-        for fam, xs in families(n - k + 1).items()
+        for fam, xs in families.items()
     )
     ok, witness = _first_disagreement(checks, SYMBOLIC)
     return IdentityReport("bell_routes", {"max_n": n_max}, ok, witness, None)

@@ -386,6 +386,106 @@ def test_render_latex_canonical():
     assert scalar_to_latex(Fraction(4)) == "4"
 
 
+@settings(max_examples=60, deadline=None)
+@given(wide_coeff_lists, st.one_of(st.integers(min_value=-5, max_value=5), wide_ints))
+def test_int_operands_act_as_their_fractions(cs, k):
+    a, ra = LambdaPoly(cs), ref_strip(cs)
+    assert_matches(a * k, [c * k for c in ra])
+    assert_matches(k * a, [c * k for c in ra])
+    assert_matches(a + k, ref_add(ra, [Fraction(k)]))
+    assert_matches(a - k, ref_add(ra, [Fraction(-k)]))
+    assert_matches(k - a, ref_add([Fraction(k)], [-c for c in ra]))
+    assert_matches(LambdaPoly.constant(k), [Fraction(k)])
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.one_of(int_polys, wide_coeff_lists.map(LambdaPoly)),
+       st.one_of(st.integers(min_value=-5, max_value=5), wide_ints),
+       st.one_of(st.integers(min_value=1, max_value=720), st.integers(min_value=1, max_value=1 << 90)))
+@example(LambdaPoly([3, 0, -6]), 2, 2)
+@example(LambdaPoly([3, 0, -6]), 0, 7)
+@example(LambdaPoly([4, 0, -6]), -3, 12)
+def test_scaled_value_is_the_product_with_the_rational(value, num, den):
+    before = (list(value._nums), value._den)
+    got, want = scalars.scaled_value(value, num, den), value * Rational(num, den)
+    assert type(got) is LambdaPoly
+    assert (got._nums, got._den) == (want._nums, want._den)
+    assert (value._nums, value._den) == before
+    k = sum(value._nums)
+    assert scalars.scaled_value(k, num, den) == Fraction(k * num, den)
+    assert type(scalars.scaled_value(k, num, den)) is Fraction
+
+
+# The rendering contract as it read when the renderers formatted the
+# reduced Fraction coefficients: the integer renderers must print the
+# same bytes.
+def ref_render_text(cs):
+    parts = []
+    for i, c in enumerate(cs):
+        if not c:
+            continue
+        if i == 0:
+            mag = str(abs(c))
+        else:
+            lam = "λ" if i == 1 else f"λ^{i}"
+            mag = lam if abs(c) == 1 else f"{abs(c)}*{lam}"
+        parts.append(("-" if c < 0 else "+", mag))
+    if not parts:
+        return "0"
+    out = ("-" if parts[0][0] == "-" else "") + parts[0][1]
+    return out + "".join(sign + mag for sign, mag in parts[1:])
+
+
+def ref_latex_rational(q, strip_one=False):
+    sign = "-" if q < 0 else ""
+    q = abs(q)
+    if strip_one and q == 1:
+        return sign
+    if q.denominator == 1:
+        return f"{sign}{q.numerator}"
+    return f"{sign}\\frac{{{q.numerator}}}{{{q.denominator}}}"
+
+
+def ref_render_latex(cs):
+    terms = [ref_latex_rational(c) if i == 0 else
+             ref_latex_rational(c, True) + ("\\lambda" if i == 1 else f"\\lambda^{{{i}}}")
+             for i, c in enumerate(cs) if c]
+    if not terms:
+        return "0"
+    return terms[0] + "".join(t if t.startswith("-") else "+" + t for t in terms[1:])
+
+
+@st.composite
+def render_coeff_lists(draw):
+    """Coefficients over one shared denominator, up to 80 bits: zeros
+    (interior ones too), ±1 (numerator ±den), small and wide values of
+    both signs."""
+    den = draw(st.one_of(st.just(1), st.integers(min_value=2, max_value=1 << 80)))
+    nums = st.one_of(st.sampled_from([0, 0, 1, -1, den, -den]),
+                     st.integers(min_value=-50, max_value=50), wide_ints)
+    return [Fraction(c, den) for c in draw(st.lists(nums, max_size=14))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(render_coeff_lists())
+@example([])
+@example([Fraction(0), Fraction(-1), Fraction(0), Fraction(1)])
+@example([Fraction(-1, 6), Fraction(0), Fraction(1, 6)])
+@example([Fraction(n, (1 << 64) - 59) for n in (-((1 << 64) - 59), 0, 3, (1 << 64) - 59)])
+def test_integer_renderers_print_the_fraction_renderers_bytes(cs):
+    ref = ref_strip(cs)
+    p = LambdaPoly(cs)
+    assert render_poly_text(p) == scalar_to_text(p) == str(p) == ref_render_text(ref)
+    assert render_poly_latex(p) == scalar_to_latex(p) == p.latex() == ref_render_latex(ref)
+    assert scalar_to_json(p) == [str(c) for c in ref]
+    # the renderers read the numerators; nothing built the Fraction tuple
+    assert p._coeffs is None
+    for c in cs:
+        assert scalar_to_text(c) == str(c)
+        assert scalar_to_latex(c) == ref_latex_rational(c)
+        assert scalar_to_json(c) == str(c)
+
+
 def test_scalar_json_roundtrip():
     assert scalar_to_json(Fraction(-7, 2)) == "-7/2"
     assert scalar_to_json(LambdaPoly((1, 3))) == ["1", "3"]

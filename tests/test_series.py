@@ -2,7 +2,7 @@
 reciprocals, derivatives, and the precision bookkeeping rules."""
 
 from fractions import Fraction
-from math import gcd
+from math import factorial, gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -111,6 +111,43 @@ def test_deformed_log_over_t_coefficients():
     # at λ = 1 the deformed log is t itself, so the quotient is 1
     g = degenerate_log_over_t_series(EvaluatedDomain(Fraction(1)), 6)
     assert g == one_series(EvaluatedDomain(Fraction(1)), 6)
+
+
+def fraction_product_exp(domain, order):
+    """(1+λt)**(1/λ) by its definition: running products of (1 - (n-1)λ)
+    in the domain, each divided by the rational n!."""
+    acc, out = domain.one, []
+    for n in range(order):
+        if n:
+            acc = acc * (domain.one - (n - 1) * domain.lam)
+        out.append(acc / Fraction(factorial(n)))
+    return out
+
+
+def fraction_product_log_over_t(domain, order):
+    """((1+t)**λ - 1)/(λ t) by its definition: running products of
+    (λ - m), each divided by the rational (m+1) m!."""
+    acc, out = domain.one, []
+    for m in range(order):
+        if m:
+            acc = acc * (domain.lam - m)
+        out.append(acc / Fraction((m + 1) * factorial(m)))
+    return out
+
+
+@pytest.mark.parametrize("domain", [SYMBOLIC] + [
+    EvaluatedDomain(x) for x in (Fraction(7, 3), Fraction(-123457, 98765), Fraction(1),
+                                 Fraction(2), Fraction(1, 2))])
+def test_series_constructors_equal_their_fraction_product_definitions(domain):
+    # at λ = 1 and 2 factors λ - m vanish, at λ = 1 and 1/2 factors 1 - (n-1)λ
+    for order in range(21):
+        for build, ref in ((degenerate_exp_series, fraction_product_exp),
+                           (degenerate_log_over_t_series, fraction_product_log_over_t)):
+            got = build(domain, order)
+            want = ref(domain, order)
+            assert got.order == order
+            assert [got[i] for i in range(order)] == want
+            assert [type(got[i]) for i in range(order)] == [type(c) for c in want]
 
 
 def test_deformed_routes_reject_lambda_zero():

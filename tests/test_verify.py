@@ -224,7 +224,8 @@ def test_symbolic_series_products_sum_in_packed_dots(monkeypatch):
     # term: the counts of verify_ode(4, 12) are pinned, 15 reciprocal
     # steps of one row and six calls of 16 rows (1130 λ-polynomial
     # products when each term was one, 296 when the weighted sum scaled
-    # each power and the derivative took four passes)
+    # each power and the derivative took four passes, 104 when the
+    # series constructors divided each coefficient by a Fraction)
     real_mul, real_dots = LambdaPoly.__mul__, scalars.packed_dots
     products, rows = [], []
 
@@ -241,7 +242,7 @@ def test_symbolic_series_products_sum_in_packed_dots(monkeypatch):
     monkeypatch.setattr(scalars, "packed_dots", counted_dots)
     monkeypatch.setattr(series, "packed_dots", counted_dots)
     assert verify_ode(4, 12, SYMBOLIC).verdict
-    assert (len(products), len(rows), sum(rows)) == (104, 21, 111)
+    assert (len(products), len(rows), sum(rows)) == (73, 21, 111)
 
 
 def plant_in_rational_dots(monkeypatch):
