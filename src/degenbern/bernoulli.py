@@ -21,10 +21,8 @@ from .scalars import (
     SYMBOLIC,
     cancel_common,
     exact_quotient,
-    integer_parts,
     packed_dots,
     poly_eval,
-    scaled_value,
 )
 from .series import (
     classical_log_over_t_series,
@@ -102,7 +100,7 @@ def row_via_recurrence(n_max: int, domain: Domain) -> BernoulliRow:
     (:func:`packed_dots`).
     """
     _check_route(n_max, domain)
-    _, q, zero, one = integer_parts(domain)
+    _, q, zero, one = domain.parts
     num = stirling_bell_arguments(n_max + 1, domain)
     gamma, scale = [one], [1]
     for n in range(1, n_max + 1):
@@ -121,10 +119,7 @@ def row_via_recurrence(n_max: int, domain: Domain) -> BernoulliRow:
         acc, top = cancel_common(acc, top)
         gamma.append(-acc)
         scale.append(top)
-    values = tuple([
-        domain.coerce(scaled_value(g, 1, q**n * scale[n]))
-        for n, g in enumerate(gamma)
-    ])
+    values = tuple([domain.scaled(g, 1, q**n * scale[n]) for n, g in enumerate(gamma)])
     return BernoulliRow(domain, 1, "recurrence", values)
 
 
@@ -170,7 +165,7 @@ def row_via_multinomial(n_max: int, domain: Domain) -> BernoulliRow:
             f"multinomial route is exponential; n = {n_max} exceeds the cap "
             f"of {MULTINOMIAL_CAP}"
         )
-    _, q, zero, one = integer_parts(domain)
+    _, q, zero, one = domain.parts
     fact = [math.factorial(m) for m in range(n_max + 2)]
     scale = [1]
     for t in range(1, n_max + 1):
@@ -195,10 +190,8 @@ def row_via_multinomial(n_max: int, domain: Domain) -> BernoulliRow:
             buckets[total + m] += branch
             if total + m < n_max:
                 stack.append((total + m, branch))
-    values = tuple([
-        domain.coerce(scaled_value(buckets[t], fact[t], q**t * scale[t]))
-        for t in range(n_max + 1)
-    ])
+    values = tuple([domain.scaled(buckets[t], fact[t], q**t * scale[t])
+                    for t in range(n_max + 1)])
     return BernoulliRow(domain, 1, "multinomial", values)
 
 
@@ -241,7 +234,7 @@ def row_via_explicit(n_max: int, domain: Domain, form: str = "a_form") -> Bernou
 def _deformed_products(n: int, domain: Domain) -> list:
     """G_0..G_n with G_i = prod_{j<=i} (q - jp) = q^(i+1) (1)(1-λ)...(1-iλ)
     at λ = p/q (p = λ, q = 1 symbolically), integers."""
-    p, q, _, _ = integer_parts(domain)
+    p, q, _, _ = domain.parts
     deformed = [q]
     for i in range(1, n + 1):
         deformed.append(deformed[-1] * (q - i * p))
@@ -264,7 +257,7 @@ def _explicit_a_form(n: int, domain: Domain, rows: list, deformed: list) -> Scal
     where (n+1)!/(i+1)! is an integer because i < n; no step divides
     before the one reduced value at the end.
     """
-    q = integer_parts(domain)[1]
+    q = domain.parts[1]
     cur, prev = rows[n], rows[n - 1]
     nq = n * q
     out = math.factorial(n) * deformed[n]
@@ -272,7 +265,7 @@ def _explicit_a_form(n: int, domain: Domain, rows: list, deformed: list) -> Scal
         out += math.perm(n + 1, n - i) * deformed[i] * (cur[i] - nq * prev[i])
     if n % 2:
         out = -out
-    return domain.coerce(scaled_value(out, 1, math.factorial(n + 1) * q ** (n + 1)))
+    return domain.scaled(out, 1, math.factorial(n + 1) * q ** (n + 1))
 
 
 def row_higher_order(r: int, n_max: int, domain: Domain) -> BernoulliRow:

@@ -18,8 +18,6 @@ from .scalars import (
     Rational,
     Scalar,
     exact_quotient,
-    integer_parts,
-    scaled_value,
 )
 from .series import degenerate_exp_series, degenerate_log_over_t_series, one_series, powers
 
@@ -175,9 +173,9 @@ def degenerate_stirling2(
         e_minus_1 = degenerate_exp_series(domain, order) - one_series(domain, order)
         return _power_table_triangle("degenerate_second", n_max, e_minus_1, 0)
     if via == "bell_formula":
-        p, q, _, one = integer_parts(domain)
+        p, q, _, one = domain.parts
         return StirlingTable("degenerate_second", n_max, tuple([
-            tuple([domain.coerce(scaled_value(d, (-1) ** k, math.factorial(k) * q**n))
+            tuple([domain.scaled(d, (-1) ** k, math.factorial(k) * q**n)
                    for k, d in enumerate(alternating_falling_sums(q, p, n, one))])
             for n in range(n_max + 1)
         ]))
@@ -329,7 +327,7 @@ def stirling_bell_arguments(count: int, domain: Domain) -> list:
     x_i = (p-q)(p-2q)...(p-(i-1)q) and B_{N,k} of them is
     T(N,k) = q^(N-k) λ^(N-k) S-deformed(N,k).
     """
-    p, q, _, one = integer_parts(domain)
+    p, q, _, one = domain.parts
     xs = [one]
     for i in range(1, count):
         xs.append(xs[-1] * (p - i * q))
@@ -346,8 +344,7 @@ def scaled_degenerate_stirling(N: int, k: int, domain: Domain):
         return domain.zero
     xs = stirling_bell_arguments(N - k + 1, domain)
     value = bell_partial(N, k, xs, via="partition_sum")
-    q = integer_parts(domain)[1]
-    return domain.coerce(scaled_value(value, 1, q ** (N - k)))
+    return domain.scaled(value, 1, domain.parts[1] ** (N - k))
 
 
 def scaled_stirling_triangle(

@@ -23,10 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .scalars import (
-    Domain, DomainError, Rational, Scalar, exact_quotient, integer_parts, packed_dots,
-    scaled_value,
-)
+from .scalars import Domain, DomainError, Rational, Scalar, exact_quotient, packed_dots
 from .combinatorics import (
     StirlingTable,
     alternating_falling_sums,
@@ -77,7 +74,7 @@ def scaled_triangle_rows(n_max: int, domain: Domain) -> list[list]:
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    p, q, _, one = integer_parts(domain)
+    p, q, _, one = domain.parts
     rows = [[one]]
     for N in range(n_max):
         row = rows[-1]
@@ -117,7 +114,7 @@ def scaled_stirling_row(N: int, domain: Domain, xs: list) -> list:
     rational λ the sums add int products; over Q[λ] the N+1 sums are one
     call of :func:`packed_dots`.
     """
-    p, _, zero, one = integer_parts(domain)
+    p, _, zero, one = domain.parts
     signed = [bell_partial(N, k, xs) * ((-1) ** (N + k) * math.factorial(k))
               for k in range(N + 1)]
     powers = [one]
@@ -137,8 +134,8 @@ def scaled_stirling_row(N: int, domain: Domain, xs: list) -> list:
 
 def _unscaled(N: int, row: list, domain: Domain) -> tuple[Scalar, ...]:
     """Row N from its integer scale: entry i is C_i(N) / q^(N-i)."""
-    q = integer_parts(domain)[1]
-    return tuple([domain.coerce(scaled_value(v, 1, q ** (N - i))) for i, v in enumerate(row)])
+    q = domain.parts[1]
+    return tuple([domain.scaled(v, 1, q ** (N - i)) for i, v in enumerate(row)])
 
 
 def scaled_falling_row(N: int, domain: Domain) -> list:
@@ -161,7 +158,7 @@ def scaled_falling_row(N: int, domain: Domain) -> list:
             "the alternating-sum route divides by λ^i and has no value at "
             "λ = 0; use the recurrence or Stirling route there"
         )
-    p, q, zero, one = integer_parts(domain)
+    p, q, zero, one = domain.parts
     sums = alternating_falling_sums(-p, -q, N, one)
     row = []
     for i in range(N + 1):
@@ -206,7 +203,7 @@ def coeff_unrolled_recurrence(N: int, domain: Domain) -> tuple[Scalar, ...]:
     divides; row N is divided back once.
     """
     _check_row(N)
-    p, q, zero, one = integer_parts(domain)
+    p, q, zero, one = domain.parts
     row = []
     below = []  # column i-1: C_(i-1)(M) at index M - i + 1
     for i in range(N + 1):

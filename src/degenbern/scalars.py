@@ -2,38 +2,36 @@
 
 Everything in this package is computed over one of two coefficient
 domains: plain rationals with λ fixed to a rational value, or the
-polynomial ring Q[λ] with λ kept symbolic.  A :class:`Domain` object
-pins that choice and is threaded through every series and table
+polynomial ring Q[λ] with λ kept symbolic.  A frozen :class:`Domain`
+value pins that choice, with the integer parts of λ = p/q that the
+routes scale by, and is threaded through every series and table
 constructor.  Values from different domains never meet inside one
 computation; trying to mix them raises :class:`DomainError`.
 
-No floats anywhere.  Rationals are :class:`fractions.Fraction`.  A
-polynomial in λ keeps integer numerators over one common denominator,
-in a canonical form, and does its ring arithmetic in integers: a sum
-cross-scales the two denominators, a product convolves the two
-numerator vectors, and each operation divides out one gcd at its end.
-A product picks its convolution by the shorter operand's length: up to
-a few numerators it multiplies term by term, and beyond that it packs
-both vectors into one integer each and multiplies once (Kronecker
-substitution), because packing and unpacking cost more than the few
-integer products a short operand needs.  A whole sum of products of
-integer-coefficient polynomials, the inner loop of the symbolic series
-product, reciprocal and Bernoulli recurrence, is one packed integer dot
-product (:func:`packed_dots`) with one reduction at its end, instead of
-a polynomial object and a gcd per term.  Sums of products of rational
-scalars in either domain, such as the verifiers' weighted sums, clear
-their denominators over one lcm per sum and take the same route
-(:func:`rational_dots`).
-Equality of results is always exact equality of reduced rationals or
-of canonical numerator lists and denominators.  The renderers print
-each reduced coefficient from its numerator and the common denominator
-by one gcd, never building the rational coefficients.
+No floats anywhere: rationals are :class:`fractions.Fraction`, and an
+inexact λ or coefficient raises :class:`DomainError`.  A polynomial in
+λ keeps integer numerators over one common denominator, in a canonical
+form, and does its ring arithmetic in integers: a sum cross-scales the
+two denominators, a product convolves the two numerator vectors, and
+each operation divides out one gcd at its end.  A product picks its
+convolution by the shorter operand's length: up to a few numerators it
+multiplies term by term, and beyond that it packs both vectors into
+one integer each and multiplies once (Kronecker substitution).  A
+whole sum of products of integer-coefficient polynomials, the inner
+loop of the symbolic series product, reciprocal and Bernoulli
+recurrence, is one packed integer dot product (:func:`packed_dots`)
+with one reduction at its end.  Sums of products of rational scalars
+in either domain clear their denominators over one lcm per sum and
+take the same route (:func:`rational_dots`).  The renderers print each
+reduced coefficient from its numerator and the common denominator by
+one gcd.
 """
 
 from __future__ import annotations
 
 import numbers
 import re
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Union
@@ -75,6 +73,14 @@ def rational_to_string(q) -> str:
 
 def _is_rational(value) -> bool:
     return type(value) is int or type(value) is Fraction or isinstance(value, numbers.Rational)
+
+
+def _exact(value) -> Rational:
+    """An exact rational as a Fraction; a float, a string or any other
+    value raises :class:`DomainError` instead of being read as one."""
+    if not _is_rational(value):
+        raise DomainError(f"not an exact rational: {value!r}")
+    return Rational(value)
 
 
 # A product whose shorter operand has at most this many numerators is
@@ -211,8 +217,8 @@ class LambdaPoly:
     factor with all the numerators, so two polynomials are equal exactly
     when their numerator lists and denominators are.  Every operation
     works on integers and reduces by one gcd at its end (see the module
-    notes for products and sums of products).  :attr:`coeffs` gives the
-    reduced rational coefficients, built on first use and kept.
+    notes for products and sums of products).  :attr:`coeffs` builds the
+    reduced rational coefficients on each read.
 
     No list is changed once a polynomial holds it.  Lists rather than
     tuples: CPython keeps up to 2000 freed tuples of each small length
@@ -231,17 +237,16 @@ class LambdaPoly:
     Fraction(1, 1)
     """
 
-    __slots__ = ("_nums", "_den", "_coeffs")
+    __slots__ = ("_nums", "_den")
 
     def __init__(self, coeffs: Iterable = ()):
-        cs = [Rational(c) for c in coeffs]
+        cs = [_exact(c) for c in coeffs]
         while cs and not cs[-1]:
             cs.pop()
         # over the lcm of reduced denominators no common factor is left
         den = lcm(*[c.denominator for c in cs])
         self._nums = [c.numerator * (den // c.denominator) for c in cs]
         self._den = den
-        self._coeffs = None
 
     @classmethod
     def _make(cls, nums: list, den: int) -> "LambdaPoly":
@@ -249,7 +254,6 @@ class LambdaPoly:
         p = object.__new__(cls)
         p._nums = nums
         p._den = den
-        p._coeffs = None
         return p
 
     @classmethod
@@ -275,10 +279,8 @@ class LambdaPoly:
 
     @property
     def coeffs(self) -> tuple:
-        if self._coeffs is None:
-            den = self._den
-            self._coeffs = tuple([Rational(c, den) for c in self._nums])
-        return self._coeffs
+        den = self._den
+        return tuple([Rational(c, den) for c in self._nums])
 
     @property
     def numerator(self) -> "LambdaPoly":
@@ -300,7 +302,7 @@ class LambdaPoly:
 
     @property
     def constant_term(self) -> Rational:
-        return self.coeffs[0] if self._nums else Rational(0)
+        return Rational(self._nums[0], self._den) if self._nums else Rational(0)
 
     @property
     def is_constant(self) -> bool:
@@ -308,7 +310,7 @@ class LambdaPoly:
 
     def coefficient(self, i: int) -> Rational:
         if 0 <= i < len(self._nums):
-            return self.coeffs[i]
+            return Rational(self._nums[i], self._den)
         return Rational(0)
 
     def evaluate(self, x) -> Rational:
@@ -447,15 +449,21 @@ LAMBDA = LambdaPoly((0, 1))
 
 
 def power_by_squaring(one, base, exponent: int):
-    """base ** exponent by square-and-multiply from the unit one: one
-    product per set bit and one square per further bit."""
-    result = one
+    """base ** exponent by square-and-multiply from the lowest set bit:
+    one square per higher bit and one product per higher set bit, so
+    exponent 1 takes none; the unit one is only the zeroth power."""
+    if not exponent:
+        return one
+    while not exponent & 1:
+        base = base * base
+        exponent >>= 1
+    result = base
+    exponent >>= 1
     while exponent:
+        base = base * base
         if exponent & 1:
             result = result * base
         exponent >>= 1
-        if exponent:
-            base = base * base
     return result
 
 
@@ -501,48 +509,26 @@ def cancel_common(value, den: int):
     return value // g, den // g
 
 
-def scaled_value(value, num: int, den: int):
-    """value * num / den as one reduced scalar, for an int or an
-    integer-coefficient λ-polynomial value: the last step of an
-    integer-scaled route."""
-    if isinstance(value, LambdaPoly):
-        if num == den:
-            return value
-        return LambdaPoly._reduced([c * num for c in value._nums], value._den * den)
-    return Rational(value * num, den)
-
-
 # ---------------------------------------------------------------------------
 # domains
 
 
 class Domain:
-    """Marker for the active coefficient domain.
+    """The active coefficient domain, a frozen value that owns λ = p/q.
 
-    ``lam`` is λ as a value of the domain, ``zero``/``one`` the ring
-    units, and :meth:`coerce` embeds raw inputs (ints, rationals, and in
-    the symbolic case polynomials) or raises :class:`DomainError`.
+    ``lam`` is λ in the domain, ``zero``/``one`` its units, and ``parts``
+    is ``(p, q, zero, one)`` for the integer-scaled routes: ints at a
+    rational λ; p = λ, q = 1 and λ-polynomial units symbolically.
+    :meth:`scaled` turns such an integer times num/den into one reduced
+    value of the domain; :meth:`coerce` embeds raw inputs or raises
+    :class:`DomainError`.
     """
 
     is_symbolic: bool
-
-    @property
-    def lam(self) -> Scalar:
-        raise NotImplementedError
-
-    @property
-    def zero(self) -> Scalar:
-        raise NotImplementedError
-
-    @property
-    def one(self) -> Scalar:
-        raise NotImplementedError
-
-    def coerce(self, value) -> Scalar:
-        raise NotImplementedError
-
-    def describe(self) -> str:
-        raise NotImplementedError
+    lam: Scalar
+    zero: Scalar
+    one: Scalar
+    parts: tuple
 
     @property
     def lam_is_zero(self) -> bool:
@@ -551,22 +537,20 @@ class Domain:
         return not self.is_symbolic and not self.lam
 
 
+@dataclass(frozen=True)
 class SymbolicDomain(Domain):
     """Coefficients in Q[λ], λ kept symbolic."""
 
     is_symbolic = True
+    lam = LAMBDA
+    zero = LambdaPoly()
+    one = LambdaPoly.constant(1)
+    parts = (LAMBDA, 1, zero, one)
 
-    @property
-    def lam(self) -> LambdaPoly:
-        return LAMBDA
-
-    @property
-    def zero(self) -> LambdaPoly:
-        return LambdaPoly()
-
-    @property
-    def one(self) -> LambdaPoly:
-        return LambdaPoly.constant(1)
+    def scaled(self, value: LambdaPoly, num: int, den: int) -> LambdaPoly:
+        if num == den:
+            return value
+        return LambdaPoly._reduced([c * num for c in value._nums], value._den * den)
 
     def coerce(self, value) -> LambdaPoly:
         if isinstance(value, LambdaPoly):
@@ -580,35 +564,24 @@ class SymbolicDomain(Domain):
     def describe(self) -> str:
         return "sym"
 
-    def __eq__(self, other):
-        return isinstance(other, SymbolicDomain)
 
-    def __hash__(self):
-        return hash("sym-domain")
-
-    def __repr__(self):
-        return "SymbolicDomain()"
-
-
+@dataclass(frozen=True)
 class EvaluatedDomain(Domain):
     """Coefficients in Q, with λ fixed to a rational value."""
 
+    lam: Rational
+    parts: tuple = field(init=False, repr=False, compare=False)
     is_symbolic = False
+    zero = Rational(0)
+    one = Rational(1)
 
-    def __init__(self, lam_value):
-        self._lam = Rational(lam_value)
+    def __post_init__(self):
+        lam = _exact(self.lam)
+        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "parts", (lam.numerator, lam.denominator, 0, 1))
 
-    @property
-    def lam(self) -> Rational:
-        return self._lam
-
-    @property
-    def zero(self) -> Rational:
-        return Rational(0)
-
-    @property
-    def one(self) -> Rational:
-        return Rational(1)
+    def scaled(self, value: int, num: int, den: int) -> Rational:
+        return Rational(value * num, den)
 
     def coerce(self, value) -> Rational:
         if isinstance(value, LambdaPoly):
@@ -623,30 +596,10 @@ class EvaluatedDomain(Domain):
         )
 
     def describe(self) -> str:
-        return rational_to_string(self._lam)
-
-    def __eq__(self, other):
-        return isinstance(other, EvaluatedDomain) and other._lam == self._lam
-
-    def __hash__(self):
-        return hash(("eval-domain", self._lam))
-
-    def __repr__(self):
-        return f"EvaluatedDomain({self._lam!r})"
+        return rational_to_string(self.lam)
 
 
 SYMBOLIC = SymbolicDomain()
-
-
-def integer_parts(domain: Domain):
-    """(p, q, zero, one) for the integer-scaled routes: λ = p/q and the
-    units of the ring their sums run in.  At a rational λ all four are
-    ints; symbolically p = λ, q = 1 and the units are λ-polynomials, so
-    the sums run over integer coefficients."""
-    if domain.is_symbolic:
-        return domain.lam, 1, domain.zero, domain.one
-    lam = domain.lam
-    return lam.numerator, lam.denominator, 0, 1
 
 
 def domain_from_string(s: str) -> Domain:

@@ -40,11 +40,9 @@ from .scalars import (
     Scalar,
     _kronecker_product,
     exact_quotient,
-    integer_parts,
     packed_dots,
     power_by_squaring,
     rational_dots,
-    scaled_value,
 )
 
 
@@ -200,7 +198,7 @@ class TruncatedSeries:
         s = [r.numerator for r in ratios]
         w = [r.denominator for r in ratios]
         nonzero = [k for k in range(1, self.order) if s[k]]
-        _, _, zero, one = integer_parts(domain)
+        _, _, zero, one = domain.parts
         gamma, scale = [one], [1]
         for n in range(1, self.order):
             terms = []
@@ -221,7 +219,7 @@ class TruncatedSeries:
             gamma.append(-acc)
             scale.append(top)
         a, b = inv0.numerator, inv0.denominator
-        out = [domain.coerce(scaled_value(g, a, b * e)) for g, e in zip(gamma, scale)]
+        out = [domain.scaled(g, a, b * e) for g, e in zip(gamma, scale)]
         return TruncatedSeries._raw(domain, tuple(out))
 
     def derivative(self) -> "TruncatedSeries":
@@ -476,12 +474,12 @@ def degenerate_exp_series(domain: Domain, order: int) -> TruncatedSeries:
     """(1+λt)**(1/λ): coefficient of t^n is (1)(1-λ)(1-2λ)...(1-(n-1)λ)/n!,
     which stays polynomial in λ."""
     # at λ = p/q: the integer product q(q-p)...(q-(n-1)p) over q^n n!
-    p, q, _, acc = integer_parts(domain)
+    p, q, _, acc = domain.parts
     coeffs = []
     for n in range(order):
         if n:
             acc = acc * (q - (n - 1) * p)
-        coeffs.append(scaled_value(acc, 1, q**n * factorial(n)))
+        coeffs.append(domain.scaled(acc, 1, q**n * factorial(n)))
     return TruncatedSeries._raw(domain, tuple(coeffs))
 
 
@@ -502,12 +500,12 @@ def degenerate_log_over_t_series(domain: Domain, order: int) -> TruncatedSeries:
     """
     require_deformed(domain, "the deformed logarithm series")
     # at λ = p/q: the integer product (p-q)...(p-mq) over q^m (m+1)!
-    p, q, _, acc = integer_parts(domain)
+    p, q, _, acc = domain.parts
     coeffs = []
     for m in range(order):
         if m:
             acc = acc * (p - m * q)
-        coeffs.append(scaled_value(acc, 1, q**m * factorial(m + 1)))
+        coeffs.append(domain.scaled(acc, 1, q**m * factorial(m + 1)))
     return TruncatedSeries._raw(domain, tuple(coeffs))
 
 

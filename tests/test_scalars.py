@@ -1,6 +1,8 @@
 """Exact scalar layer: rational parsing/serialization, the λ-polynomial
 ring, domains, and the canonical renderers."""
 
+from dataclasses import FrozenInstanceError
+from decimal import Decimal
 from fractions import Fraction
 from itertools import zip_longest
 
@@ -14,6 +16,7 @@ from degenbern import (
     LambdaPoly,
     Rational,
     SYMBOLIC,
+    SymbolicDomain,
     domain_from_string,
     poly_eval,
     rational_from_string,
@@ -407,13 +410,13 @@ def test_int_operands_act_as_their_fractions(cs, k):
 @example(LambdaPoly([4, 0, -6]), -3, 12)
 def test_scaled_value_is_the_product_with_the_rational(value, num, den):
     before = (list(value._nums), value._den)
-    got, want = scalars.scaled_value(value, num, den), value * Rational(num, den)
+    got, want = SYMBOLIC.scaled(value, num, den), value * Rational(num, den)
     assert type(got) is LambdaPoly
     assert (got._nums, got._den) == (want._nums, want._den)
     assert (value._nums, value._den) == before
-    k = sum(value._nums)
-    assert scalars.scaled_value(k, num, den) == Fraction(k * num, den)
-    assert type(scalars.scaled_value(k, num, den)) is Fraction
+    k, dom = sum(value._nums), EvaluatedDomain(Fraction(7, 3))
+    assert dom.scaled(k, num, den) == Fraction(k * num, den)
+    assert type(dom.scaled(k, num, den)) is Fraction
 
 
 # The rendering contract as it read when the renderers formatted the
@@ -475,11 +478,12 @@ def render_coeff_lists(draw):
 def test_integer_renderers_print_the_fraction_renderers_bytes(cs):
     ref = ref_strip(cs)
     p = LambdaPoly(cs)
-    assert render_poly_text(p) == scalar_to_text(p) == str(p) == ref_render_text(ref)
-    assert render_poly_latex(p) == scalar_to_latex(p) == p.latex() == ref_render_latex(ref)
-    assert scalar_to_json(p) == [str(c) for c in ref]
-    # the renderers read the numerators; nothing built the Fraction tuple
-    assert p._coeffs is None
+    # the renderers read the numerators; none builds the Fraction tuple
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(LambdaPoly, "coeffs", property(lambda _: pytest.fail("coeffs was read")))
+        assert render_poly_text(p) == scalar_to_text(p) == str(p) == ref_render_text(ref)
+        assert render_poly_latex(p) == scalar_to_latex(p) == p.latex() == ref_render_latex(ref)
+        assert scalar_to_json(p) == [str(c) for c in ref]
     for c in cs:
         assert scalar_to_text(c) == str(c)
         assert scalar_to_latex(c) == ref_latex_rational(c)
@@ -508,6 +512,47 @@ def test_domains():
     assert domain_from_string("sym") == SYMBOLIC
     assert domain_from_string("-1/3") == EvaluatedDomain(Fraction(-1, 3))
     assert domain_from_string("1/2") != domain_from_string("1/3")
+
+
+def test_domains_are_values():
+    assert EvaluatedDomain(Fraction(2, 4)) == EvaluatedDomain(Fraction(1, 2))
+    assert hash(EvaluatedDomain(Fraction(2, 4))) == hash(EvaluatedDomain(Fraction(1, 2)))
+    assert EvaluatedDomain(0) != SYMBOLIC and SYMBOLIC != EvaluatedDomain(0)
+    assert SymbolicDomain() == SYMBOLIC and hash(SymbolicDomain()) == hash(SYMBOLIC)
+    assert EvaluatedDomain(Fraction(1, 2)) != EvaluatedDomain(Fraction(1, 3))
+    for dom, name in [(SYMBOLIC, "lam"), (EvaluatedDomain(2), "lam"), (EvaluatedDomain(2), "parts"),
+                      (SYMBOLIC, "zero")]:
+        with pytest.raises(FrozenInstanceError):
+            setattr(dom, name, Fraction(3))
+
+
+def test_domain_parts_split_lambda():
+    parts = EvaluatedDomain(Fraction(-123457, 98765)).parts
+    assert parts == (-123457, 98765, 0, 1)
+    assert [type(x) for x in parts] == [int] * 4
+    assert SYMBOLIC.parts == (LAMBDA, 1, LambdaPoly(), LambdaPoly.constant(1))
+    assert SYMBOLIC.parts[2:] == (SYMBOLIC.zero, SYMBOLIC.one)
+    assert [type(x) for x in SYMBOLIC.parts] == [LambdaPoly, int, LambdaPoly, LambdaPoly]
+
+
+def test_domain_scaled_is_a_value_of_the_domain():
+    got = EvaluatedDomain(Fraction(7, 3)).scaled(6, 2, 4)
+    assert got == 3 and type(got) is Fraction
+    got = SYMBOLIC.scaled(LambdaPoly([2, 4]), 3, 6)
+    assert type(got) is LambdaPoly and (got._nums, got._den) == ([1, 2], 1)
+    got = SYMBOLIC.scaled(LambdaPoly([2, 4]), 1, 12)
+    assert (got._nums, got._den) == ([1, 2], 6)
+
+
+@pytest.mark.parametrize("bad", [0.1, 0.5, "0.5", "1/2", float("nan"), Decimal("0.5")],
+                         ids=["float", "binary_float", "str", "ratio_str", "nan", "Decimal"])
+def test_inexact_lambda_and_coefficients_are_rejected(bad):
+    with pytest.raises(DomainError):
+        EvaluatedDomain(bad)
+    with pytest.raises(DomainError):
+        LambdaPoly((bad, 1))
+    with pytest.raises(DomainError):
+        LambdaPoly((1, bad))
 
 
 def test_rational_alias_is_exact():

@@ -400,6 +400,21 @@ def test_evaluated_product_matches_fraction_schoolbook(x, y, lam, pa, pb, power)
     assert [lpow.coefficient(e) for e in range(-pole, len(ref) - pole)] == ref
 
 
+@pytest.mark.parametrize("exponent, products", [(0, 0), (1, 0), (2, 1), (3, 2), (5, 3)])
+def test_powers_start_from_the_lowest_set_bit(exponent, products):
+    body = TruncatedSeries(SYMBOLIC, (1, LambdaPoly((0, 1)), Fraction(1, 3), 2), 5)
+    for base in (LambdaPoly((1, Fraction(1, 2), 3)), body, LaurentSeries(1, body)):
+        cls, want = type(base), base ** 0
+        for _ in range(exponent):
+            want = want * base
+        calls = []
+        with pytest.MonkeyPatch.context() as mp:
+            real = cls.__mul__
+            mp.setattr(cls, "__mul__", lambda a, b: calls.append(1) or real(a, b))
+            got = base ** exponent
+        assert (got == want, len(calls)) == (True, products), cls.__name__
+
+
 @pytest.mark.parametrize("domain", [SYMBOLIC, EvaluatedDomain(Fraction(-5, 7))], ids=["sym", "-5/7"])
 def test_powers_match_pow(domain):
     # entry e-1 of powers(s, count) is s**e with the same coefficients

@@ -147,10 +147,10 @@ def test_no_module_imports_an_unused_name():
     assert found == []
 
 
-# every conditional on ``.is_symbolic``, by file and enclosing function;
-# a new fork on the domain has to be added on purpose
+# every conditional on ``.is_symbolic``, or outside scalars.py on
+# ``isinstance(…, LambdaPoly)``, by file and enclosing function; a new
+# fork on the domain has to be added on purpose
 DOMAIN_FORKS = {
-    ("scalars.py", "integer_parts"),  # λ = p/q as ints, or λ over q = 1
     # the one dot-product helper: Q[λ] rows packed, rational rows as int sums
     ("scalars.py", "rational_dots"),
     ("series.py", "TruncatedSeries.__mul__"),  # the packed product at a rational λ
@@ -159,17 +159,27 @@ DOMAIN_FORKS = {
     ("bernoulli.py", "row_via_recurrence"),
     ("ode_coeffs.py", "scaled_stirling_row"),
     ("ode_coeffs.py", "scaled_falling_row"),  # the λ^i quotient
+    ("series.py", "_invert_constant"),  # a constant term, rational or a constant λ-polynomial
 }
 
 
-def domain_forks(source: str) -> list[tuple[int, str]]:
+def domain_forks(source: str, type_tests: bool = True) -> list[tuple[int, str]]:
     """(line, enclosing function) of each if, while, conditional
-    expression or comprehension filter whose test reads ``.is_symbolic``."""
+    expression or comprehension filter whose test reads ``.is_symbolic``
+    or, with ``type_tests``, calls ``isinstance`` with ``LambdaPoly``
+    among its types, so that a type test cannot stand in for a domain
+    fork unseen."""
     found = []
+
+    def is_type_test(n) -> bool:
+        return (type_tests and isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+                and n.func.id == "isinstance" and len(n.args) == 2
+                and any(getattr(t, "id", getattr(t, "attr", None)) == "LambdaPoly"
+                        for t in ast.walk(n.args[1])))
 
     def reads_domain(test) -> bool:
         return any(isinstance(n, ast.Attribute) and n.attr == "is_symbolic"
-                   for n in ast.walk(test))
+                   or is_type_test(n) for n in ast.walk(test))
 
     def visit(node, scope: str):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -199,15 +209,23 @@ def test_the_rule_sees_every_domain_fork():
         "    while d.is_symbolic:\n"
         "        pass\n"
         "    return d.is_symbolic\n"
+        "\n"
+        "def h(x):\n"
+        "    if isinstance(x, LambdaPoly) or isinstance(x, int):\n"
+        "        return [y for y in x if not isinstance(y, (int, scalars.LambdaPoly))]\n"
+        "    return isinstance(x, LambdaPoly)\n"
     )
-    assert domain_forks(source) == [(3, "A.f"), (5, "A.f"), (5, "A.f"), (8, "g")]
+    assert domain_forks(source) == [
+        (3, "A.f"), (5, "A.f"), (5, "A.f"), (8, "g"), (13, "h"), (14, "h")]
+    assert domain_forks(source, type_tests=False) == [(3, "A.f"), (5, "A.f"), (5, "A.f"), (8, "g")]
 
 
 def test_domain_forks_are_at_the_listed_sites():
     found = {
         (path.name, scope)
         for path in sorted(PACKAGE.glob("*.py"))
-        for _, scope in domain_forks(path.read_text(encoding="utf-8"))
+        for _, scope in domain_forks(path.read_text(encoding="utf-8"),
+                                     type_tests=path.name != "scalars.py")
     }
     assert found == DOMAIN_FORKS
 
