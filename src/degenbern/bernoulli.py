@@ -23,6 +23,7 @@ from .scalars import (
     exact_quotient,
     packed_dots,
     poly_eval,
+    rational_dots,
 )
 from .series import (
     classical_log_over_t_series,
@@ -30,7 +31,6 @@ from .series import (
     require_deformed,
 )
 from .combinatorics import (
-    binomial,
     stirling1_signed,
     stirling_bell_arguments,
 )
@@ -281,20 +281,21 @@ def row_higher_order(r: int, n_max: int, domain: Domain) -> BernoulliRow:
 
 def convolution_row(r: int, n_max: int, domain: Domain) -> BernoulliRow:
     """Order-r values as the r-fold binomial convolution of the order-1
-    row; independent cross-check for :func:`row_higher_order`."""
+    row; independent cross-check for :func:`row_higher_order`.
+
+    Value n of each convolution is the sum of C(n, m) acc_m base_(n-m)
+    over m <= n; the rows of these terms are built once, and each
+    convolution is one call of :func:`rational_dots`, which clears each
+    value's sum over one lcm and reduces it once."""
     _check_route(n_max, domain)
     if r < 1:
         raise ValueError("order r must be >= 1")
     base = row_via_recurrence(n_max, domain).values
+    rows = [[(math.comb(n, m), 1, m, n - m) for m in range(n + 1)]
+            for n in range(n_max + 1)]
     acc = base
     for _ in range(r - 1):
-        acc = tuple([
-            sum(
-                (binomial(n, m) * acc[m] * base[n - m] for m in range(n + 1)),
-                start=domain.zero,
-            )
-            for n in range(n_max + 1)
-        ])
+        acc = tuple(rational_dots(domain, acc, base, rows))
     return BernoulliRow(domain, r, "convolution", acc)
 
 

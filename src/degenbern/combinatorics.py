@@ -19,7 +19,13 @@ from .scalars import (
     Scalar,
     exact_quotient,
 )
-from .series import degenerate_exp_series, degenerate_log_over_t_series, one_series, powers
+from .series import (
+    TruncatedSeries,
+    degenerate_exp_series,
+    degenerate_log_over_t_series,
+    one_series,
+    truncated_powers,
+)
 
 
 def binomial(n: int, k: int) -> int:
@@ -157,21 +163,24 @@ def degenerate_stirling2(
     """λ-deformed Stirling triangle of the second kind.
 
     Route "generating_function" reads n! [t^n] (e_λ(t) - 1)^k / k! off
-    the deformed exponential; route "bell_formula" takes the alternating
-    sum (-1)^k/k! sum_l (-1)^l C(k,l) (l|λ)_n over the deformed falling
-    factorials (l|λ)_n = l(l-λ)...(l-(n-1)λ).  At λ = p/q (p = λ, q = 1
-    symbolically) q^n (l|λ)_n = prod_j (lq - jp), so the sum over l is
-    D_k / q^n for the integers D_k of :func:`alternating_falling_sums`
-    at (a, b) = (q, p), and entry (n, k) is the one reduced value
-    (-1)^k D_k / (k! q^n).  Both routes give the same polynomials;
-    verify and the tests compare them.
+    the deformed exponential, as n!/k! [t^(n-k)] of the k-th power of
+    (e_λ(t) - 1)/t, with that power taken only below order n_max + 1 - k
+    (:func:`_power_table_triangle`); route "bell_formula" takes the
+    alternating sum (-1)^k/k! sum_l (-1)^l C(k,l) (l|λ)_n over the
+    deformed falling factorials (l|λ)_n = l(l-λ)...(l-(n-1)λ).  At
+    λ = p/q (p = λ, q = 1 symbolically) q^n (l|λ)_n = prod_j (lq - jp),
+    so the sum over l is D_k / q^n for the integers D_k of
+    :func:`alternating_falling_sums` at (a, b) = (q, p), and entry
+    (n, k) is the one reduced value (-1)^k D_k / (k! q^n).  Both routes
+    give the same polynomials; verify and the tests compare them.
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     if via == "generating_function":
-        order = n_max + 1
-        e_minus_1 = degenerate_exp_series(domain, order) - one_series(domain, order)
-        return _power_table_triangle("degenerate_second", n_max, e_minus_1, 0)
+        # e_λ(t) has constant term 1, so (e_λ(t) - 1)/t is its tail
+        e = degenerate_exp_series(domain, n_max + 1)
+        base = TruncatedSeries(domain, e.coeffs[1:])
+        return _power_table_triangle("degenerate_second", n_max, base)
     if via == "bell_formula":
         p, q, _, one = domain.parts
         return StirlingTable("degenerate_second", n_max, tuple([
@@ -182,13 +191,15 @@ def degenerate_stirling2(
     raise ValueError(f"unknown route {via!r}")
 
 
-def _power_table_triangle(kind: str, n_max: int, base, lag: int) -> StirlingTable:
-    """Entry (n, k) is n!/k! [t^(n - lag k)] base^k, read off one table of
-    the powers of base at order n_max + 1."""
-    domain = base.domain
-    cols = [one_series(domain, n_max + 1)] + powers(base, n_max)
+def _power_table_triangle(kind: str, n_max: int, base) -> StirlingTable:
+    """Entry (n, k) is n!/k! [t^(n-k)] base^k, for a base known below
+    order n_max.  Column k reads base^k only below order n_max + 1 - k,
+    so each power is taken only that far (:func:`truncated_powers`):
+    base^0 = 1 below order n_max + 1, base itself below n_max, and the
+    last power, base^n_max, as its constant term alone."""
+    cols = [one_series(base.domain, n_max + 1)] + truncated_powers(base, n_max)
     return StirlingTable(kind, n_max, tuple([
-        tuple([cols[k][n - lag * k] * math.perm(n, n - k)
+        tuple([cols[k][n - k] * math.perm(n, n - k)
                for k in range(n + 1)])
         for n in range(n_max + 1)
     ]))
@@ -354,15 +365,16 @@ def scaled_stirling_triangle(
 
     Route "generating_function" reads N!/k! [t^(N-k)] of the k-th power
     of the deformed log-over-t series, where the λ powers cancel exactly,
-    off one table of its powers (undefined at λ = 0); route
+    with that power taken only below order n_max + 1 - k
+    (:func:`_power_table_triangle`; undefined at λ = 0); route
     "bell_formula" takes every value from the Bell formula.  Both give
     the same values; verify and the tests compare them.
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     if via == "generating_function":
-        base = degenerate_log_over_t_series(domain, n_max + 1)
-        return _power_table_triangle("scaled_second", n_max, base, 1)
+        base = degenerate_log_over_t_series(domain, n_max)
+        return _power_table_triangle("scaled_second", n_max, base)
     if via == "bell_formula":
         return StirlingTable("scaled_second", n_max, tuple([
             tuple([scaled_degenerate_stirling(N, k, domain) for k in range(N + 1)])

@@ -274,7 +274,7 @@ class LambdaPoly:
     def constant(cls, value) -> "LambdaPoly":
         if type(value) is int:
             return cls._make([value] if value else [], 1)
-        q = Rational(value)
+        q = _exact(value)
         return cls._make([q.numerator] if q else [], q.denominator)
 
     @property
@@ -314,12 +314,13 @@ class LambdaPoly:
         return Rational(0)
 
     def evaluate(self, x) -> Rational:
-        """Evaluate at a rational point by Horner's rule on integers.
+        """Evaluate at an exact rational point by Horner's rule on integers.
 
         At ``x = p/q`` the sum ``sum c_i p^i q^(d-i)`` is accumulated in
-        integers and divided by ``den * q^d`` once.
+        integers and divided by ``den * q^d`` once.  An inexact point
+        raises :class:`DomainError`.
         """
-        x = Rational(x)
+        x = _exact(x)
         if not self._nums:
             return Rational(0)
         p, q = x.numerator, x.denominator
@@ -468,11 +469,13 @@ def power_by_squaring(one, base, exponent: int):
 
 
 def poly_eval(p, x) -> Rational:
-    """Evaluate a LambdaPoly at a rational point.
+    """Evaluate a LambdaPoly at an exact rational point.
 
     Rational scalars pass through unchanged so code that is generic over
-    the two domains can evaluate whatever it holds.
+    the two domains can evaluate whatever it holds; the point must be
+    exact in both cases, or :class:`DomainError` is raised.
     """
+    x = _exact(x)
     if isinstance(p, LambdaPoly):
         return p.evaluate(x)
     if _is_rational(p):

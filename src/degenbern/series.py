@@ -443,6 +443,19 @@ def powers(s, count: int) -> list:
     return list(accumulate(repeat(s, count), mul))
 
 
+def truncated_powers(s: TruncatedSeries, count: int) -> list:
+    """[s, s**2, ..., s**count] of a truncated series of order M, with
+    s**k known only below order M + 1 - k: each power is the one before,
+    cut to that order, times s, so the products shrink by one order per
+    power.  These are the powers a triangle reads when column k takes
+    s**k below order M + 1 - k.  Empty for count 0; a count above M + 1
+    is a ValueError."""
+    out = [s][:count]
+    for k in range(2, count + 1):
+        out.append(out[-1].truncated(s.order + 1 - k) * s)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # named constructors
 

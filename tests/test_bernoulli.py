@@ -240,6 +240,30 @@ def test_higher_order_rows():
         row_higher_order(0, 3, SYMBOLIC)
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    st.fractions(min_value=-3, max_value=3, max_denominator=9).filter(bool),
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=0, max_value=12),
+)
+@example(Fraction(-123457, 98765), 3, 12)
+@example(Fraction(1), 3, 12)
+@example(Fraction(2), 3, 12)
+def test_convolution_row_matches_a_plain_fraction_convolution(lam, r, n_max):
+    # the r-fold binomial convolution of the order-1 row, summed term by
+    # term in Fractions; the symbolic row evaluated at λ gives it too
+    dom = EvaluatedDomain(lam)
+    base = [Fraction(v) for v in row_via_recurrence(n_max, dom).values]
+    want = base
+    for _ in range(r - 1):
+        want = [sum((comb(n, m) * want[m] * base[n - m] for m in range(n + 1)), Fraction(0))
+                for n in range(n_max + 1)]
+    got = convolution_row(r, n_max, dom).values
+    assert list(got) == want and {type(v) for v in got} == {Fraction}
+    sym = convolution_row(r, n_max, SYMBOLIC).values
+    assert [poly_eval(v, lam) for v in sym] == want
+
+
 def test_multinomial_cap():
     assert MULTINOMIAL_CAP == 24
     with pytest.raises(ValueError):

@@ -2,6 +2,7 @@
 triangles, partial Bell polynomials, and the scaled bridge triangle."""
 
 from fractions import Fraction
+from math import perm
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -12,14 +13,19 @@ from degenbern import (
     LAMBDA,
     LambdaPoly,
     SYMBOLIC,
+    TruncatedSeries,
     bell_partial,
     bell_scaling_check,
     binomial,
+    degenerate_exp_series,
+    degenerate_log_over_t_series,
     degenerate_stirling2,
     falling_factorial,
     generalized_falling,
     multinomial,
+    one_series,
     poly_eval,
+    powers,
     render_poly_text,
     scaled_degenerate_stirling,
     scaled_stirling_triangle,
@@ -304,3 +310,53 @@ def test_reversal_symmetry_between_triangles():
             dc = list(d.coeffs) + [Fraction(0)] * (N - k + 1 - len(d.coeffs))
             sc = list(s.coeffs) + [Fraction(0)] * (N - k + 1 - len(s.coeffs))
             assert sc == dc[::-1]
+
+
+# at λ = 1 and 2 some factors of the series coefficients vanish
+TRIANGLE_DOMAINS = [SYMBOLIC] + [EvaluatedDomain(Fraction(x)) for x in ("-2/5", "7/3", "1", "2")]
+TRIANGLE_IDS = ["sym", "-2/5", "7/3", "1", "2"]
+
+
+def full_order_triangles(n_max, dom):
+    """Both generating-function triangles read off the powers of their
+    series all taken at the full order n_max + 1: entry (n, k) is
+    n!/k! [t^n] (e_λ(t) - 1)^k and N!/k! [t^(N-k)] of the k-th power of
+    the deformed log over t."""
+    order = n_max + 1
+    one = one_series(dom, order)
+    deformed = [one] + powers(degenerate_exp_series(dom, order) - one, n_max)
+    scaled = [one] + powers(degenerate_log_over_t_series(dom, order), n_max)
+    return (
+        tuple([tuple([deformed[k][n] * perm(n, n - k) for k in range(n + 1)])
+               for n in range(order)]),
+        tuple([tuple([scaled[k][n - k] * perm(n, n - k) for k in range(n + 1)])
+               for n in range(order)]),
+    )
+
+
+@pytest.mark.parametrize("dom", TRIANGLE_DOMAINS, ids=TRIANGLE_IDS)
+def test_truncated_triangles_match_the_full_order_powers(dom):
+    for n_max in range(13):
+        deformed, scaled = full_order_triangles(n_max, dom)
+        assert degenerate_stirling2(n_max, dom).rows == deformed, n_max
+        assert scaled_stirling_triangle(n_max, dom).rows == scaled, n_max
+
+
+@pytest.mark.parametrize("triangle", [degenerate_stirling2, scaled_stirling_triangle])
+@pytest.mark.parametrize("dom", [SYMBOLIC, EvaluatedDomain(Fraction(7, 3))], ids=["sym", "7/3"])
+@pytest.mark.parametrize("n_max", [0, 1, 2, 7, 12])
+def test_triangle_multiplies_each_power_at_the_order_its_column_reads(
+    triangle, dom, n_max, monkeypatch
+):
+    # base^k is taken below order n_max + 1 - k, for k = 2 .. n_max
+    orders = []
+    real = TruncatedSeries.__mul__
+
+    def counted(a, b):
+        out = real(a, b)
+        orders.append(out.order)
+        return out
+
+    monkeypatch.setattr(TruncatedSeries, "__mul__", counted)
+    triangle(n_max, dom)
+    assert orders == list(range(n_max - 1, 0, -1))

@@ -544,8 +544,12 @@ def test_domain_scaled_is_a_value_of_the_domain():
     assert (got._nums, got._den) == ([1, 2], 6)
 
 
-@pytest.mark.parametrize("bad", [0.1, 0.5, "0.5", "1/2", float("nan"), Decimal("0.5")],
-                         ids=["float", "binary_float", "str", "ratio_str", "nan", "Decimal"])
+inexact = pytest.mark.parametrize(
+    "bad", [0.1, 0.5, "0.5", "1/2", float("nan"), Decimal("0.5")],
+    ids=["float", "binary_float", "str", "ratio_str", "nan", "Decimal"])
+
+
+@inexact
 def test_inexact_lambda_and_coefficients_are_rejected(bad):
     with pytest.raises(DomainError):
         EvaluatedDomain(bad)
@@ -553,6 +557,31 @@ def test_inexact_lambda_and_coefficients_are_rejected(bad):
         LambdaPoly((bad, 1))
     with pytest.raises(DomainError):
         LambdaPoly((1, bad))
+
+
+@inexact
+def test_inexact_constant_is_rejected(bad):
+    with pytest.raises(DomainError):
+        LambdaPoly.constant(bad)
+    # the int fast path and exact rationals still build constants
+    assert (LambdaPoly.constant(3)._nums, LambdaPoly.constant(3)._den) == ([3], 1)
+    assert LambdaPoly.constant(Fraction(-2, 6)) == Fraction(-1, 3)
+
+
+@inexact
+def test_inexact_evaluation_point_is_rejected(bad):
+    with pytest.raises(DomainError):
+        (1 + LAMBDA).evaluate(bad)
+    assert (1 + LAMBDA).evaluate(Fraction(1, 3)) == Fraction(4, 3)
+
+
+@inexact
+def test_inexact_poly_eval_point_is_rejected(bad):
+    # a rational value passes through, but only at an exact point
+    for value in (1 + LAMBDA, Fraction(3, 7)):
+        with pytest.raises(DomainError):
+            poly_eval(value, bad)
+    assert poly_eval(1 + LAMBDA, 2) == 3
 
 
 def test_rational_alias_is_exact():

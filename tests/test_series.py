@@ -24,6 +24,7 @@ from degenbern import (
     one_series,
     polynomial_series,
     powers,
+    truncated_powers,
     zero_series,
 )
 from test_scalars import wide_coeff_lists
@@ -437,6 +438,21 @@ def test_powers_match_pow(domain):
                     assert power.pole == expected.pole
                     power, expected = power.body, expected.body
                 assert power.coeffs == expected.coeffs
+
+
+@pytest.mark.parametrize("domain", [SYMBOLIC, EvaluatedDomain(Fraction(-5, 7))], ids=["sym", "-5/7"])
+def test_truncated_powers_are_the_powers_cut_one_order_per_power(domain):
+    # entry k-1 of truncated_powers(s, count) is s**k known below order
+    # M + 1 - k, with the coefficients of s**k there
+    base = degenerate_log_over_t_series(domain, 8)
+    full = powers(base, 9)
+    for count in range(10):
+        got = truncated_powers(base, count)
+        assert [p.order for p in got] == [9 - k for k in range(1, count + 1)]
+        assert [p.coeffs for p in got] == [f.truncated(9 - k).coeffs
+                                           for k, f in enumerate(full[:count], 1)]
+    with pytest.raises(ValueError):
+        truncated_powers(base, 10)
 
 
 @pytest.mark.parametrize("domain", [SYMBOLIC, EvaluatedDomain(Fraction(7, 3))], ids=["sym", "7/3"])

@@ -277,10 +277,10 @@ def test_rational_dot_fault_fails_the_checks_that_sum_through_it(monkeypatch):
         assert_fails_with_witness(report)
 
 
-def corrupt_power(mp, owner, index=1, hit=lambda base: True):
-    """Rebind owner.powers so that body coefficient index of the square
-    it returns moves by 1 wherever hit(base) holds."""
-    real = owner.powers
+def corrupt_power(mp, owner, index=1, hit=lambda base: True, table="powers"):
+    """Rebind the power table owner.<table> so that body coefficient
+    index of the square it returns moves by 1 wherever hit(base) holds."""
+    real = getattr(owner, table)
 
     def tampered(base, count):
         out = real(base, count)
@@ -293,7 +293,7 @@ def corrupt_power(mp, owner, index=1, hit=lambda base: True):
             out[1] = LaurentSeries(square.pole, bumped) if body is not square else bumped
         return out
 
-    mp.setattr(owner, "powers", tampered)
+    mp.setattr(owner, table, tampered)
 
 
 def test_corrupted_power_fails_every_report_that_reads_it(monkeypatch):
@@ -311,7 +311,7 @@ def test_corrupted_power_fails_every_report_that_reads_it(monkeypatch):
 
 @pytest.mark.parametrize("triangle, index, position", [
     ("scaled", 1, {"N": 3, "k": 2}),
-    ("degenerate_second", 2, {"n": 2, "k": 2}),
+    ("degenerate_second", 0, {"n": 2, "k": 2}),
 ])
 @pytest.mark.parametrize("dom", [SYMBOLIC, EvaluatedDomain(Fraction(-2, 5))], ids=["sym", "-2/5"])
 def test_corrupted_power_fails_the_stirling_triangle_that_reads_it(
@@ -319,13 +319,15 @@ def test_corrupted_power_fails_the_stirling_triangle_that_reads_it(
 ):
     # the generating-function triangles read column k = 2 off the square
     # of their base: entry (N, 2) of the scaled one from coefficient N-2
-    # of s^2, entry (n, 2) of the deformed one from coefficient n of
-    # (e_λ(t) - 1)^2.  Only e_λ(t) - 1 has a zero constant term.
+    # of s^2, entry (n, 2) of the deformed one from coefficient n-2 of
+    # ((e_λ(t) - 1)/t)^2.  Both bases start with 1; their t coefficients
+    # are (λ-1)/2 for s and (1-λ)/2 for (e_λ(t) - 1)/t.
     from degenbern import combinatorics
 
     assert verify_route_agreement_stirling(4, dom).verdict
     scaled = triangle == "scaled"
-    corrupt_power(monkeypatch, combinatorics, index, lambda s: bool(s[0]) == scaled)
+    corrupt_power(monkeypatch, combinatorics, index,
+                  lambda s: (s[1] == (s.domain.lam - 1) / 2) == scaled, "truncated_powers")
     r = verify_route_agreement_stirling(4, dom)
     assert not r.verdict
     assert {key: r.witness[key] for key in (*position, "triangle")} == {
