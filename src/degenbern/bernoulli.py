@@ -16,12 +16,12 @@ from dataclasses import dataclass
 
 from .scalars import (
     Domain,
+    PackedRun,
     Rational,
     Scalar,
     SYMBOLIC,
     cancel_common,
     exact_quotient,
-    packed_dots,
     poly_eval,
     rational_dots,
 )
@@ -96,13 +96,17 @@ def row_via_recurrence(n_max: int, domain: Domain) -> BernoulliRow:
     of b_60 have a 31-bit common denominator.  So γ_n and D_n are divided
     by their common factor before later values use them, which keeps
     γ_n = q^n D_n b_n.  Value n is γ_n / (q^n D_n).  At a rational λ the
-    sum adds int products; over Q[λ] it is one packed dot product
-    (:func:`packed_dots`).
+    sum adds int products.  Over Q[λ] it is one packed dot product, and
+    all steps share one :class:`PackedRun`: num_n is packed when step n
+    first reads it and γ_n when step n + 1 does, and the run repacks
+    every num_m and γ_l, with headroom, only when a step's bound
+    outgrows its slot width.
     """
     _check_route(n_max, domain)
     _, q, zero, one = domain.parts
     num = stirling_bell_arguments(n_max + 1, domain)
     gamma, scale = [one], [1]
+    run = PackedRun()
     for n in range(1, n_max + 1):
         top = 1
         for l in range(n):
@@ -110,7 +114,7 @@ def row_via_recurrence(n_max: int, domain: Domain) -> BernoulliRow:
         if domain.is_symbolic:
             row = [(math.comb(n, l) * exact_quotient(top, (n - l + 1) * scale[l]), n - l, l)
                    for l in range(n)]
-            acc = packed_dots(num[:n + 1], gamma, [(row, 1)])[0]
+            acc = run.dots(num[:n + 1], gamma, [(row, 1)])[0]
         else:
             acc = zero
             for l in range(n):

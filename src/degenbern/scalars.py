@@ -19,12 +19,17 @@ multiplies term by term, and beyond that it packs both vectors into
 one integer each and multiplies once (Kronecker substitution).  A
 whole sum of products of integer-coefficient polynomials, the inner
 loop of the symbolic series product, reciprocal and Bernoulli
-recurrence, is one packed integer dot product (:func:`packed_dots`)
-with one reduction at its end.  Sums of products of rational scalars
-in either domain clear their denominators over one lcm per sum and
-take the same route (:func:`rational_dots`).  The renderers print each
-reduced coefficient from its numerator and the common denominator by
-one gcd.
+recurrence, is one packed integer dot product with one reduction at its
+end.  A :class:`PackedRun` holds the packed operands of such sums from
+one call to the next: the reciprocal and the recurrence each keep one
+run for all their steps, so each operand is packed once, when it
+enters, and all of them are packed again only when a step needs wider
+slots than the run has, at headroom over that need.  A one-shot sum,
+:func:`packed_dots`, is one call of a fresh run.  Sums of products of
+rational scalars in either domain clear their denominators over one lcm
+per sum and take the same route (:func:`rational_dots`).  The renderers
+print each reduced coefficient from its numerator and the common
+denominator by one gcd.
 """
 
 from __future__ import annotations
@@ -144,6 +149,70 @@ def _kronecker_product(a: list, b: list) -> list:
     return _unpack(_pack(a, w) * _pack(b, w), w, len(a) + len(b) - 1)
 
 
+# A run whose step outgrows its slot width repacks every operand it holds
+# at this many times the width the step needs.  The symbolic reciprocal
+# and Bernoulli recurrence widen by a few bits a step.  Symbolic
+# row_via_series at n = 32 and 60 (best of 45 and of 9 runs on a 2-core
+# Xeon, Python 3.11) took 4.7 / 62 ms with no headroom (a repack at
+# almost every step), 3.7-3.8 / 47-53 ms from 9/8 to 3/2, and 4.1 / 68 ms
+# at 2, whose wider slots cost more than the repacks they save;
+# row_via_recurrence read the same way.
+_RUN_HEADROOM = Rational(5, 4)
+
+
+class PackedRun:
+    """Sums of products of integer-coefficient λ-polynomials over a
+    run of calls whose operand lists only grow: the state of
+    :func:`packed_dots` kept from one call to the next.
+
+    Each call's ``lefts`` and ``rights`` must extend those of the call
+    before (same leading entries, possibly more after them).  The run
+    keeps each operand's numerators, coefficient height and packed int,
+    so an operand is read and packed once, when it first enters, and a
+    call's cost is its new operands and its own terms.  The slot width
+    only grows: the first call takes the width its largest row needs,
+    and a later call whose rows need more repacks every operand held at
+    ``_RUN_HEADROOM`` times the width needed, so a run that widens step
+    by step repacks only now and then.
+    """
+
+    __slots__ = ("_a", "_b", "_ha", "_hb", "_pa", "_pb", "_w")
+
+    def __init__(self):
+        self._a, self._b = [], []  # numerator vectors
+        self._ha, self._hb = [], []  # their heights max|c|
+        self._pa, self._pb = [], []  # their values at 2**w, a prefix
+        self._w = 0
+
+    def dots(self, lefts: list, rights: list, rows: list) -> list:
+        """The rows of :func:`packed_dots` over ``lefts`` and ``rights``,
+        packing only the operands this run has not seen."""
+        a, b, ha, hb = self._a, self._b, self._ha, self._hb
+        for ops, vs, hs in ((lefts, a, ha), (rights, b, hb)):
+            for p in ops[len(vs):]:
+                v = p._nums
+                vs.append(v)
+                hs.append(max(map(abs, v)) if v else 0)
+        bound = max([sum([abs(f) * min(len(a[i]), len(b[j])) * ha[i] * hb[j] for f, i, j in terms])
+                     for terms, _ in rows] + [0])
+        need = bound.bit_length() + 1
+        w = self._w
+        if need > w:
+            w = int(need * _RUN_HEADROOM) if w else need
+            self._w, self._pa, self._pb = w, [], []
+        pa, pb = self._pa, self._pb
+        pa += [_pack(v, w) for v in a[len(pa):]]
+        pb += [_pack(v, w) for v in b[len(pb):]]
+        out = []
+        for terms, den in rows:
+            z = 0
+            for f, i, j in terms:
+                z += f * pa[i] * pb[j]
+            # a top slot t holding a nonzero value puts |z| at 2**(t*w - 1) or above
+            out.append(LambdaPoly._reduced(_unpack(z, w, z.bit_length() // w + 1), den))
+        return out
+
+
 def packed_dots(lefts: list, rights: list, rows: list) -> list:
     """Sums of products of integer-coefficient λ-polynomials
     (denominator 1), one reduced λ-polynomial per row: row
@@ -151,32 +220,19 @@ def packed_dots(lefts: list, rights: list, rows: list) -> list:
     the triples ``(f, i, j)`` of ``terms``, for int factors ``f``,
     divided by the positive int ``den``.
 
-    Every operand is packed once at ``2**w``, for one slot width ``w``
-    shared by all rows, as in :func:`_kronecker_product`, so each term is
-    one big-integer product; the products of a row add as ints, and each
-    row is cut back into ``w``-bit slots and reduced once.  With
+    This is one call of a fresh :class:`PackedRun`.  Every operand is
+    packed once at ``2**w``, for one slot width ``w`` shared by all rows,
+    as in :func:`_kronecker_product`, so each term is one big-integer
+    product; the products of a row add as ints, and each row is cut back
+    into ``w``-bit slots and reduced once.  With
     ``S = sum |f| * min(len a_i, len b_j) * max|a_i| * max|b_j|`` over
     the terms of a row, every coefficient of that row's sum is at most
     ``S`` in size, and the slot width ``w = bits(max S) + 1`` gives
-    ``S < 2**(w-1)``, so each slot holds one signed coefficient.
+    ``S < 2**(w-1)``, so each slot holds one signed coefficient.  A
+    wider slot decodes the same integers, which is what lets a run keep
+    a width with headroom.
     """
-    a = [p._nums for p in lefts]
-    b = [p._nums for p in rights]
-    ha = [max(map(abs, v)) if v else 0 for v in a]
-    hb = [max(map(abs, v)) if v else 0 for v in b]
-    bound = max([sum([abs(f) * min(len(a[i]), len(b[j])) * ha[i] * hb[j] for f, i, j in terms])
-                 for terms, _ in rows] + [0])
-    w = bound.bit_length() + 1
-    pa = [_pack(v, w) for v in a]
-    pb = [_pack(v, w) for v in b]
-    out = []
-    for terms, den in rows:
-        z = 0
-        for f, i, j in terms:
-            z += f * pa[i] * pb[j]
-        # a top slot t holding a nonzero value puts |z| at 2**(t*w - 1) or above
-        out.append(LambdaPoly._reduced(_unpack(z, w, z.bit_length() // w + 1), den))
-    return out
+    return PackedRun().dots(lefts, rights, rows)
 
 
 def rational_dots(domain: Domain, lefts, rights, rows: list) -> list:

@@ -14,8 +14,9 @@ multiplication.  Over Q[λ], whose series have common denominators that
 grow like factorials, each output coefficient is instead one packed dot
 product of integer-coefficient λ-polynomials over the lcm of its own
 terms' denominators (:func:`rational_dots`), with every operand packed
-once per product.  The symbolic sums of the reciprocal take the same
-dot product (:func:`packed_dots`).
+once per product.  The symbolic reciprocal sums its steps in the same
+kernel, through one :class:`PackedRun` that packs each operand once per
+reciprocal.
 
 The named constructors at the bottom build the generating functions the
 rest of the package feeds on: the binomial series (1+t)**λ, the
@@ -36,11 +37,11 @@ from .scalars import (
     DomainError,
     EvaluatedDomain,
     LambdaPoly,
+    PackedRun,
     Rational,
     Scalar,
     _kronecker_product,
     exact_quotient,
-    packed_dots,
     power_by_squaring,
     rational_dots,
 )
@@ -186,9 +187,12 @@ class TruncatedSeries:
 
         and each quotient is an integer because w_k E_(n-k) is one of the
         terms whose lcm is E_n.  Coefficient n is Γ_n / (E_n a_0).  At a
-        rational λ the sum for Γ_n adds int products; over Q[λ] it is one
-        packed dot product (:func:`packed_dots`), so no term builds a
-        λ-polynomial of its own.
+        rational λ the sum for Γ_n adds int products.  Over Q[λ] it is
+        one packed dot product, so no term builds a λ-polynomial of its
+        own, and all steps share one :class:`PackedRun`: s_n is packed
+        when step n first reads it and Γ_n when step n + 1 does, and the
+        run repacks every s_k and Γ_l, with headroom, only when a step's
+        bound outgrows its slot width.
         """
         if self.order == 0:
             raise ValueError("cannot invert a series of order 0")
@@ -200,6 +204,7 @@ class TruncatedSeries:
         nonzero = [k for k in range(1, self.order) if s[k]]
         _, _, zero, one = domain.parts
         gamma, scale = [one], [1]
+        run = PackedRun()
         for n in range(1, self.order):
             terms = []
             top = 1
@@ -211,7 +216,7 @@ class TruncatedSeries:
                 top = lcm(top, d)
             if domain.is_symbolic:
                 row = [(exact_quotient(top, d), k, n - k) for k, d in terms]
-                acc = packed_dots(s[:n + 1], gamma, [(row, 1)])[0]
+                acc = run.dots(s[:n + 1], gamma, [(row, 1)])[0]
             else:
                 acc = zero
                 for k, d in terms:

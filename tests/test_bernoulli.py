@@ -8,6 +8,7 @@ from math import comb
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from degenbern import bernoulli, scalars
 from degenbern import (
     DomainError,
     EvaluatedDomain,
@@ -27,6 +28,21 @@ from degenbern import (
     value_via_explicit,
     value_via_multinomial,
 )
+
+
+@pytest.mark.parametrize("route", ["row_via_series", "row_via_recurrence"])
+def test_symbolic_routes_pack_each_operand_about_once(monkeypatch, route):
+    # the symbolic reciprocal and recurrence keep one PackedRun per row:
+    # each operand is packed when it enters and again only when the slot
+    # width regrows, where packing every operand at every step took
+    # n**2 + 2n packs (4224 at n = 64)
+    real = scalars._pack
+    packs = []
+    monkeypatch.setattr(scalars, "_pack", lambda v, w: packs.append(None) or real(v, w))
+    for n in (16, 32, 64):
+        packs.clear()
+        getattr(bernoulli, route)(n, SYMBOLIC)
+        assert len(packs) <= 12 * n, (n, len(packs))
 
 
 def test_symbolic_row_frozen_values():

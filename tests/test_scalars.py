@@ -316,6 +316,81 @@ def test_packed_dots_at_the_slot_bound_among_smaller_rows():
     assert out[2] == out[3] == LambdaPoly()
 
 
+def growing_polys(draw, count):
+    """``count`` integer-coefficient polynomials whose coefficient
+    heights grow by orders of magnitude along the list (up to 4096
+    bits), zero polynomials and interior zeros among them."""
+    out = []
+    for k in range(count):
+        bits = draw(st.sampled_from([1, 4])) * 4 ** min(k, 5)
+        coeff = st.one_of(st.just(0), st.integers(min_value=-(1 << bits), max_value=1 << bits))
+        out.append(LambdaPoly(draw(st.lists(coeff, max_size=12))))
+    return out
+
+
+@st.composite
+def packed_runs(draw):
+    """(lefts, rights, calls) for a PackedRun: each call (nl, nr, rows)
+    reads the first nl lefts and nr rights, never fewer than the call
+    before, so operands enter between dots, several at once before the
+    first, and the later, taller ones make the slot width regrow."""
+    lefts = growing_polys(draw, draw(st.integers(min_value=1, max_value=8)))
+    rights = growing_polys(draw, draw(st.integers(min_value=1, max_value=8)))
+    dens = st.one_of(st.just(1), st.integers(min_value=1, max_value=1 << 80))
+    calls, nl, nr = [], 1, 1
+    for _ in range(draw(st.integers(min_value=1, max_value=6))):
+        nl = draw(st.integers(min_value=nl, max_value=len(lefts)))
+        nr = draw(st.integers(min_value=nr, max_value=len(rights)))
+        term = st.tuples(st.one_of(st.integers(min_value=-5, max_value=5), wide_ints),
+                         st.integers(min_value=0, max_value=nl - 1),
+                         st.integers(min_value=0, max_value=nr - 1))
+        rows = draw(st.lists(st.tuples(st.lists(term, max_size=12), dens),
+                             min_size=1, max_size=3))
+        calls.append((nl, nr, rows))
+    return lefts, rights, calls
+
+
+# a run whose first call fills a slot of its width exactly, whose second
+# brings new operands and reads small rows and a full slot at that width,
+# and whose third needs one bit more
+FULL = 2**200 - 1
+FULL_SLOT_RUN = (
+    [LambdaPoly([1] * 5), LambdaPoly([-1, 0, -3]), LambdaPoly([1])],
+    [LambdaPoly([-1] * 5), LambdaPoly([0, 0, 7]), LambdaPoly([1])],
+    [(1, 1, [([(FULL // 5, 0, 0)], 1)]),
+     (2, 2, [([(-2, 1, 1), (1, 0, 1)], 3), ([(FULL // 5, 0, 0)], 1), ([], 1)]),
+     (3, 3, [([(FULL + 1, 2, 2)], 1), ([(FULL // 5, 0, 0), (1, 1, 1)], 7)])],
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(packed_runs())
+@example(FULL_SLOT_RUN)
+def test_packed_run_matches_ring_arithmetic(batch):
+    # every call of one run, whatever the width it inherited, against
+    # plain λ-polynomial arithmetic
+    lefts, rights, calls = batch
+    run = scalars.PackedRun()
+    for nl, nr, rows in calls:
+        assert run.dots(lefts[:nl], rights[:nr], rows) == ref_dots(lefts, rights, rows)
+
+
+def test_packed_run_packs_each_operand_once_until_it_regrows(monkeypatch):
+    # an operand is packed when it first enters; a row that fits the
+    # width packs nothing else, and a row past it repacks every operand
+    # held, once, at headroom over the width it needs
+    real = scalars._pack
+    widths = []
+    monkeypatch.setattr(scalars, "_pack", lambda v, w: widths.append(w) or real(v, w))
+    lefts, rights, calls = FULL_SLOT_RUN
+    wide = int(202 * scalars._RUN_HEADROOM)
+    run = scalars.PackedRun()
+    for (nl, nr, rows), packed in zip(calls, ([201, 201], [201, 201], [wide] * 6)):
+        widths.clear()
+        assert run.dots(lefts[:nl], rights[:nr], rows) == ref_dots(lefts, rights, rows)
+        assert widths == packed
+
+
 @st.composite
 def rational_dot_batches(draw):
     """(domain, lefts, rights, rows) for rational_dots: operands of one

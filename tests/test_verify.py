@@ -187,27 +187,33 @@ def test_long_symbolic_product_fault_fails_the_symbolic_checks(monkeypatch):
 
 
 def plant_in_packed_dots(monkeypatch):
-    """Rebind packed_dots in every module that calls it so that
-    coefficient 2 of every sum of degree 2 or more moves by 1 over the
-    sum's reduced denominator."""
-    real = scalars.packed_dots
+    """Rebind the packed dot-product kernel, PackedRun.dots, which every
+    packed_dots call and every step of a symbolic reciprocal or
+    recurrence run goes through, so that coefficient 2 of every sum of
+    degree 2 or more moves by 1 over the sum's reduced denominator."""
+    real = scalars.PackedRun.dots
 
-    def off_by_one(lefts, rights, rows):
+    def off_by_one(run, lefts, rights, rows):
         return [p + LAMBDA**2 * Fraction(1, p.denominator) if p.degree >= 2 else p
-                for p in real(lefts, rights, rows)]
+                for p in real(run, lefts, rights, rows)]
 
-    for owner in (scalars, series, bernoulli, ode_coeffs):
-        monkeypatch.setattr(owner, "packed_dots", off_by_one)
+    monkeypatch.setattr(scalars.PackedRun, "dots", off_by_one)
 
 
 def test_packed_dot_fault_fails_the_symbolic_checks(monkeypatch):
     # the Q[λ] series product (through scalars.rational_dots), the
     # symbolic reciprocal and the symbolic Bernoulli recurrence sum their
-    # products in scalars.packed_dots; evaluated sums never reach it
+    # products in scalars.PackedRun.dots; evaluated sums never reach it
     F = series.degenerate_log_over_t_series(SYMBOLIC, 8)
     square = F * F
+    rows = {(route, domain): getattr(bernoulli, route)(8, domain).values
+            for route in ("row_via_series", "row_via_recurrence")
+            for domain in (SYMBOLIC, EvaluatedDomain(Fraction(7, 3)))}
     plant_in_packed_dots(monkeypatch)
     assert F * F != square
+    for (route, domain), values in rows.items():
+        planted = getattr(bernoulli, route)(8, domain).values
+        assert (planted != values) == domain.is_symbolic, (route, domain)
     for report in (
         verify_ode(4, 16, SYMBOLIC),
         verify_ode(2, 8, SYMBOLIC),
@@ -218,29 +224,28 @@ def test_packed_dot_fault_fails_the_symbolic_checks(monkeypatch):
 
 
 def test_symbolic_series_products_sum_in_packed_dots(monkeypatch):
-    # a Q[λ] series product is one packed_dots call for all its output
-    # coefficients, and so are the weighted sum of the powers of F and
-    # each symbolic reciprocal step, instead of a λ-polynomial product per
-    # term: the counts of verify_ode(4, 12) are pinned, 15 reciprocal
+    # a Q[λ] series product is one packed dot-product call for all its
+    # output coefficients, and so are the weighted sum of the powers of F
+    # and each symbolic reciprocal step, instead of a λ-polynomial product
+    # per term: the counts of verify_ode(4, 12) are pinned, 15 reciprocal
     # steps of one row and six calls of 16 rows (1130 λ-polynomial
     # products when each term was one, 296 when the weighted sum scaled
     # each power and the derivative took four passes, 104 when the
     # series constructors divided each coefficient by a Fraction)
-    real_mul, real_dots = LambdaPoly.__mul__, scalars.packed_dots
+    real_mul, real_dots = LambdaPoly.__mul__, scalars.PackedRun.dots
     products, rows = [], []
 
     def counted(self, other):
         products.append(None)
         return real_mul(self, other)
 
-    def counted_dots(lefts, rights, batch):
+    def counted_dots(run, lefts, rights, batch):
         rows.append(len(batch))
-        return real_dots(lefts, rights, batch)
+        return real_dots(run, lefts, rights, batch)
 
     monkeypatch.setattr(LambdaPoly, "__mul__", counted)
     monkeypatch.setattr(LambdaPoly, "__rmul__", counted)
-    monkeypatch.setattr(scalars, "packed_dots", counted_dots)
-    monkeypatch.setattr(series, "packed_dots", counted_dots)
+    monkeypatch.setattr(scalars.PackedRun, "dots", counted_dots)
     assert verify_ode(4, 12, SYMBOLIC).verdict
     assert (len(products), len(rows), sum(rows)) == (73, 21, 111)
 
