@@ -324,7 +324,7 @@ def classical_row(n_max: int, route: str = "limit") -> list[Rational]:
             acc = Rational(0)
             for i in range(n + 1):
                 combo = table.value(n, i)
-                if n >= 1 and i <= n - 1:
+                if n:
                     combo += n * table.value(n - 1, i)
                 term = Rational(combo, i + 1)
                 acc = acc + term if i % 2 == 0 else acc - term

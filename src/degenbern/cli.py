@@ -287,20 +287,14 @@ def run_stirling(args, command: list[str]) -> tuple[dict, int]:
     max_n = args.max_n
     kind = args.kind
     if kind == "first":
-        table = stirling1_signed(max_n)
-        cell = lambda n, k: Rational(table.value(n, k))
+        # as rationals, since the JSON emitter writes ints as numbers
+        triangle = [map(Rational, row) for row in stirling1_signed(max_n).rows]
         lam_desc = None
     else:
-        triangle = degenerate_stirling2 if kind == "deg2" else scaled_stirling_triangle
-        cell = triangle(max_n, domain_from_string("sym")).value
+        build = degenerate_stirling2 if kind == "deg2" else scaled_stirling_triangle
+        triangle = build(max_n, domain_from_string("sym")).rows
         lam_desc = "sym"
-
-    def build_row(n: int):
-        return [n] + [
-            cell(n, k) if k <= n else None for k in range(max_n + 1)
-        ]
-
-    rows = [build_row(n) for n in range(max_n + 1)]
+    rows = [[n, *row] + [None] * (max_n - n) for n, row in enumerate(triangle)]
     payload = {
         "kind": f"stirling_{kind.replace('-', '_')}",
         "columns": ["n"] + [f"k={k}" for k in range(max_n + 1)],

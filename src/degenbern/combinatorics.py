@@ -1,5 +1,5 @@
-"""Combinatorial building blocks: factorial products, Stirling triangles,
-and exponential partial Bell polynomials.
+"""Combinatorial building blocks: factorial products, the one triangle
+type, Stirling triangles, and exponential partial Bell polynomials.
 
 Where downstream identity checks need a cross-check, two genuinely
 independent computation routes are provided (a closed summation formula
@@ -117,28 +117,35 @@ def alternating_falling_sums(a, b, n: int, one) -> list:
 
 
 @dataclass(frozen=True)
-class StirlingTable:
-    """Triangle of values for 0 <= k <= n <= n_max.
+class Triangle:
+    """Rows 0..n_max of a triangle, row n holding entries k = 0..n, read
+    row first as value(n, k).  A row outside 0..n_max raises; an entry
+    outside its row is 0, the convention the summation formulas rely on.
 
-    kind is "first_signed" (integer entries), "degenerate_second" or
-    "scaled_second" (entries in the active domain).  Out-of-triangle
-    lookups return 0, the standard convention the summation formulas
-    rely on.
+    kind is "first_signed" (integer entries, no domain),
+    "degenerate_second", "scaled_second" or "derivative_coefficients"
+    (entries in the domain).
     """
 
-    kind: str
-    n_max: int
+    domain: Domain | None
     rows: tuple[tuple[Scalar, ...], ...]
+    kind: str = "derivative_coefficients"
 
-    def value(self, n: int, k: int) -> Scalar:
+    @property
+    def n_max(self) -> int:
+        return len(self.rows) - 1
+
+    def row(self, n: int) -> tuple[Scalar, ...]:
         if n < 0 or n > self.n_max:
             raise ValueError(f"row {n} outside table (n_max={self.n_max})")
-        if k < 0 or k > n:
-            return 0
-        return self.rows[n][k]
+        return self.rows[n]
+
+    def value(self, n: int, k: int) -> Scalar:
+        row = self.row(n)
+        return row[k] if 0 <= k <= n else 0
 
 
-def stirling1_signed(n_max: int) -> StirlingTable:
+def stirling1_signed(n_max: int) -> Triangle:
     """Signed Stirling numbers of the first kind.
 
     Built from s(n+1, k) = s(n, k-1) - n s(n, k); row n lists the
@@ -154,12 +161,12 @@ def stirling1_signed(n_max: int) -> StirlingTable:
             return prev[k] if 0 <= k <= n else 0
 
         rows.append(tuple([at(k - 1) - n * at(k) for k in range(n + 2)]))
-    return StirlingTable("first_signed", n_max, tuple(rows))
+    return Triangle(None, tuple(rows), "first_signed")
 
 
 def degenerate_stirling2(
     n_max: int, domain: Domain, via: str = "generating_function"
-) -> StirlingTable:
+) -> Triangle:
     """λ-deformed Stirling triangle of the second kind.
 
     Route "generating_function" reads n! [t^n] (e_λ(t) - 1)^k / k! off
@@ -183,26 +190,26 @@ def degenerate_stirling2(
         return _power_table_triangle("degenerate_second", n_max, base)
     if via == "bell_formula":
         p, q, _, one = domain.parts
-        return StirlingTable("degenerate_second", n_max, tuple([
+        return Triangle(domain, tuple([
             tuple([domain.scaled(d, (-1) ** k, math.factorial(k) * q**n)
                    for k, d in enumerate(alternating_falling_sums(q, p, n, one))])
             for n in range(n_max + 1)
-        ]))
+        ]), "degenerate_second")
     raise ValueError(f"unknown route {via!r}")
 
 
-def _power_table_triangle(kind: str, n_max: int, base) -> StirlingTable:
+def _power_table_triangle(kind: str, n_max: int, base) -> Triangle:
     """Entry (n, k) is n!/k! [t^(n-k)] base^k, for a base known below
     order n_max.  Column k reads base^k only below order n_max + 1 - k,
     so each power is taken only that far (:func:`truncated_powers`):
     base^0 = 1 below order n_max + 1, base itself below n_max, and the
     last power, base^n_max, as its constant term alone."""
     cols = [one_series(base.domain, n_max + 1)] + truncated_powers(base, n_max)
-    return StirlingTable(kind, n_max, tuple([
+    return Triangle(base.domain, tuple([
         tuple([cols[k][n - k] * math.perm(n, n - k)
                for k in range(n + 1)])
         for n in range(n_max + 1)
-    ]))
+    ]), kind)
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +367,7 @@ def scaled_degenerate_stirling(N: int, k: int, domain: Domain):
 
 def scaled_stirling_triangle(
     n_max: int, domain: Domain, via: str = "generating_function"
-) -> StirlingTable:
+) -> Triangle:
     """Triangle of the scaled values of :func:`scaled_degenerate_stirling`.
 
     Route "generating_function" reads N!/k! [t^(N-k)] of the k-th power
@@ -376,8 +383,8 @@ def scaled_stirling_triangle(
         base = degenerate_log_over_t_series(domain, n_max)
         return _power_table_triangle("scaled_second", n_max, base)
     if via == "bell_formula":
-        return StirlingTable("scaled_second", n_max, tuple([
+        return Triangle(domain, tuple([
             tuple([scaled_degenerate_stirling(N, k, domain) for k in range(N + 1)])
             for N in range(n_max + 1)
-        ]))
+        ]), "scaled_second")
     raise ValueError(f"unknown route {via!r}")

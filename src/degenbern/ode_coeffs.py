@@ -5,7 +5,7 @@ Row N holds the N+1 scalars c_0..c_N with
 
     (-1)^N (1+t)^N F^(N) = sum_i c_i F^(i+1),     F = 1/log-deformed(1+t).
 
-Entry (i, N) is an integer-coefficient λ-polynomial of degree N - i whose
+Entry (N, i) is an integer-coefficient λ-polynomial of degree N - i whose
 constant term is (-1)^(N+i) i! times the signed first-kind Stirling
 number s(N, i), so at λ = p/q (p = λ, q = 1 symbolically) the scaled
 entry C_i(N) = q^(N-i) c_i(N) is an integer.  Three routes build whole
@@ -21,11 +21,10 @@ tests force all four to agree.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .scalars import Domain, DomainError, Rational, Scalar, exact_quotient, packed_dots
 from .combinatorics import (
-    StirlingTable,
+    Triangle,
     alternating_falling_sums,
     bell_partial,
     stirling1_signed,
@@ -33,35 +32,14 @@ from .combinatorics import (
 )
 
 
-@dataclass(frozen=True)
-class CoeffTable:
-    """Rows 0..n_max of the coefficient triangle; row 0 is the
-    convention row (1,) that the summation identities rely on."""
-
-    domain: Domain
-    rows: tuple[tuple[Scalar, ...], ...]
-
-    @property
-    def n_max(self) -> int:
-        return len(self.rows) - 1
-
-    def value(self, i: int, N: int) -> Scalar:
-        if N < 0 or N > self.n_max:
-            raise ValueError(f"row {N} outside table (n_max={self.n_max})")
-        if i < 0 or i > N:
-            raise ValueError(f"entry {i} outside row {N}")
-        return self.rows[N][i]
-
-    def row(self, N: int) -> tuple[Scalar, ...]:
-        if N < 0 or N > self.n_max:
-            raise ValueError(f"row {N} outside table (n_max={self.n_max})")
-        return self.rows[N]
+# the coefficient triangle's former name, kept as an alias
+CoeffTable = Triangle
 
 
 def scaled_triangle_rows(n_max: int, domain: Domain) -> list[list]:
     """Rows 0..n_max of the triangle scaled to integers.
 
-    At λ = p/q (p = λ, q = 1 symbolically) entry (i, N) is an
+    At λ = p/q (p = λ, q = 1 symbolically) entry (N, i) is an
     integer-coefficient polynomial of degree N - i, so
     C_i(N) = q^(N-i) c_i(N) is an integer (an integer-coefficient
     λ-polynomial symbolically).  Scaled, the recurrence of
@@ -86,7 +64,7 @@ def scaled_triangle_rows(n_max: int, domain: Domain) -> list[list]:
     return rows
 
 
-def coeff_triangle(n_max: int, domain: Domain) -> CoeffTable:
+def coeff_triangle(n_max: int, domain: Domain) -> Triangle:
     """Reference route: grow the triangle row by row.
 
     From row N to row N+1: the left edge picks up a factor N + λ, the
@@ -94,10 +72,11 @@ def coeff_triangle(n_max: int, domain: Domain) -> CoeffTable:
     (N + (i+1) λ) row[i] + i row[i-1].  The rows grow in integers at
     the scale C_i(N) = q^(N-i) c_i(N) of :func:`scaled_triangle_rows`,
     where no step divides, and each entry is one reduced value
-    C_i(N) / q^(N-i).
+    C_i(N) / q^(N-i).  Row 0 is the convention row (1,) that the
+    summation identities rely on.
     """
     rows = scaled_triangle_rows(n_max, domain)
-    return CoeffTable(domain, tuple([_unscaled(N, row, domain) for N, row in enumerate(rows)]))
+    return Triangle(domain, tuple([_unscaled(N, row, domain) for N, row in enumerate(rows)]))
 
 
 def scaled_stirling_row(N: int, domain: Domain, xs: list) -> list:
@@ -221,8 +200,8 @@ def coeff_unrolled_recurrence(N: int, domain: Domain) -> tuple[Scalar, ...]:
     return _unscaled(N, row, domain)
 
 
-def coeff_limit_at_zero(i: int, N: int, table: StirlingTable | None = None) -> Rational:
-    """The λ -> 0 value of entry (i, N): (-1)^(N+i) i! s(N, i)."""
+def coeff_limit_at_zero(N: int, i: int, table: Triangle | None = None) -> Rational:
+    """The λ -> 0 value of entry (N, i): (-1)^(N+i) i! s(N, i)."""
     _check_row(N)
     if not 0 <= i <= N:
         raise ValueError(f"entry {i} outside row {N}")

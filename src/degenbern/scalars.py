@@ -498,9 +498,6 @@ class LambdaPoly:
     def __repr__(self):
         return f"LambdaPoly<{render_poly_text(self)}>"
 
-    def latex(self) -> str:
-        return render_poly_latex(self)
-
 
 LAMBDA = LambdaPoly((0, 1))
 

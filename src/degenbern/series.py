@@ -475,12 +475,6 @@ def one_series(domain: Domain, order: int) -> TruncatedSeries:
     return TruncatedSeries._raw(domain, (domain.one,) + (domain.zero,) * (order - 1))
 
 
-def polynomial_series(domain: Domain, coeffs: Iterable, order: int) -> TruncatedSeries:
-    """A polynomial regarded as a series: absent coefficients are exact
-    zeros, so any order is justified."""
-    return TruncatedSeries(domain, coeffs, order)
-
-
 def one_plus_t_power(domain: Domain, exponent: int, order: int) -> TruncatedSeries:
     """(1+t)**exponent for any integer exponent, exactly known."""
     return TruncatedSeries(

@@ -38,6 +38,7 @@ from .series import (
     powers,
 )
 from .combinatorics import (
+    Triangle,
     bell_partial,
     degenerate_stirling2,
     scaled_stirling_triangle,
@@ -45,7 +46,6 @@ from .combinatorics import (
     stirling_bell_arguments,
 )
 from .ode_coeffs import (
-    CoeffTable,
     coeff_explicit_falling,
     coeff_explicit_stirling,
     coeff_limit_at_zero,
@@ -144,7 +144,7 @@ def verify_ode(
     N: int,
     order: int,
     domain: Domain = SYMBOLIC,
-    coeffs: CoeffTable | None = None,
+    coeffs: Triangle | None = None,
     table: list | None = None,
 ) -> IdentityReport:
     """Check (-1)^N (1+t)^N F^(N) = sum_i c_i(N) F^(i+1) exactly, where
@@ -175,7 +175,7 @@ def verify_ode(
 
 
 def verify_convolution(
-    n: int, domain: Domain = SYMBOLIC, coeffs: CoeffTable | None = None
+    n: int, domain: Domain = SYMBOLIC, coeffs: Triangle | None = None
 ) -> IdentityReport:
     """Check, for every 1 <= j <= n, the convolution identity
 
@@ -186,7 +186,7 @@ def verify_convolution(
     deformed exponential (1+λt)^(1/λ).
 
     Of row n of the table the check sees entries 1..n-1 only: entry
-    (0, n) enters both sides with weight 1 and cancels, and (n, n) is
+    (n, 0) enters both sides with weight 1 and cancels, and (n, n) is
     never read, so a table wrong at either still passes (for n = 1, all
     of row 1).  Row n-1 is read in full.
     """
@@ -194,12 +194,12 @@ def verify_convolution(
         raise ValueError("the convolution identity starts at n = 1")
     table = _triangle(coeffs, n, domain)
     weights = degenerate_exp_series(domain, n + 1).coeffs
-    bracket = {i: table.value(n - i, n) - n * table.value(n - i, n - 1)
+    bracket = {i: table.value(n, n - i) - n * table.value(n - 1, n - i)
                for i in range(1, n + 1)}
     checks = (
         ({"j": j},
          "lhs", sum((weights[j - i] * bracket[i] for i in range(1, j + 1)), domain.zero),
-         "rhs", table.value(n - j, n) - math.factorial(n) * weights[j])
+         "rhs", table.value(n, n - j) - math.factorial(n) * weights[j])
         for j in range(1, n + 1)
     )
     ok, witness = _first_disagreement(checks, domain)
@@ -273,7 +273,7 @@ class HigherOrderContext:
         return self._rows[r][idx]
 
 
-def _triangle(coeffs: CoeffTable | None, n_max: int, domain: Domain) -> CoeffTable:
+def _triangle(coeffs: Triangle | None, n_max: int, domain: Domain) -> Triangle:
     """The given triangle after a size and domain check, or a new one."""
     if coeffs is None:
         return coeff_triangle(n_max, domain)
@@ -516,8 +516,8 @@ def verify_stirling_limit(n_max: int) -> IdentityReport:
     )
     constants = (
         ({"N": N, "i": i, "kind": "coeff_constant_term"},
-         "limit", poly_eval(table.value(i, N), zero),
-         "expected", coeff_limit_at_zero(i, N, s1))
+         "limit", poly_eval(table.value(N, i), zero),
+         "expected", coeff_limit_at_zero(N, i, s1))
         for N in range(1, n_max + 1)
         for i in range(N + 1)
     )
@@ -553,7 +553,7 @@ class _SuiteRun:
             raise ValueError("order too small to compare anything")
 
     @cached_property
-    def coeffs(self) -> CoeffTable:
+    def coeffs(self) -> Triangle:
         top = {"ode": self.N_max, "cor34": self.n_max}
         size = max(top[s] for s in self.suites if s in top)
         return coeff_triangle(size, self.domain)

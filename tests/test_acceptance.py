@@ -87,7 +87,7 @@ def test_criterion_05_limit_theorems():
     )
     triangle = coeff_triangle(12, SYMBOLIC)
     ok = ok and all(
-        poly_eval(triangle.value(i, N), Fraction(0)) == coeff_limit_at_zero(i, N, s1)
+        poly_eval(triangle.value(N, i), Fraction(0)) == coeff_limit_at_zero(N, i, s1)
         for N in range(1, 13)
         for i in range(N + 1)
     )

@@ -2,6 +2,7 @@
 triangles, partial Bell polynomials, and the scaled bridge triangle."""
 
 from fractions import Fraction
+from functools import partial
 from math import perm
 
 import pytest
@@ -13,10 +14,12 @@ from degenbern import (
     LAMBDA,
     LambdaPoly,
     SYMBOLIC,
+    Triangle,
     TruncatedSeries,
     bell_partial,
     bell_scaling_check,
     binomial,
+    coeff_triangle,
     degenerate_exp_series,
     degenerate_log_over_t_series,
     degenerate_stirling2,
@@ -170,12 +173,36 @@ def test_stirling_first_against_expansion_oracle():
     assert table.value(6, 0) == 0
 
 
-def test_stirling_table_bounds():
-    table = stirling1_signed(4)
-    assert table.value(4, 5) == 0
-    assert table.value(2, -1) == 0
+# every triangle builder, route by route, with the kind it stamps
+TRIANGLE_BUILDERS = {
+    "first_signed": ("first_signed", lambda n, domain: stirling1_signed(n)),
+    "deg2_gf": ("degenerate_second", partial(degenerate_stirling2, via="generating_function")),
+    "deg2_bell": ("degenerate_second", partial(degenerate_stirling2, via="bell_formula")),
+    "scaled_gf": ("scaled_second", partial(scaled_stirling_triangle, via="generating_function")),
+    "scaled_bell": ("scaled_second", partial(scaled_stirling_triangle, via="bell_formula")),
+    "coefficients": ("derivative_coefficients", coeff_triangle),
+}
+
+
+@pytest.mark.parametrize("domain", [SYMBOLIC, EvaluatedDomain(Fraction(7, 3))], ids=["sym", "7/3"])
+@pytest.mark.parametrize("builder", TRIANGLE_BUILDERS)
+def test_triangle_bounds(builder, domain):
+    # one rule for every triangle: a row outside 0..n_max raises, an
+    # entry outside its row is 0
+    kind, build = TRIANGLE_BUILDERS[builder]
+    n_max = 4
+    t = build(n_max, domain)
+    assert type(t) is Triangle and t.kind == kind and t.n_max == n_max
+    assert t.domain == (None if kind == "first_signed" else domain)
+    for bad in (n_max + 1, -1):
+        with pytest.raises(ValueError):
+            t.row(bad)
     with pytest.raises(ValueError):
-        table.value(5, 1)
+        t.value(n_max + 1, 0)
+    for n in range(n_max + 1):
+        assert len(t.row(n)) == n + 1
+        assert t.value(n, n + 1) == 0
+        assert t.value(n, -1) == 0
 
 
 def test_degenerate_stirling2_values():

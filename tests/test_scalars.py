@@ -557,7 +557,7 @@ def test_integer_renderers_print_the_fraction_renderers_bytes(cs):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(LambdaPoly, "coeffs", property(lambda _: pytest.fail("coeffs was read")))
         assert render_poly_text(p) == scalar_to_text(p) == str(p) == ref_render_text(ref)
-        assert render_poly_latex(p) == scalar_to_latex(p) == p.latex() == ref_render_latex(ref)
+        assert render_poly_latex(p) == scalar_to_latex(p) == ref_render_latex(ref)
         assert scalar_to_json(p) == [str(c) for c in ref]
     for c in cs:
         assert scalar_to_text(c) == str(c)

@@ -1,11 +1,12 @@
 """Source rules for the package: no tuple is built from a generator,
-every name the benchmark's tracer wraps exists, the Bell
-generating-function route keeps its own series product, ``__all__``
-lists exactly the names the package root imports, no module imports a
-name it never reads, code forks on the domain only at listed sites,
-every docstring example and the README's quick tour run, and every
-``$ degenbern`` example and the JSON document shape in the README are
-what the command prints.  A README failure names the README line.
+every name the benchmark's tracer wraps exists, the benchmark's checkers
+pass their self-test, the Bell generating-function route keeps its own
+series product, ``__all__`` lists exactly the names the package root
+imports, no module imports a name it never reads, code forks on the
+domain only at listed sites, every docstring example and the README's
+quick tour run, and every ``$ degenbern`` example and the JSON document
+shape in the README are what the command prints.  A README failure
+names the README line.
 
 Under CPython 3.11, ``tuple(<generator>)`` and ``f(*<generator>)``
 allocate their tuple at a guessed length and then resize it.  The
@@ -26,6 +27,8 @@ import io
 import itertools
 import json
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import degenbern
@@ -83,6 +86,17 @@ def test_every_traced_name_resolves():
             if not found:
                 missing.append(f"{layer}: {module_name}.{attr}")
     assert missing == []
+
+
+def test_benchmark_checkers_pass_their_selftest():
+    # the benchmark's checkers read the package's public surface (the
+    # positional CoeffTable(domain, rows), .rows, .row(N), .value(n, k));
+    # their self-test fails when a rename leaves them reading nothing
+    root = Path(__file__).resolve().parents[1]
+    run = subprocess.run([sys.executable, "bench/selftest.py"], cwd=root,
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stdout + run.stderr
+    assert json.loads(run.stdout.splitlines()[-1])["failed"] == 0
 
 
 def test_bell_power_route_shares_no_product_with_series():
