@@ -295,7 +295,7 @@ def convolution_row(r: int, n_max: int, domain: Domain) -> BernoulliRow:
     if r < 1:
         raise ValueError("order r must be >= 1")
     base = row_via_recurrence(n_max, domain).values
-    rows = [[(math.comb(n, m), 1, m, n - m) for m in range(n + 1)]
+    rows = [([(math.comb(n, m), m, n - m) for m in range(n + 1)], 1)
             for n in range(n_max + 1)]
     acc = base
     for _ in range(r - 1):

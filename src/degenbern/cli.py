@@ -16,7 +16,6 @@ import sys
 
 from . import __version__, bernoulli, ode_coeffs
 from .scalars import (
-    DomainError,
     EvaluatedDomain,
     Rational,
     domain_from_string,
@@ -448,7 +447,7 @@ def main(argv=None) -> int:
         doc, code = runner(args, command)
         sys.stdout.write(emit(doc, args.format))
         return code
-    except (CLIError, DomainError, ValueError) as exc:
+    except (CLIError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (MemoryError, OverflowError) as exc:

@@ -254,9 +254,7 @@ def _bell_partition_sum(n: int, k: int, xs: Sequence):
     sizes below s; it keeps only counts with which those blocks can
     still hold the elements, at least one and at most s-1 each, so no
     branch dies.  Once the sizes 1 and 2 are left the counts are forced:
-    left - blocks pairs and the rest singletons."""
-    if not 0 < k <= n:
-        return Rational(1 if n == k else 0)
+    left - blocks pairs and the rest singletons; 0 < k <= n."""
     fact = [1]
     for j in range(1, n + 1):
         fact.append(fact[-1] * j)
@@ -330,8 +328,8 @@ def bell_scaling_check(n: int, k: int, a, b, xs: Sequence) -> bool:
     """Does B_{n,k}(a b x_1, a b^2 x_2, ...) = a^k b^n B_{n,k}(x_1, x_2, ...)
     hold for these arguments?  Both sides are computed by partition sums."""
     scaled = [xs[i] * (a * b ** (i + 1)) for i in range(len(xs))]
-    lhs = _bell_partition_sum(n, k, scaled)
-    rhs = _bell_partition_sum(n, k, xs) * (a**k) * (b**n)
+    lhs = bell_partial(n, k, scaled)
+    rhs = bell_partial(n, k, xs) * (a**k) * (b**n)
     return lhs == rhs
 
 

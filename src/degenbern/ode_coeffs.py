@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 
-from .scalars import Domain, DomainError, Rational, Scalar, exact_quotient, packed_dots
+from .scalars import Domain, DomainError, PackedRun, Rational, Scalar, exact_quotient
 from .combinatorics import (
     Triangle,
     alternating_falling_sums,
@@ -91,7 +91,7 @@ def scaled_stirling_row(N: int, domain: Domain, xs: list) -> list:
     :func:`scaled_triangle_rows`, as the integer
     (-1)^N sum_k (-1)^k k! C(k,i) p^(k-i) T(N,k); no step divides.  At a
     rational λ the sums add int products; over Q[λ] the N+1 sums are one
-    call of :func:`packed_dots`.
+    call of a fresh :class:`PackedRun`.
     """
     p, _, zero, one = domain.parts
     signed = [bell_partial(N, k, xs) * ((-1) ** (N + k) * math.factorial(k))
@@ -100,8 +100,8 @@ def scaled_stirling_row(N: int, domain: Domain, xs: list) -> list:
     for _ in range(N):
         powers.append(powers[-1] * p)
     if domain.is_symbolic:
-        sums = [[(math.comb(k, i), k - i, k) for k in range(i, N + 1)] for i in range(N + 1)]
-        return packed_dots(powers, signed, [(terms, 1) for terms in sums])
+        rows = [([(math.comb(k, i), k - i, k) for k in range(i, N + 1)], 1) for i in range(N + 1)]
+        return PackedRun().dots(powers, signed, rows)
     row = []
     for i in range(N + 1):
         acc = zero

@@ -24,9 +24,9 @@ end.  A :class:`PackedRun` holds the packed operands of such sums from
 one call to the next: the reciprocal and the recurrence each keep one
 run for all their steps, so each operand is packed once, when it
 enters, and all of them are packed again only when a step needs wider
-slots than the run has, at headroom over that need.  A one-shot sum,
-:func:`packed_dots`, is one call of a fresh run.  Sums of products of
-rational scalars in either domain clear their denominators over one lcm
+slots than the run has, at headroom over that need; a one-shot sum is
+one call of a fresh run.  Sums of products of rational scalars in
+either domain take the same rows, clear their denominators over one lcm
 per sum and take the same route (:func:`rational_dots`).  The renderers
 print each reduced coefficient from its numerator and the common
 denominator by one gcd.
@@ -161,9 +161,8 @@ _RUN_HEADROOM = Rational(5, 4)
 
 
 class PackedRun:
-    """Sums of products of integer-coefficient λ-polynomials over a
-    run of calls whose operand lists only grow: the state of
-    :func:`packed_dots` kept from one call to the next.
+    """Sums of products of integer-coefficient λ-polynomials
+    (denominator 1) over a run of calls whose operand lists only grow.
 
     Each call's ``lefts`` and ``rights`` must extend those of the call
     before (same leading entries, possibly more after them).  The run
@@ -173,7 +172,8 @@ class PackedRun:
     only grows: the first call takes the width its largest row needs,
     and a later call whose rows need more repacks every operand held at
     ``_RUN_HEADROOM`` times the width needed, so a run that widens step
-    by step repacks only now and then.
+    by step repacks only now and then.  A one-shot sum is one call of a
+    fresh run.
     """
 
     __slots__ = ("_a", "_b", "_ha", "_hb", "_pa", "_pb", "_w")
@@ -185,8 +185,22 @@ class PackedRun:
         self._w = 0
 
     def dots(self, lefts: list, rights: list, rows: list) -> list:
-        """The rows of :func:`packed_dots` over ``lefts`` and ``rights``,
-        packing only the operands this run has not seen."""
+        """One reduced λ-polynomial per row: row ``(terms, den)`` gives
+        the sum of ``f * lefts[i] * rights[j]`` over the triples
+        ``(f, i, j)`` of ``terms``, for int factors ``f``, divided by the
+        positive int ``den``.
+
+        Every operand is packed at ``2**w``, for one slot width ``w``
+        shared by all rows, as in :func:`_kronecker_product`, so each
+        term is one big-integer product; the products of a row add as
+        ints, and each row is cut back into ``w``-bit slots and reduced
+        once.  With ``S = sum |f| * min(len a_i, len b_j) * max|a_i| *
+        max|b_j|`` over the terms of a row, every coefficient of that
+        row's sum is at most ``S`` in size, and the slot width
+        ``w = bits(max S) + 1`` gives ``S < 2**(w-1)``, so each slot
+        holds one signed coefficient.  A wider slot decodes the same
+        integers, which is what lets a run keep a width with headroom.
+        """
         a, b, ha, hb = self._a, self._b, self._ha, self._hb
         for ops, vs, hs in ((lefts, a, ha), (rights, b, hb)):
             for p in ops[len(vs):]:
@@ -213,52 +227,31 @@ class PackedRun:
         return out
 
 
-def packed_dots(lefts: list, rights: list, rows: list) -> list:
-    """Sums of products of integer-coefficient λ-polynomials
-    (denominator 1), one reduced λ-polynomial per row: row
-    ``(terms, den)`` gives the sum of ``f * lefts[i] * rights[j]`` over
-    the triples ``(f, i, j)`` of ``terms``, for int factors ``f``,
-    divided by the positive int ``den``.
-
-    This is one call of a fresh :class:`PackedRun`.  Every operand is
-    packed once at ``2**w``, for one slot width ``w`` shared by all rows,
-    as in :func:`_kronecker_product`, so each term is one big-integer
-    product; the products of a row add as ints, and each row is cut back
-    into ``w``-bit slots and reduced once.  With
-    ``S = sum |f| * min(len a_i, len b_j) * max|a_i| * max|b_j|`` over
-    the terms of a row, every coefficient of that row's sum is at most
-    ``S`` in size, and the slot width ``w = bits(max S) + 1`` gives
-    ``S < 2**(w-1)``, so each slot holds one signed coefficient.  A
-    wider slot decodes the same integers, which is what lets a run keep
-    a width with headroom.
-    """
-    return PackedRun().dots(lefts, rights, rows)
-
-
 def rational_dots(domain: Domain, lefts, rights, rows: list) -> list:
     """Sums of products of values of ``domain``, one reduced value per
-    row: row ``terms`` gives the sum of ``(f / g) * lefts[i] * rights[j]``
-    over the quadruples ``(f, g, i, j)`` of ``terms``, for int ``f`` and
-    positive int ``g``; an empty row gives zero.
+    row, in the rows of :meth:`PackedRun.dots`: row ``(terms, den)``
+    gives the sum of ``f * lefts[i] * rights[j]`` over the triples
+    ``(f, i, j)`` of ``terms``, divided by the positive int ``den``; an
+    empty row gives zero.
 
     Each row is cleared of denominators over one lcm: with ``d`` the
-    product of ``g`` and the two operands' denominators and ``L`` the
-    lcm of the ``d`` of its terms, a term is the integer factor
-    ``f * L / d`` times the two numerators, and the row is their sum
-    over ``L``.  Over Q[λ] all rows are one call of :func:`packed_dots`;
-    at a rational λ each row is a plain int sum, reduced once.
+    product of the two operands' denominators and ``L`` the lcm of the
+    ``d`` of its terms, a term is the integer factor ``f * L / d`` times
+    the two numerators, and the row is their sum over ``L * den``.  Over
+    Q[λ] all rows are one call of a fresh :class:`PackedRun`; at a
+    rational λ each row is a plain int sum, reduced once.
     """
     na = [x.numerator for x in lefts]
     nb = [x.numerator for x in rights]
     da = [x.denominator for x in lefts]
     db = [x.denominator for x in rights]
     cleared = []
-    for terms in rows:
-        ds = [g * da[i] * db[j] for _, g, i, j in terms]
+    for terms, den in rows:
+        ds = [da[i] * db[j] for _, i, j in terms]
         top = lcm(*ds)
-        cleared.append(([(f * (top // d), i, j) for (f, _, i, j), d in zip(terms, ds)], top))
+        cleared.append(([(f * (top // d), i, j) for (f, i, j), d in zip(terms, ds)], top * den))
     if domain.is_symbolic:
-        return packed_dots(na, nb, cleared)
+        return PackedRun().dots(na, nb, cleared)
     return [Rational(sum([f * na[i] * nb[j] for f, i, j in terms]), top)
             for terms, top in cleared]
 

@@ -159,7 +159,7 @@ class TruncatedSeries:
                 return TruncatedSeries._raw(
                     self._domain, tuple([Rational(c, d) for c in z[:m]])
                 )
-            rows = [[(1, 1, i, k - i) for i in range(k + 1)] for k in range(m)]
+            rows = [([(1, i, k - i) for i in range(k + 1)], 1) for k in range(m)]
             out = rational_dots(self._domain, self._coeffs[:m], other._coeffs[:m], rows)
             return TruncatedSeries._raw(self._domain, tuple(out))
         try:

@@ -129,7 +129,7 @@ def _weighted_sum(weights, series) -> LaurentSeries:
         # where this series' coefficient of t**0 sits among the operands
         origins.append(len(rights) + s.pole)
         rights.extend(s.body.coeffs[:top + s.pole + 1])
-    rows = [[(1, 1, i, at + e) for i, (s, at) in enumerate(zip(series, origins)) if e >= -s.pole]
+    rows = [([(1, i, at + e) for i, (s, at) in enumerate(zip(series, origins)) if e >= -s.pole], 1)
             for e in range(-pole, top + 1)]
     domain = series[0].domain
     body = rational_dots(domain, weights, rights, rows)
@@ -240,7 +240,7 @@ def verify_classical_derivative(
         # F0^(k+1) times (-1)^k k! (N s(N-1,k) + (s(N,k) + N s(N-1,k)) t)
         low = [w * N * s1.value(N - 1, k) for k, w in enumerate(signs)]
         high = [h + w for h, w in zip(here, low)]
-        rhs = _weighted_sum(low, pows) + _weighted_sum(high, pows).shifted(1)
+        rhs = _weighted_sum(low + high, pows + [p.shifted(1) for p in pows])
     rhs = rhs * inv
     identity = "eq_41" if which == "eq41" else "eq_42"
     params = {"N": N, "order": order, "lambda": "0"}
@@ -253,8 +253,9 @@ def verify_classical_derivative(
 
 class HigherOrderContext:
     """Shared tables for the reconstruction sums: the coefficient
-    triangle through row max_N and the order-r Bernoulli rows through
-    index max_index for every 1 <= r <= max_N + 1."""
+    triangle through row max_N and, for every 1 <= r <= max_N + 1, the
+    series coefficients b^(r)_idx / idx! of (t / log_λ(1+t))**r through
+    index max_index; :meth:`b` reads the value b^(r)_idx."""
 
     def __init__(self, domain: Domain, max_N: int, max_index: int):
         if max_N < 1:
@@ -262,15 +263,12 @@ class HigherOrderContext:
         self.domain = domain
         self.coeffs = coeff_triangle(max_N, domain)
         base = degenerate_log_over_t_series(domain, max_index + 1).reciprocal()
-        self._rows = {
-            r: tuple([power[n] * math.factorial(n) for n in range(max_index + 1)])
-            for r, power in enumerate(powers(base, max_N + 1), 1)
-        }
+        self._rows = {r: power.coeffs for r, power in enumerate(powers(base, max_N + 1), 1)}
         self.max_N = max_N
         self.max_index = max_index
 
     def b(self, r: int, idx: int):
-        return self._rows[r][idx]
+        return self._rows[r][idx] * math.factorial(idx)
 
 
 def _triangle(coeffs: Triangle | None, n_max: int, domain: Domain) -> Triangle:
@@ -313,32 +311,38 @@ def _reconstruction(j: int, N: int, ctx: HigherOrderContext, domain: Domain) -> 
     ``rhs_printed`` reads it as j!/(l+1)!, the variant in the final
     printed statement, with the reciprocal factorial of a negative
     integer read as zero; its third sum is taken for j >= 0 only, where
-    it is read.  One call of :func:`rational_dots` takes the first two sums
-    as one row and each reading of the third sum as another, so each
-    product is taken once, over the entries of triangle rows N and N-1
-    and the values b^(r)_idx, each entered once: the sums read b^(r)
-    through idx = j + min(r, N).
+    it is read.  The sums read the context's series coefficients
+    b^(r)_idx / idx!, so the weights of the first two sums and of the
+    derived third sum are integers; the printed reading weighs a
+    coefficient by (l+i)!/(l+1)!, an integer for i >= 1 and 1/(l+1) for
+    i = 0, so its row is an integer row over lcm(1..j+1).  One call of
+    :func:`rational_dots` takes the first two sums as one row and each
+    reading of the third sum as another, so each product is taken once,
+    over the entries of triangle rows N and N-1 and the coefficients of
+    order r through idx = j + min(r, N), each entered once.
     """
     jw = math.factorial(j) if j >= 0 else 1
+    den = math.lcm(*range(1, j + 2))
     lefts = ctx.coeffs.row(N) + ctx.coeffs.row(N - 1)
     rights, start = [], {}
     for r in range(1, N + 2):
         start[r] = len(rights)
-        rights.extend(ctx.b(r, idx) for idx in range(j + min(r, N) + 1))
+        rights.extend(ctx._rows[r][:j + min(r, N) + 1])
     s12, derived, printed = [], [], []
     for l in range(-N, j + 1):
         sign = -1 if (N + j + l) % 2 else 1
         cs = math.comb(N + j - l - 1, j - l) * sign * jw
         for i in range(max(0, -l), N + 1):
-            s12.append((cs, math.factorial(l + i), i, start[i + 1] + l + i))
+            s12.append((cs, i, start[i + 1] + l + i))
         for i in range(max(0, -l - 1), N):
-            s12.append((-cs * N, math.factorial(l + i + 1), N + 1 + i, start[i + 1] + l + i + 1))
+            s12.append((-cs * N, N + 1 + i, start[i + 1] + l + i + 1))
         # the third sum: empty at l = -N, where i would start at N
         for i in range(max(0, -l), N):
-            derived.append((-cs * N, math.factorial(l + i), N + 1 + i, start[i + 1] + l + i))
+            derived.append((-cs * N, N + 1 + i, start[i + 1] + l + i))
             if j >= 0 and l >= -1:
-                printed.append((-cs * N, math.factorial(l + 1), N + 1 + i, start[i + 1] + l + i))
-    rows = [s12, derived, printed]
+                scale = den * math.factorial(l + i) // math.factorial(l + 1)
+                printed.append((-cs * N * scale, N + 1 + i, start[i + 1] + l + i))
+    rows = [(s12, 1), (derived, 1), (printed, den)]
     first_two, third, third_printed = rational_dots(domain, lefts, rights, rows)
     return first_two + third, first_two + third_printed
 
@@ -552,11 +556,14 @@ class _SuiteRun:
         if self.order < 2:
             raise ValueError("order too small to compare anything")
 
+    def _size(self, top: dict) -> int:
+        """The largest size that a suite of this run asks of a table,
+        from ``top``, the size each suite that reads it needs."""
+        return max(top[s] for s in self.suites if s in top)
+
     @cached_property
     def coeffs(self) -> Triangle:
-        top = {"ode": self.N_max, "cor34": self.n_max}
-        size = max(top[s] for s in self.suites if s in top)
-        return coeff_triangle(size, self.domain)
+        return coeff_triangle(self._size({"ode": self.N_max, "cor34": self.n_max}), self.domain)
 
     @cached_property
     def ode_powers(self) -> list:
@@ -565,14 +572,12 @@ class _SuiteRun:
 
     @cached_property
     def classical_powers(self) -> list:
-        top = {"eq41": self.N_max, "eq42": self.n_max}
-        size = max(top[s] for s in self.suites if s in top)
+        size = self._size({"eq41": self.N_max, "eq42": self.n_max})
         return powers(classical_log_reciprocal(self.order + size), size + 1)
 
     @cached_property
     def ctx(self) -> HigherOrderContext:
-        top = {"thm41": self.max_j + self.N_max, "cor42": self.N_max - 1}
-        size = max(top[s] for s in self.suites if s in top)
+        size = self._size({"thm41": self.max_j + self.N_max, "cor42": self.N_max - 1})
         return HigherOrderContext(self.domain, self.N_max, size)
 
     def reports(self) -> list:

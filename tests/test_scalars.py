@@ -236,7 +236,7 @@ def test_product_packs_only_long_operands(short, monkeypatch):
         assert len(calls) == (0 if short <= T else 1)
 
 
-# integer-coefficient operands for packed_dots: zero polynomials,
+# integer-coefficient operands for PackedRun.dots: zero polynomials,
 # negative entries, up to 40 numerators of up to 400 bits
 wide_ints = st.integers(min_value=-(1 << 400), max_value=1 << 400)
 int_polys = st.one_of(
@@ -247,7 +247,7 @@ int_polys = st.one_of(
 
 @st.composite
 def dot_batches(draw):
-    """(lefts, rights, rows) for packed_dots: up to four rows of 1 to 40
+    """(lefts, rights, rows) for PackedRun.dots: up to four rows of 1 to 40
     terms over shared operand lists, factors zero, negative or wide."""
     lefts = draw(st.lists(int_polys, min_size=1, max_size=6))
     rights = draw(st.lists(int_polys, min_size=1, max_size=6))
@@ -263,7 +263,7 @@ def dot_batches(draw):
 
 
 def ref_dots(lefts, rights, rows):
-    """The rows of packed_dots in plain λ-polynomial arithmetic."""
+    """The rows of PackedRun.dots in plain λ-polynomial arithmetic."""
     return [sum((f * lefts[i] * rights[j] for f, i, j in terms), LambdaPoly()) / den
             for terms, den in rows]
 
@@ -286,7 +286,7 @@ def full_slot(bits, length, sign):
 @example(full_slot(64, 15, -1))
 def test_packed_dots_match_ring_arithmetic(batch):
     lefts, rights, rows = batch
-    assert scalars.packed_dots(lefts, rights, rows) == ref_dots(lefts, rights, rows)
+    assert scalars.PackedRun().dots(lefts, rights, rows) == ref_dots(lefts, rights, rows)
 
 
 @settings(max_examples=80, deadline=None)
@@ -298,7 +298,7 @@ def test_packed_dots_of_constants_are_int_sums(terms):
     lefts = [LambdaPoly.constant(a) for _, a, _ in terms]
     rights = [LambdaPoly.constant(b) for _, _, b in terms]
     rows = [([(f, k, k) for k, (f, _, _) in enumerate(terms)], 1)]
-    assert scalars.packed_dots(lefts, rights, rows) == [
+    assert scalars.PackedRun().dots(lefts, rights, rows) == [
         LambdaPoly.constant(sum(f * a * b for f, a, b in terms))]
 
 
@@ -310,7 +310,7 @@ def test_packed_dots_at_the_slot_bound_among_smaller_rows():
     lefts.append(LambdaPoly([-1, 2, -3]))
     rights.append(LambdaPoly([0, 0, 7]))
     rows += [([(-2, 1, 1), (1, 0, 1)], 3), ([(0, 0, 0)], 1), ([], 1)]
-    out = scalars.packed_dots(lefts, rights, rows)
+    out = scalars.PackedRun().dots(lefts, rights, rows)
     assert out == ref_dots(lefts, rights, rows)
     assert out[0].coeffs[4] == -(2**200 - 1)
     assert out[2] == out[3] == LambdaPoly()
@@ -395,8 +395,8 @@ def test_packed_run_packs_each_operand_once_until_it_regrows(monkeypatch):
 def rational_dot_batches(draw):
     """(domain, lefts, rights, rows) for rational_dots: operands of one
     domain with mixed denominators, zero and negative ones among them,
-    and up to five rows of 0 to 3 or 30 to 50 terms with zero, negative
-    and wide factors f and divisors g."""
+    and up to five rows (terms, den) of 0 to 3 or 30 to 50 terms with
+    zero, negative and wide factors f, each row over a divisor den."""
     domain = draw(st.sampled_from([SYMBOLIC, EvaluatedDomain(Fraction(7, 3))]))
     scalar = st.one_of(st.just(Fraction(0)), wide_rationals)
     if domain.is_symbolic:
@@ -405,25 +405,25 @@ def rational_dot_batches(draw):
     lefts, rights = draw(operands), draw(operands)
     term = st.tuples(
         st.one_of(st.integers(min_value=-5, max_value=5), wide_ints),
-        st.one_of(st.integers(min_value=1, max_value=720),
-                  st.integers(min_value=1, max_value=1 << 90)),
         st.integers(min_value=0, max_value=len(lefts) - 1),
         st.integers(min_value=0, max_value=len(rights) - 1),
     )
     sizes = st.one_of(st.integers(min_value=0, max_value=3),
                       st.integers(min_value=30, max_value=50))
-    rows = draw(st.lists(sizes.flatmap(lambda n: st.lists(term, min_size=n, max_size=n)),
-                         max_size=5))
+    dens = st.one_of(st.integers(min_value=1, max_value=720),
+                     st.integers(min_value=1, max_value=1 << 90))
+    rows = draw(st.lists(st.tuples(sizes.flatmap(lambda n: st.lists(term, min_size=n, max_size=n)),
+                                   dens), max_size=5))
     return domain, lefts, rights, rows
 
 
 @settings(max_examples=80, deadline=None)
 @given(rational_dot_batches())
 def test_rational_dots_match_ring_arithmetic(batch):
-    # each row against sum((f/g) * a * b) in the domain's own arithmetic
+    # each row against sum(f * a * b) / den in the domain's own arithmetic
     domain, lefts, rights, rows = batch
-    expected = [sum((Fraction(f, g) * lefts[i] * rights[j] for f, g, i, j in terms), domain.zero)
-                for terms in rows]
+    expected = [sum((f * lefts[i] * rights[j] for f, i, j in terms), domain.zero) / den
+                for terms, den in rows]
     got = scalars.rational_dots(domain, lefts, rights, rows)
     assert got == expected
     assert all(isinstance(v, type(domain.zero)) for v in got)
@@ -436,8 +436,8 @@ def test_rational_dots_of_rows_of_very_different_sizes():
         (SYMBOLIC, LambdaPoly([Fraction(1, 3), -2]), LambdaPoly([5, Fraction(-7, 4)])),
         (EvaluatedDomain(Fraction(-2, 5)), Fraction(1, 3), Fraction(-7, 4)),
     ):
-        rows = [[], [(3, 2, 0, 0)], [(k, k + 1, 0, 0) for k in range(40)]
-                + [(-k, k + 1, 0, 0) for k in range(40)]]
+        rows = [([], 7), ([(3, 0, 0)], 2), ([(k, 0, 0) for k in range(40)]
+                                            + [(-k, 0, 0) for k in range(40)], 41)]
         assert scalars.rational_dots(domain, [x], [y], rows) == [
             domain.zero, Fraction(3, 2) * x * y, domain.zero]
 

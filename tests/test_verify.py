@@ -186,11 +186,12 @@ def test_long_symbolic_product_fault_fails_the_symbolic_checks(monkeypatch):
     assert evaluated_products_pass()
 
 
-def plant_in_packed_dots(monkeypatch):
+def plant_in_packed_run(monkeypatch):
     """Rebind the packed dot-product kernel, PackedRun.dots, which every
-    packed_dots call and every step of a symbolic reciprocal or
-    recurrence run goes through, so that coefficient 2 of every sum of
-    degree 2 or more moves by 1 over the sum's reduced denominator."""
+    one-shot sum of products over Q[λ] and every step of a symbolic
+    reciprocal or recurrence run goes through, so that coefficient 2 of
+    every sum of degree 2 or more moves by 1 over the sum's reduced
+    denominator."""
     real = scalars.PackedRun.dots
 
     def off_by_one(run, lefts, rights, rows):
@@ -209,7 +210,7 @@ def test_packed_dot_fault_fails_the_symbolic_checks(monkeypatch):
     rows = {(route, domain): getattr(bernoulli, route)(8, domain).values
             for route in ("row_via_series", "row_via_recurrence")
             for domain in (SYMBOLIC, EvaluatedDomain(Fraction(7, 3)))}
-    plant_in_packed_dots(monkeypatch)
+    plant_in_packed_run(monkeypatch)
     assert F * F != square
     for (route, domain), values in rows.items():
         planted = getattr(bernoulli, route)(8, domain).values
@@ -523,6 +524,18 @@ def test_higher_order_fault_injection():
     r = verify_higher_order(2, 2, SYMBOLIC, ctx)
     assert not r.verdict
     assert r.witness["index"] == 4
+
+
+@pytest.mark.parametrize("domain", [SYMBOLIC, EvaluatedDomain(Fraction(7, 3)),
+                                    EvaluatedDomain(Fraction(-2, 5))], ids=["sym", "7/3", "-2/5"])
+def test_context_rows_are_the_order_r_rows(domain):
+    # the context keeps the series coefficients b^(r)_idx / idx! and b
+    # multiplies idx! back on read; convolution_row convolves the
+    # recurrence row and shares no code with the reciprocal's powers
+    ctx = HigherOrderContext(domain, 4, 9)
+    for r in range(1, 6):
+        expected = bernoulli.convolution_row(r, 9, domain).values
+        assert [ctx.b(r, idx) for idx in range(10)] == list(expected), r
 
 
 def test_higher_order_context_validation():
