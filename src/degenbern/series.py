@@ -18,6 +18,11 @@ once per product.  The symbolic reciprocal sums its steps in the same
 kernel, through one :class:`PackedRun` that packs each operand once per
 reciprocal.
 
+Laurent series combine linearly in one place, :func:`weighted_sum`.
+Its result is known on the :func:`window` of its terms, from minus the
+largest pole through the smallest top exponent, and Laurent equality
+compares on the same window.
+
 The named constructors at the bottom build the generating functions the
 rest of the package feeds on: the binomial series (1+t)**λ, the
 λ-deformed exponential, the λ-deformed logarithm divided by t, and the
@@ -123,12 +128,8 @@ class TruncatedSeries:
     def __neg__(self):
         return TruncatedSeries._raw(self._domain, tuple([-c for c in self._coeffs]))
 
-    def scale(self, scalar) -> "TruncatedSeries":
-        s = self._domain.coerce(scalar)
-        return TruncatedSeries._raw(self._domain, tuple([c * s for c in self._coeffs]))
-
     def __mul__(self, other):
-        """Cauchy product truncated to the smaller order, or a scaling.
+        """Cauchy product truncated to the smaller order.
 
         At a rational λ both operands, cut to m = min(order), are written
         as integer numerators over the lcm of their denominators, and one
@@ -162,10 +163,7 @@ class TruncatedSeries:
             rows = [([(1, i, k - i) for i in range(k + 1)], 1) for k in range(m)]
             out = rational_dots(self._domain, self._coeffs[:m], other._coeffs[:m], rows)
             return TruncatedSeries._raw(self._domain, tuple(out))
-        try:
-            return self.scale(other)
-        except DomainError:
-            return NotImplemented
+        return NotImplemented
 
     __rmul__ = __mul__
 
@@ -301,10 +299,6 @@ class LaurentSeries:
         self._pole = pole
         self._body = TruncatedSeries._raw(body.domain, cs)
 
-    @classmethod
-    def from_series(cls, s: TruncatedSeries) -> "LaurentSeries":
-        return cls(0, s)
-
     @property
     def pole(self) -> int:
         return self._pole
@@ -341,20 +335,6 @@ class LaurentSeries:
 
     # arithmetic -------------------------------------------------------
 
-    def __add__(self, other):
-        if isinstance(other, LaurentSeries):
-            self._check(other)
-            p = max(self._pole, other._pole)
-            a = _pad_low(self._body, p - self._pole)
-            b = _pad_low(other._body, p - other._pole)
-            return LaurentSeries(p, a + b)
-        return NotImplemented
-
-    def __sub__(self, other):
-        if isinstance(other, LaurentSeries):
-            return self + (-other)
-        return NotImplemented
-
     def __neg__(self):
         return LaurentSeries(self._pole, -self._body)
 
@@ -362,15 +342,9 @@ class LaurentSeries:
         if isinstance(other, LaurentSeries):
             self._check(other)
             return LaurentSeries(self._pole + other._pole, self._body * other._body)
-        try:
-            return self.scale(other)
-        except DomainError:
-            return NotImplemented
+        return NotImplemented
 
     __rmul__ = __mul__
-
-    def scale(self, scalar) -> "LaurentSeries":
-        return LaurentSeries(self._pole, self._body.scale(scalar))
 
     def __pow__(self, exponent: int) -> "LaurentSeries":
         if not isinstance(exponent, int) or exponent < 0:
@@ -382,7 +356,9 @@ class LaurentSeries:
         """Multiply by t**k (k may be negative)."""
         if k <= self._pole:
             return LaurentSeries(self._pole - k, self._body)
-        return LaurentSeries(0, _pad_low(self._body, k - self._pole))
+        # the exponents below k - pole are exact zeros
+        zeros = (self.domain.zero,) * (k - self._pole)
+        return LaurentSeries(0, TruncatedSeries._raw(self.domain, zeros + self._body.coeffs))
 
     def derivative(self, n: int = 1) -> "LaurentSeries":
         """The n-th derivative of t**(-p) G in one pass.
@@ -407,17 +383,12 @@ class LaurentSeries:
 
     # comparison -------------------------------------------------------
 
-    def _window(self, other: "LaurentSeries") -> tuple[int, int]:
-        lo = -max(self._pole, other._pole)
-        hi = min(self.top_exponent, other.top_exponent)
-        return lo, hi
-
     def __eq__(self, other):
         if not isinstance(other, LaurentSeries):
             return NotImplemented
         if self.domain != other.domain:
             return False
-        lo, hi = self._window(other)
+        lo, hi = window((self, other))
         return all(
             self.coefficient(e) == other.coefficient(e) for e in range(lo, hi + 1)
         )
@@ -433,13 +404,32 @@ def _falling(e: int, n: int) -> int:
     return perm(e, n) if e >= 0 else (-1) ** n * perm(n - 1 - e, n)
 
 
-def _pad_low(body: TruncatedSeries, k: int) -> TruncatedSeries:
-    """Prepend k exact zero coefficients (multiply the body by t**k
-    while lowering the pole by k keeps the object and window intact)."""
-    if k == 0:
-        return body
-    zero = body.domain.zero
-    return TruncatedSeries._raw(body.domain, (zero,) * k + body.coeffs)
+def window(series) -> tuple[int, int]:
+    """The exponents (low, high) at which every one of the Laurent
+    ``series`` is known: from minus the largest pole through the
+    smallest top exponent."""
+    return -max(s.pole for s in series), min(s.top_exponent for s in series)
+
+
+def weighted_sum(weights, series) -> LaurentSeries:
+    """sum_i weights[i] series[i] of Laurent series of one domain (a
+    DomainError otherwise), with weights that are values of that domain,
+    known on the :func:`window` of the series.  The coefficient at each exponent is one row of
+    :func:`rational_dots`, and each series coefficient in that window is
+    one operand."""
+    domain = series[0].domain
+    if any(s.domain != domain for s in series):
+        raise DomainError("Laurent series from different λ-domains")
+    low, top = window(series)
+    rights, origins = [], []
+    for s in series:
+        # where this series' coefficient of t**0 sits among the operands
+        origins.append(len(rights) + s.pole)
+        rights.extend(s.body.coeffs[:top + s.pole + 1])
+    rows = [([(1, i, at + e) for i, (s, at) in enumerate(zip(series, origins)) if e >= -s.pole], 1)
+            for e in range(low, top + 1)]
+    body = rational_dots(domain, weights, rights, rows)
+    return LaurentSeries(-low, TruncatedSeries._raw(domain, tuple(body)))
 
 
 def powers(s, count: int) -> list:
@@ -465,13 +455,9 @@ def truncated_powers(s: TruncatedSeries, count: int) -> list:
 # named constructors
 
 
-def zero_series(domain: Domain, order: int) -> TruncatedSeries:
-    return TruncatedSeries._raw(domain, (domain.zero,) * order)
-
-
 def one_series(domain: Domain, order: int) -> TruncatedSeries:
     if order == 0:
-        return zero_series(domain, 0)
+        return TruncatedSeries._raw(domain, ())
     return TruncatedSeries._raw(domain, (domain.one,) + (domain.zero,) * (order - 1))
 
 

@@ -29,13 +29,14 @@ from .scalars import (
 )
 from .series import (
     LaurentSeries,
-    TruncatedSeries,
     classical_log_reciprocal,
     degenerate_exp_series,
     degenerate_log_over_t_series,
     degenerate_log_reciprocal,
     one_plus_t_power,
     powers,
+    weighted_sum,
+    window,
 )
 from .combinatorics import (
     Triangle,
@@ -105,8 +106,7 @@ def _first_disagreement(checks, domain: Domain | None) -> tuple[bool, dict | Non
 def _laurent_report(
     identity: str, params: dict, lhs: LaurentSeries, rhs: LaurentSeries
 ) -> IdentityReport:
-    lo = -max(lhs.pole, rhs.pole)
-    hi = min(lhs.top_exponent, rhs.top_exponent)
+    lo, hi = window((lhs, rhs))
     checks = (
         ({"exponent": e}, "lhs", lhs.coefficient(e), "rhs", rhs.coefficient(e))
         for e in range(lo, hi + 1)
@@ -114,26 +114,6 @@ def _laurent_report(
     ok, witness = _first_disagreement(checks, None)
     compared = {"exponent_low": lo, "exponent_high": hi}
     return IdentityReport(identity, params, ok, witness, compared)
-
-
-def _weighted_sum(weights, series) -> LaurentSeries:
-    """sum_i weights[i] series[i] of Laurent series, known from the
-    largest pole through the smallest top exponent, as the sum added
-    series by series would be.  The coefficient at each exponent is one
-    row of :func:`rational_dots`, and each series coefficient in that
-    window is one operand."""
-    pole = max(s.pole for s in series)
-    top = min(s.top_exponent for s in series)
-    rights, origins = [], []
-    for s in series:
-        # where this series' coefficient of t**0 sits among the operands
-        origins.append(len(rights) + s.pole)
-        rights.extend(s.body.coeffs[:top + s.pole + 1])
-    rows = [([(1, i, at + e) for i, (s, at) in enumerate(zip(series, origins)) if e >= -s.pole], 1)
-            for e in range(-pole, top + 1)]
-    domain = series[0].domain
-    body = rational_dots(domain, weights, rights, rows)
-    return LaurentSeries(pole, TruncatedSeries._raw(domain, tuple(body)))
 
 
 # ---------------------------------------------------------------------------
@@ -163,13 +143,10 @@ def verify_ode(
     pows = _power_table(
         table, N, order, domain, lambda m: degenerate_log_reciprocal(domain, m))
     deriv = pows[0].derivative(N)
-    window = deriv.body.order
-    lhs = deriv * LaurentSeries.from_series(
-        one_plus_t_power(domain, N, window)
-    )
+    lhs = deriv * LaurentSeries(0, one_plus_t_power(domain, N, deriv.body.order))
     if N % 2:
         lhs = -lhs
-    rhs = _weighted_sum(_triangle(coeffs, N, domain).row(N), pows)
+    rhs = weighted_sum(_triangle(coeffs, N, domain).row(N), pows)
     params = {"N": N, "order": order, "lambda": domain.describe()}
     return _laurent_report("ode_family", params, lhs, rhs)
 
@@ -228,19 +205,19 @@ def verify_classical_derivative(
     pows = _power_table(table, N, order, EvaluatedDomain(0), classical_log_reciprocal)
     F0 = pows[0]
     s1 = stirling1_signed(N)
-    inv = LaurentSeries.from_series(one_plus_t_power(F0.domain, -N, F0.body.order))
+    inv = LaurentSeries(0, one_plus_t_power(F0.domain, -N, F0.body.order))
 
     lhs = (F0 if which == "eq41" else F0.shifted(1)).derivative(N)
 
     signs = [(-1) ** k * math.factorial(k) for k in range(N + 1)]
     here = [w * s1.value(N, k) for k, w in enumerate(signs)]
     if which == "eq41":
-        rhs = _weighted_sum(here, pows)
+        rhs = weighted_sum(here, pows)
     else:
         # F0^(k+1) times (-1)^k k! (N s(N-1,k) + (s(N,k) + N s(N-1,k)) t)
         low = [w * N * s1.value(N - 1, k) for k, w in enumerate(signs)]
         high = [h + w for h, w in zip(here, low)]
-        rhs = _weighted_sum(low + high, pows + [p.shifted(1) for p in pows])
+        rhs = weighted_sum(low + high, pows + [p.shifted(1) for p in pows])
     rhs = rhs * inv
     identity = "eq_41" if which == "eq41" else "eq_42"
     params = {"N": N, "order": order, "lambda": "0"}

@@ -24,8 +24,8 @@ from degenbern import (
     one_series,
     powers,
     truncated_powers,
-    zero_series,
 )
+from degenbern.series import weighted_sum, window
 from test_scalars import wide_coeff_lists
 
 Q = EvaluatedDomain(Fraction(0))
@@ -40,7 +40,6 @@ def test_construction_and_padding():
         s[5]
     with pytest.raises(ValueError):
         TruncatedSeries(Q, (1, 2, 3), order=2)
-    assert zero_series(Q, 4)[3] == 0
     assert one_series(Q, 4)[0] == 1
 
 
@@ -177,7 +176,7 @@ def test_series_equality_common_prefix():
     assert a != TruncatedSeries(HALF, (1, 2, 3), 6)
 
 
-def test_laurent_from_series_strips_known_zeros():
+def test_laurent_constructor_strips_known_zeros():
     body = TruncatedSeries(Q, (0, 0, 1, 5), 6)
     L = LaurentSeries(2, body)
     assert L.pole == 0
@@ -195,7 +194,7 @@ def test_laurent_pole_arithmetic():
     G = F * F
     assert G.pole == 2
     assert G.coefficient(-2) == 1
-    S = F + (-F)
+    S = weighted_sum([1, -1], [F, F])
     assert all(not S.coefficient(e) for e in range(-S.pole, S.top_exponent + 1))
 
 
@@ -257,7 +256,7 @@ def test_laurent_mul_scale_shift():
     t = F.shifted(1)
     assert t.pole == 0
     assert t.coefficient(0) == 1
-    half = F.scale(Fraction(1, 2))
+    half = weighted_sum([Fraction(1, 2)], [F])
     assert half.coefficient(-1) == Fraction(1, 2)
     sq = F**2
     assert sq.pole == 2
@@ -268,8 +267,72 @@ def test_laurent_equality_common_window():
     F = classical_log_reciprocal(9)
     G = classical_log_reciprocal(5)
     assert F == G
-    H = G + LaurentSeries.from_series(TruncatedSeries(Q, (0, 0, 1), 4))
+    H = weighted_sum([1, 1], [G, LaurentSeries(0, TruncatedSeries(Q, (0, 0, 1), 4))])
     assert F != H
+
+
+def bumped(L, k):
+    """L with 1 added to its body coefficient k."""
+    cs = list(L.body.coeffs)
+    cs[k] = cs[k] + 1
+    return LaurentSeries(L.pole, TruncatedSeries(L.domain, cs))
+
+
+@pytest.mark.parametrize("domain", [SYMBOLIC, EvaluatedDomain(Fraction(-5, 7))], ids=["sym", "-5/7"])
+def test_weighted_sum_is_the_ring_sum_on_the_window(domain):
+    # poles 0 to 3; the pole-3 body is the shortest, so the window's top
+    # is its top exponent
+    F = degenerate_log_reciprocal(domain, 10)
+    series = [F.shifted(1), F, F**2, LaurentSeries(3, degenerate_exp_series(domain, 7))]
+    assert [s.pole for s in series] == [0, 1, 2, 3]
+    assert [s.top_exponent for s in series] == [9, 8, 7, 3]
+    lam = domain.lam
+    weights = [domain.coerce(w) for w in (0, -1, Fraction(7, 3))]
+    weights.append(domain.one - lam / Fraction(2) + 3 * lam * lam)
+    assert window(series) == (-3, 3)
+
+    def ring_sums(terms):
+        return [sum((w * s.coefficient(e) for w, s in zip(weights, terms)), domain.zero)
+                for e in range(-3, 4)]
+
+    def known(L):
+        return [L.coefficient(e) for e in range(-3, L.top_exponent + 1)]
+
+    got = weighted_sum(weights, series)
+    assert (got.pole, got.top_exponent) == (3, 3)
+    assert known(got) == ring_sums(series)
+    # a +1 at exponent e of one term moves the sum at e by that term's
+    # weight when e is in the window, and moves nothing above it
+    for i, s in enumerate(series):
+        for k in range(s.body.order):
+            e = k - s.pole
+            terms = series[:i] + [bumped(s, k)] + series[i + 1:]
+            moved = weighted_sum(weights, terms)
+            assert moved.top_exponent == 3
+            delta = [b - a for a, b in zip(known(got), known(moved))]
+            assert delta == [weights[i] if x == e else domain.zero for x in range(-3, 4)]
+
+
+def test_weighted_sum_rejects_series_of_two_domains():
+    F = degenerate_log_reciprocal(HALF, 6)
+    G = degenerate_log_reciprocal(EvaluatedDomain(Fraction(1, 3)), 6)
+    with pytest.raises(DomainError):
+        weighted_sum([1, 1], [F, G])
+
+
+def test_shifted_keeps_every_known_coefficient():
+    # each case: series, k, and the pole of the series times t**k
+    F = degenerate_log_reciprocal(HALF, 8)
+    empty = LaurentSeries(2, TruncatedSeries(HALF, (), 0))
+    cases = [(F, 3, 0), (F, 1, 0), (F, 0, 1), (F, -2, 3),
+             (empty, 3, 0), (empty, 2, 0), (empty, -1, 3)]
+    for L, k, pole in cases:
+        S = L.shifted(k)
+        assert (S.pole, S.top_exponent) == (pole, L.top_exponent + k)
+        assert all(S.coefficient(e) == L.coefficient(e - k)
+                   for e in range(-S.pole - 2, S.top_exponent + 1))
+        with pytest.raises(IndexError):
+            S.coefficient(S.top_exponent + 1)
 
 
 def test_independent_triangular_inversion_oracle():

@@ -3,7 +3,8 @@ every name the benchmark's tracer wraps exists, the benchmark's checkers
 pass their self-test, the Bell generating-function route keeps its own
 series product, ``__all__`` lists exactly the names the package root
 imports, no module imports a name it never reads, code forks on the
-domain only at listed sites, every docstring example and the README's
+domain only at listed sites, no module but ``series.py`` builds a
+series unchecked, every docstring example and the README's
 quick tour run, and every ``$ degenbern`` example and the JSON document
 shape in the README are what the command prints.  A README failure
 names the README line.
@@ -242,6 +243,37 @@ def test_domain_forks_are_at_the_listed_sites():
                                      type_tests=path.name != "scalars.py")
     }
     assert found == DOMAIN_FORKS
+
+
+def raw_series_calls(source: str) -> list[int]:
+    """Lines that call ``TruncatedSeries._raw``, which builds a series
+    from a tuple as it is, with no coercion and no order check."""
+    return sorted(
+        node.lineno for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "_raw"
+        and getattr(node.func.value, "id", getattr(node.func.value, "attr", None)) == "TruncatedSeries"
+    )
+
+
+def test_the_rule_sees_every_raw_series_call():
+    source = (
+        "a = TruncatedSeries._raw(d, c)\n"
+        "b = series.TruncatedSeries._raw(d, c)\n"
+        "c = TruncatedSeries(d, c)\n"
+        "d = Other._raw(d, c)\n"
+    )
+    assert raw_series_calls(source) == [1, 2]
+
+
+def test_only_series_builds_a_series_unchecked():
+    found = [
+        f"{path.name}:{line}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "series.py"
+        for line in raw_series_calls(path.read_text(encoding="utf-8"))
+    ]
+    assert found == []
 
 
 def test_every_module_passes_its_doctests():

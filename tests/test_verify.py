@@ -726,7 +726,7 @@ def test_verify_all_runs_where_one_suite_is_empty():
     assert all(r.verdict for r in reports)
 
 
-def test_verify_all_shares_the_suite_triangle_with_the_context(monkeypatch):
+def test_verify_all_builds_four_coefficient_triangles(monkeypatch):
     real = verify_module.coeff_triangle
     calls = []
 
