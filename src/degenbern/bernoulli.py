@@ -27,7 +27,7 @@ from .scalars import (
 )
 from .series import (
     classical_log_over_t_series,
-    degenerate_log_over_t_series,
+    degenerate_log_over_t_series_in_u,
     require_deformed,
 )
 from .combinatorics import (
@@ -70,11 +70,19 @@ class BernoulliRow:
 
 def row_via_series(n_max: int, domain: Domain) -> BernoulliRow:
     """n! times the coefficients of the reciprocal of the deformed
-    log-over-t series.  This is the reference route."""
+    log-over-t series, the reference route.  At λ = p/q the series is
+    inverted in u = t/q and value n is n! [u^n] / q^n; symbolically q = 1."""
     _check_route(n_max, domain)
-    body = degenerate_log_over_t_series(domain, n_max + 1).reciprocal()
-    values = tuple([body[n] * math.factorial(n) for n in range(n_max + 1)])
-    return BernoulliRow(domain, 1, "series", values)
+    return BernoulliRow(domain, 1, "series", _series_values(1, n_max, domain))
+
+
+def _series_values(r: int, n_max: int, domain: Domain) -> tuple:
+    """n! [t^n] of the r-th power of the reciprocal deformed log-over-t
+    series, read in u = t/q as n! [u^n] / q^n, each one reduced value."""
+    body = degenerate_log_over_t_series_in_u(domain, n_max + 1).reciprocal() ** r
+    q = domain.parts[1]
+    return tuple([domain.scaled(c.numerator, math.factorial(n), c.denominator * q**n)
+                  for n, c in enumerate(body.coeffs)])
 
 
 def row_via_recurrence(n_max: int, domain: Domain) -> BernoulliRow:
@@ -274,13 +282,12 @@ def _explicit_a_form(n: int, domain: Domain, rows: list, deformed: list) -> Scal
 
 def row_higher_order(r: int, n_max: int, domain: Domain) -> BernoulliRow:
     """Values of order r: n! times the coefficients of the r-th power of
-    the reciprocal deformed log-over-t series."""
+    the reciprocal deformed log-over-t series, taken in u = t/q as in
+    :func:`row_via_series`; symbolically q = 1."""
     _check_route(n_max, domain)
     if r < 1:
         raise ValueError("order r must be >= 1")
-    body = degenerate_log_over_t_series(domain, n_max + 1).reciprocal() ** r
-    values = tuple([body[n] * math.factorial(n) for n in range(n_max + 1)])
-    return BernoulliRow(domain, r, "series", values)
+    return BernoulliRow(domain, r, "series", _series_values(r, n_max, domain))
 
 
 def convolution_row(r: int, n_max: int, domain: Domain) -> BernoulliRow:

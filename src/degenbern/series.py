@@ -416,7 +416,9 @@ def weighted_sum(weights, series) -> LaurentSeries:
     DomainError otherwise), with weights that are values of that domain,
     known on the :func:`window` of the series.  The coefficient at each exponent is one row of
     :func:`rational_dots`, and each series coefficient in that window is
-    one operand."""
+    one operand.  Weights and series differ in number: a ValueError."""
+    if len(weights) != len(series):
+        raise ValueError(f"one weight per series: {len(weights)} weights, {len(series)} series")
     domain = series[0].domain
     if any(s.domain != domain for s in series):
         raise DomainError("Laurent series from different λ-domains")
@@ -496,14 +498,27 @@ def degenerate_log_over_t_series(domain: Domain, order: int) -> TruncatedSeries:
     by λ cancels symbolically, so coefficients are polynomial in λ.
     The λ = 0 point is excluded by definition of the deformation.
     """
+    return _log_over_t_in_steps(domain, order, domain.parts[1])
+
+
+def degenerate_log_over_t_series_in_u(domain: Domain, order: int) -> TruncatedSeries:
+    """:func:`degenerate_log_over_t_series` in u = t/q at λ = p/q, so the
+    u^n coefficient of a series built from it is q^n times the t^n one:
+    coefficient m is num_m / (m+1)! with num_m = (p-q)(p-2q)...(p-mq), no
+    denominator depends on λ.  Symbolically q = 1 and the series are one."""
+    return _log_over_t_in_steps(domain, order, 1)
+
+
+def _log_over_t_in_steps(domain: Domain, order: int, step) -> TruncatedSeries:
     require_deformed(domain, "the deformed logarithm series")
-    # at λ = p/q: the integer product (p-q)...(p-mq) over q^m (m+1)!
+    # at λ = p/q: (p-q)...(p-mq) over step^m (m+1)!, in t at step q, in u at 1
     p, q, _, acc = domain.parts
-    coeffs = []
+    coeffs, den = [], 1
     for m in range(order):
         if m:
             acc = acc * (p - m * q)
-        coeffs.append(domain.scaled(acc, 1, q**m * factorial(m + 1)))
+            den *= step * (m + 1)
+        coeffs.append(domain.scaled(acc, 1, den))
     return TruncatedSeries._raw(domain, tuple(coeffs))
 
 

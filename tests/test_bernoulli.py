@@ -3,12 +3,13 @@ higher-order rows, the classical limit, and the λ = 0 exclusions."""
 
 import gc
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from degenbern import bernoulli, scalars
+from degenbern.series import degenerate_log_over_t_series
 from degenbern import (
     DomainError,
     EvaluatedDomain,
@@ -254,6 +255,43 @@ def test_higher_order_rows():
     assert convolution_row(3, 6, SYMBOLIC).values == r3.values
     with pytest.raises(ValueError):
         row_higher_order(0, 3, SYMBOLIC)
+
+
+def row_in_t(r, n_max, domain):
+    """n! [t^n] of the r-th power of the reciprocal of the deformed
+    log-over-t series in t: the reference values, read without the
+    substitution u = t/q that the series rows work in."""
+    body = degenerate_log_over_t_series(domain, n_max + 1).reciprocal() ** r
+    return tuple([body[n] * factorial(n) for n in range(n_max + 1)])
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 30, 60])
+@pytest.mark.parametrize("lam", [Fraction(7, 3), Fraction(-2, 5), Fraction(1), Fraction(2),
+                                 Fraction(12345677, 1048573), Fraction(-123457, 98765)])
+def test_series_rows_in_u_equal_the_rows_in_t(lam, n):
+    dom = EvaluatedDomain(lam)
+    got = row_via_series(n, dom).values
+    assert got == row_in_t(1, n, dom) and {type(v) for v in got} == {Fraction}
+    for r in (1, 2, 3):
+        assert row_higher_order(r, n, dom).values == row_in_t(r, n, dom), r
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=0, max_value=24), wide_lambdas, st.integers(min_value=1, max_value=3))
+def test_series_rows_in_u_equal_the_rows_in_t_at_any_height(n, lam, r):
+    dom = EvaluatedDomain(lam)
+    assert row_via_series(n, dom).values == row_in_t(1, n, dom)
+    assert row_higher_order(r, n, dom).values == row_in_t(r, n, dom)
+
+
+def test_symbolic_series_rows_are_the_rows_in_t_byte_for_byte():
+    # symbolically q = 1, so the series in u is the series in t
+    def parts(values):
+        return [(v._nums, v._den) for v in values]
+
+    assert parts(row_via_series(32, SYMBOLIC).values) == parts(row_in_t(1, 32, SYMBOLIC))
+    for r, n in ((1, 32), (2, 16), (3, 16)):
+        assert parts(row_higher_order(r, n, SYMBOLIC).values) == parts(row_in_t(r, n, SYMBOLIC))
 
 
 @settings(max_examples=40, deadline=None)

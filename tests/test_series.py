@@ -25,7 +25,7 @@ from degenbern import (
     powers,
     truncated_powers,
 )
-from degenbern.series import weighted_sum, window
+from degenbern.series import degenerate_log_over_t_series_in_u, weighted_sum, window
 from test_scalars import wide_coeff_lists
 
 Q = EvaluatedDomain(Fraction(0))
@@ -68,6 +68,29 @@ def test_reciprocal_is_two_sided_inverse():
     g = f.reciprocal()
     prod = f * g
     assert prod == one_series(SYMBOLIC, 10)
+
+
+@pytest.mark.parametrize("lam", [Fraction(7, 3), Fraction(-2, 5), Fraction(12345677, 1048573)])
+def test_log_series_in_u_is_the_series_in_t_at_t_equal_q_u(lam):
+    # coefficient m in u is q^m times coefficient m in t, with a denominator
+    # that divides (m+1)!
+    dom = EvaluatedDomain(lam)
+    in_t = degenerate_log_over_t_series(dom, 12)
+    in_u = degenerate_log_over_t_series_in_u(dom, 12)
+    q = lam.denominator
+    assert [c * q**m for m, c in enumerate(in_t.coeffs)] == list(in_u.coeffs)
+    assert all(factorial(m + 1) % c.denominator == 0 for m, c in enumerate(in_u.coeffs))
+    # so is coefficient n of the reciprocal
+    assert [c * q**n for n, c in enumerate(in_t.reciprocal().coeffs)] == list(
+        in_u.reciprocal().coeffs)
+
+
+def test_log_series_in_u_is_the_series_in_t_symbolically():
+    in_t = degenerate_log_over_t_series(SYMBOLIC, 16).coeffs
+    in_u = degenerate_log_over_t_series_in_u(SYMBOLIC, 16).coeffs
+    assert [(c._nums, c._den) for c in in_u] == [(c._nums, c._den) for c in in_t]
+    with pytest.raises(DomainError):
+        degenerate_log_over_t_series_in_u(EvaluatedDomain(0), 4)
 
 
 def test_reciprocal_requires_invertible_constant():
@@ -318,6 +341,14 @@ def test_weighted_sum_rejects_series_of_two_domains():
     G = degenerate_log_reciprocal(EvaluatedDomain(Fraction(1, 3)), 6)
     with pytest.raises(DomainError):
         weighted_sum([1, 1], [F, G])
+
+
+@pytest.mark.parametrize("weights, count", [([1, 5, 7], 1), ([1], 2)])
+def test_weighted_sum_needs_one_weight_per_series(weights, count):
+    F = degenerate_log_reciprocal(HALF, 6)
+    with pytest.raises(ValueError) as info:
+        weighted_sum(weights, [F] * count)
+    assert str(info.value) == f"one weight per series: {len(weights)} weights, {count} series"
 
 
 def test_shifted_keeps_every_known_coefficient():

@@ -948,6 +948,19 @@ def fault_order_r(name, r):
     return run
 
 
+def fault_series(mp, dom):
+    # +1 in the u^3 coefficient of the series the reference row inverts
+    real = bernoulli.degenerate_log_over_t_series_in_u
+
+    def tampered(d, order):
+        cs = list(real(d, order).coeffs)
+        cs[3] += 1
+        return series.TruncatedSeries(d, cs, order)
+
+    mp.setattr(bernoulli, "degenerate_log_over_t_series_in_u", tampered)
+    return verify_route_agreement_b(4, dom)
+
+
 def fault_classical(which):
     def run(mp, dom):
         bump_triangle(mp, "stirling1_signed", 2, 1, lambda *a: True)
@@ -1039,6 +1052,11 @@ WITNESS_CASES = {
             "sym": {**B3, "route": route, **B3_SYM}, "-2/5": {**B3, "route": route, **B3_NEG}})
         for route in ("recurrence", "multinomial", *bernoulli.EXPLICIT_FORMS)
     },
+    # b_3 moves by -3!/q^3: the reference is wrong, the recurrence is not
+    "b_routes.series": (fault_series, {
+        "sym": {**B3, "route": "recurrence",
+                "reference": ["-23/4", "0", "-1/4"], "value": ["1/4", "0", "-1/4"]},
+        "-2/5": {**B3, "route": "recurrence", "reference": "81/500", "value": "21/100"}}),
     "b_routes.order_2_reference": (
         fault_order_r("row_higher_order", 2),
         {"sym": {"n": 2, "route": "order_2_convolution",
