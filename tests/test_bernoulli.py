@@ -105,7 +105,7 @@ wide_lambdas = st.builds(
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.integers(min_value=0, max_value=12), wide_lambdas)
+@given(st.integers(min_value=0, max_value=15), wide_lambdas)
 # at λ = 1, 2, 3 the falling products (λ-1)_m vanish from m = λ on
 @example(12, Fraction(1))
 @example(12, Fraction(2))
@@ -115,6 +115,31 @@ def test_integer_scaled_walk_matches_series(n, lam):
     values = row_via_multinomial(n, dom).values
     assert values == row_via_series(n, dom).values
     assert all(type(v) is Fraction for v in values)
+
+
+@pytest.mark.parametrize("lam", [Fraction(1), Fraction(2), Fraction(7, 3), Fraction(-123457, 98765)])
+def test_walk_matches_series_across_its_head(lam):
+    # the walk lists every composition up to _WALK_HEAD and goes
+    # depth-first past it; at λ = 1 and 2 the step factors vanish, so
+    # the node lists hold zeros
+    dom = EvaluatedDomain(lam)
+    head = bernoulli._WALK_HEAD
+    for n in (0, 1, *range(head - 1, head + 5)):
+        assert row_via_multinomial(n, dom).values == row_via_series(n, dom).values, n
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 6, 11, 12, 13, 14])
+def test_walk_takes_one_product_per_composition(monkeypatch, n):
+    # every composition of every total <= n is its parent's product times
+    # one step factor: 2^n - 1 node products, after the n(n+1)/2 step
+    # factors and the n Bell arguments.  A walk that summed siblings
+    # before multiplying would collapse into the O(n^2) recurrence
+    real = scalars.LambdaPoly.__mul__
+    calls = []
+    monkeypatch.setattr(scalars.LambdaPoly, "__mul__",
+                        lambda a, b: calls.append(None) or real(a, b))
+    row_via_multinomial(n, SYMBOLIC)
+    assert len(calls) == 2**n - 1 + n * (n + 1) // 2 + n
 
 
 def plain_recurrence_row(n_max, lam):

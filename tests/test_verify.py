@@ -628,6 +628,34 @@ def test_route_agreement_fault_injection(monkeypatch):
     assert r.witness["n"] == 4
 
 
+def test_route_agreement_catches_a_walk_product_past_the_head(monkeypatch):
+    # +1 in the last node product of the symbolic walk, which the
+    # depth-first part past _WALK_HEAD takes; LambdaPoly.__mul__ is
+    # wrapped only while row_via_multinomial runs
+    real_row, real_mul = bernoulli.row_via_multinomial, scalars.LambdaPoly.__mul__
+
+    def tampered(n_max, domain):
+        last = 2**n_max - 1 + n_max * (n_max + 1) // 2 + n_max
+        calls = []
+
+        def mul(a, b):
+            calls.append(None)
+            product = real_mul(a, b)
+            return product + 1 if len(calls) == last else product
+
+        scalars.LambdaPoly.__mul__ = mul
+        try:
+            return real_row(n_max, domain)
+        finally:
+            scalars.LambdaPoly.__mul__ = real_mul
+
+    monkeypatch.setattr(bernoulli, "row_via_multinomial", tampered)
+    r = verify_route_agreement_b(14)
+    assert not r.verdict
+    assert r.witness["route"] == "multinomial"
+    assert r.witness["n"] > bernoulli._WALK_HEAD
+
+
 def test_agreement_stops_at_the_first_disagreement(monkeypatch):
     # a route that disagrees ends the report: no later route is computed
     bump_row(monkeypatch, "row_via_recurrence", 2)
