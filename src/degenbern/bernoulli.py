@@ -56,6 +56,12 @@ def _check_route(n_max: int, domain: Domain) -> None:
         raise ValueError("n_max must be nonnegative")
 
 
+def check_cap(route: str, n_max: int, cap: int) -> None:
+    """The guard of a route whose cost is exponential in n_max."""
+    if n_max > cap:
+        raise ValueError(f"{route} route is exponential; n = {n_max} exceeds the cap of {cap}")
+
+
 @dataclass(frozen=True)
 class BernoulliRow:
     """Values 0..n of one computation route, tagged with where they came
@@ -188,11 +194,7 @@ def row_via_multinomial(n_max: int, domain: Domain) -> BernoulliRow:
     the end.
     """
     _check_route(n_max, domain)
-    if n_max > MULTINOMIAL_CAP:
-        raise ValueError(
-            f"multinomial route is exponential; n = {n_max} exceeds the cap "
-            f"of {MULTINOMIAL_CAP}"
-        )
+    check_cap("multinomial", n_max, MULTINOMIAL_CAP)
     _, q, zero, one = domain.parts
     fact = [math.factorial(m) for m in range(n_max + 2)]
     scale = [1]

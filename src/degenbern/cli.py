@@ -14,7 +14,7 @@ import io
 import json
 import sys
 
-from . import __version__, bernoulli, ode_coeffs
+from . import __version__, bernoulli, verify
 from .scalars import (
     EvaluatedDomain,
     Rational,
@@ -200,25 +200,30 @@ def _agree_rows(columns_values: list, max_n: int) -> tuple[list, bool]:
     return rows, all(row[-1] for row in rows)
 
 
+def _offered(table, route: str) -> list:
+    """The entries of a route table that ``--route route`` runs: every
+    one the CLI offers for "all", else the one it names."""
+    return [entry for entry in table if entry.cli and route in ("all", entry.column)]
+
+
 def run_b(args, command: list[str]) -> tuple[dict, int]:
     domain = domain_from_string(args.lam)
     max_n, r, route = args.max_n, args.order_r, args.route
-    # routes are looked up at call time, so a rebound one is the one run
-    if r == 1:
-        names = ["series", "recurrence", "multinomial", "explicit"] if route == "all" else [route]
-        columns_values = [
-            getattr(bernoulli, "row_via_" + name)(max_n, domain).values for name in names
-        ]
-    elif route in ("series", "all"):
-        names = ["series", "convolution"] if route == "all" else ["series"]
-        columns_values = [bernoulli.row_higher_order(r, max_n, domain).values]
-        if route == "all":
-            columns_values.append(bernoulli.convolution_row(r, max_n, domain).values)
-    else:
+    # the order-r routes take r before the size
+    table, lead = (verify.B_ROUTES, ()) if r == 1 else (verify.ORDER_R_ROUTES, (r,))
+    routes = _offered(table, route)
+    if not routes:
+        reference, check = [entry.column for entry in verify.ORDER_R_ROUTES]
         raise CLIError(
-            "for --order-r other than 1 only the series route (and its "
-            "convolution cross-check via --route all) is defined"
+            f"for --order-r other than 1 only the {reference} route (and its "
+            f"{check} cross-check via --route all) is defined"
         )
+    # refused before any route runs, as the capped route would refuse it
+    for entry in routes:
+        if entry.cap is not None:
+            bernoulli.check_cap(entry.name, max_n, entry.cap)
+    columns_values = [entry(*lead, max_n, domain).values for entry in routes]
+    names = [entry.column for entry in routes]
     with_agree = len(names) > 1
     if with_agree:
         rows, all_agree = _agree_rows(columns_values, max_n)
@@ -243,20 +248,16 @@ def run_a(args, command: list[str]) -> tuple[dict, int]:
         raise CLIError("--max-N must be at least 1")
     route = args.route
     with_agree = route == "all"
-    names = [route]
+    routes, skipped = _offered(verify.A_ROUTES, route), []
     if with_agree:
-        names = ["recurrence", "stirling"] + ([] if domain.lam_is_zero else ["falling"])
+        routes, skipped = verify.defined_routes(routes, domain)
 
-    def row_route(name: str):
-        if name == "recurrence":
-            table = ode_coeffs.coeff_triangle(max_N, domain)
-            return lambda N, _: table.row(N)
-        return getattr(ode_coeffs, "coeff_explicit_" + name)
-
-    routes = [row_route(name) for name in names]
+    # the reference builds the whole triangle, the other routes row N
+    row_routes = [entry(max_N, domain).row if entry is verify.A_ROUTES[0]
+                  else (lambda N, entry=entry: entry(N, domain)) for entry in routes]
 
     def build_row(N: int):
-        values, *others = [row_of(N, domain) for row_of in routes]
+        values, *others = [row_of(N) for row_of in row_routes]
         row = [N, *values] + [None] * (max_N - N)
         if with_agree:
             row.append(all(other == values for other in others))
@@ -274,9 +275,9 @@ def run_a(args, command: list[str]) -> tuple[dict, int]:
     }
     if with_agree:
         payload["all_agree"] = all(row[-1] for row in rows)
-        if domain.lam_is_zero:
+        if skipped:
             payload["notes"] = [
-                "falling route skipped: undefined at lambda = 0"
+                f"{name} route skipped: undefined at lambda = 0" for name in skipped
             ]
     doc = make_document(command, domain.describe(), None, payload)
     return doc, 0
@@ -363,6 +364,10 @@ def _add_common(p: argparse.ArgumentParser, with_lambda: bool = True) -> None:
     )
 
 
+def _route_choices(table) -> tuple:
+    return (*[entry.column for entry in _offered(table, "all")], "all")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="degenbern",
@@ -379,20 +384,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_b = sub.add_parser("b", help="deformed Bernoulli rows b^(r)_n")
     p_b.add_argument("--max-n", dest="max_n", type=int, required=True)
     p_b.add_argument("--order-r", dest="order_r", type=int, default=1)
-    p_b.add_argument(
-        "--route",
-        choices=("series", "recurrence", "multinomial", "explicit", "all"),
-        default="series",
-    )
+    p_b.add_argument("--route", choices=_route_choices(verify.B_ROUTES),
+                     default=verify.B_ROUTES[0].column)
     _add_common(p_b)
 
     p_a = sub.add_parser("a", help="derivative-coefficient triangle")
     p_a.add_argument("--max-N", dest="max_N", type=int, required=True)
-    p_a.add_argument(
-        "--route",
-        choices=("recurrence", "falling", "stirling", "all"),
-        default="recurrence",
-    )
+    p_a.add_argument("--route", choices=_route_choices(verify.A_ROUTES),
+                     default=verify.A_ROUTES[0].column)
     _add_common(p_a)
 
     p_s = sub.add_parser("stirling", help="Stirling-type triangles")

@@ -9,14 +9,22 @@ Every check is an exact coefficient comparison of truncated series or
 λ-polynomials; there are no tolerances.  Each verifier returns an
 :class:`IdentityReport` whose ``compared`` field pins down the exact
 window that was checked, so a "pass" is a precise finite statement.
+
+The routes of each routed object (the Bernoulli row, the order-r rows,
+the coefficient triangle and the two deformed Stirling triangles) are
+listed once, in the route tables below (:class:`Route`).  The agreement
+reports and the CLI read them: which routes there are, in what order,
+under what name, up to what size, and which are skipped at λ = 0.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
+from types import ModuleType
 
 from .scalars import (
     Domain,
@@ -371,59 +379,138 @@ def verify_singular(
 # cross-route agreement suites
 
 
+@dataclass(frozen=True)
+class Route:
+    """One entry of a route table.  ``name`` titles the route's
+    witnesses, and its CLI column when ``cli`` is True; a string ``cli``
+    offers the route to the CLI under that name instead.  Each call
+    looks ``getattr(owner, attr)`` up anew, so a rebound name is the one
+    that runs, and passes ``fixed`` as keywords.  ``cap`` is the largest
+    size the route computes, ``report_top`` the largest its agreement
+    report runs, and ``skip_at_zero`` marks a route with no value at
+    λ = 0, where the others of its table have one."""
+
+    name: str
+    owner: ModuleType
+    attr: str
+    fixed: dict = field(default_factory=dict)
+    cap: int | None = None
+    report_top: int | None = None
+    skip_at_zero: bool = False
+    cli: bool | str = False
+
+    @property
+    def column(self) -> str:
+        return self.cli if isinstance(self.cli, str) else self.name
+
+    def __call__(self, *args):
+        return getattr(self.owner, self.attr)(*args, **self.fixed)
+
+
+def defined_routes(routes, domain: Domain) -> tuple[list, list]:
+    """The routes that run on ``domain``, and the names of those skipped."""
+    if not domain.lam_is_zero:
+        return list(routes), []
+    return ([route for route in routes if not route.skip_at_zero],
+            [route.name for route in routes if route.skip_at_zero])
+
+
+# One table per object, in the order the reports compute and compare its
+# routes; entry 0 is the reference.  The triangle routes are looked up in
+# this module, under the names its imports bind, so a name rebound here
+# reaches the reports and the CLI alike.
+_HERE = sys.modules[__name__]
+
+# route(n_max, domain)
+B_ROUTES = (
+    Route("series", bernoulli, "row_via_series", cli=True),
+    Route("recurrence", bernoulli, "row_via_recurrence", cli=True),
+    Route("multinomial", bernoulli, "row_via_multinomial",
+          cap=bernoulli.MULTINOMIAL_CAP, report_top=14, cli=True),
+    Route("a_form", bernoulli, "row_via_explicit", {"form": "a_form"}, cli="explicit"),
+    Route("stirling_form", bernoulli, "row_via_explicit", {"form": "stirling_form"}),
+    Route("falling_form", bernoulli, "row_via_explicit", {"form": "falling_form"}),
+)
+
+# route(r, n_max, domain)
+ORDER_R_ROUTES = (
+    Route("series", bernoulli, "row_higher_order", report_top=10, cli=True),
+    Route("convolution", bernoulli, "convolution_row", report_top=10, cli=True),
+)
+
+# the reference builds the triangle, route(N_max, domain), the others row N, route(N, domain)
+A_ROUTES = (
+    Route("recurrence", _HERE, coeff_triangle.__name__, cli=True),
+    Route("stirling", _HERE, coeff_explicit_stirling.__name__, cli=True),
+    Route("falling", _HERE, coeff_explicit_falling.__name__, skip_at_zero=True, cli=True),
+    Route("unrolled", _HERE, coeff_unrolled_recurrence.__name__),
+)
+
+# triangle -> (its row index in witnesses, its routes), route(n_max, domain)
+STIRLING_ROUTES = {
+    "degenerate_second": ("n", (
+        Route("generating_function", _HERE, degenerate_stirling2.__name__,
+              {"via": "generating_function"}),
+        Route("bell_formula", _HERE, degenerate_stirling2.__name__, {"via": "bell_formula"}),
+    )),
+    "scaled": ("N", (
+        Route("bell_formula", _HERE, scaled_stirling_triangle.__name__, {"via": "bell_formula"}),
+        Route("generating_function", _HERE, scaled_stirling_triangle.__name__,
+              {"via": "generating_function"}, skip_at_zero=True),
+    )),
+}
+
+
 def verify_route_agreement_a(N_max: int, domain: Domain = SYMBOLIC) -> IdentityReport:
     """All row routes of the coefficient triangle agree with the
     recurrence reference."""
     if N_max < 1:
         raise ValueError("the route agreement starts at N = 1")
-    table = coeff_triangle(N_max, domain)
-    skip_falling = domain.lam_is_zero
-    routes = {"stirling": coeff_explicit_stirling}
-    if not skip_falling:
-        routes["falling"] = coeff_explicit_falling
-    routes["unrolled"] = coeff_unrolled_recurrence
+    table = A_ROUTES[0](N_max, domain)
+    routes, skipped = defined_routes(A_ROUTES[1:], domain)
 
     def checks():
         # every route's row N, then its entries in the order i -> route
         for N in range(1, N_max + 1):
-            rows = [(route, row_of(N, domain)) for route, row_of in routes.items()]
+            rows = [(route.name, route(N, domain)) for route in routes]
             for i, reference in enumerate(table.row(N)):
-                for route, row in rows:
-                    yield {"i": i, "N": N, "route": route}, "reference", reference, "value", row[i]
+                for name, row in rows:
+                    yield {"i": i, "N": N, "route": name}, "reference", reference, "value", row[i]
 
     ok, witness = _first_disagreement(checks(), domain)
     params = {"max_N": N_max, "lambda": domain.describe()}
-    details = {"skipped_routes": ["falling"]} if skip_falling else None
+    details = {"skipped_routes": skipped} if skipped else None
     return IdentityReport("a_routes", params, ok, witness, None, details)
 
 
 def verify_route_agreement_b(n_max: int, domain: Domain = SYMBOLIC) -> IdentityReport:
     """All Bernoulli-row routes agree with the series reference, and the
     higher-order rows match their convolution cross-check."""
-    ref = bernoulli.row_via_series(n_max, domain).values
-    multi_top = min(n_max, 14)
-    higher_top = min(n_max, 10)
+
+    def top(route: Route) -> int:
+        return n_max if route.report_top is None else min(n_max, route.report_top)
 
     def rows():
-        # (route, reference row, route row, top index compared), each
-        # route computed only once the ones before it agree
-        yield "recurrence", ref, bernoulli.row_via_recurrence(n_max, domain).values, n_max
-        multi = bernoulli.row_via_multinomial(multi_top, domain).values
-        yield "multinomial", ref, multi, multi_top
-        for form in bernoulli.EXPLICIT_FORMS:
-            yield form, ref, bernoulli.row_via_explicit(n_max, domain, form).values, n_max
+        # (route, reference row, route row), each route computed only
+        # once the ones before it agree; a route row sets the window
+        reference, *others = B_ROUTES
+        ref = reference(top(reference), domain).values
+        for route in others:
+            yield route.name, ref, route(top(route), domain).values
+        reference, *others = ORDER_R_ROUTES
         for r in (2, 3):
-            direct = bernoulli.row_higher_order(r, higher_top, domain).values
-            conv = bernoulli.convolution_row(r, higher_top, domain).values
-            yield f"order_{r}_convolution", direct, conv, higher_top
+            direct = reference(r, top(reference), domain).values
+            for route in others:
+                yield f"order_{r}_{route.name}", direct, route(r, top(route), domain).values
 
     checks = (
-        ({"n": n, "route": route}, "reference", reference[n], "value", values[n])
-        for route, reference, values, top in rows()
-        for n in range(top + 1)
+        ({"n": n, "route": route}, "reference", reference[n], "value", row[n])
+        for route, reference, row in rows()
+        for n in range(len(row))
     )
     ok, witness = _first_disagreement(checks, domain)
-    params = {"max_n": n_max, "multinomial_max_n": multi_top, "lambda": domain.describe()}
+    tops = {f"{route.name}_max_n": top(route) for route in B_ROUTES if route.report_top is not None}
+    params = {"max_n": n_max, **tops, "lambda": domain.describe()}
     return IdentityReport("b_routes", params, ok, witness, None)
 
 
@@ -453,19 +540,17 @@ def verify_route_agreement_bell(n_max: int = 10) -> IdentityReport:
 
 def verify_route_agreement_stirling(n_max: int, domain: Domain = SYMBOLIC) -> IdentityReport:
     """Both deformed second-kind triangle routes agree, and both scaled
-    triangle routes agree."""
-    skip_gf_scaled = domain.lam_is_zero
+    triangle routes agree; a triangle with a route skipped is not
+    compared."""
+    triangles = [(triangle, index, *defined_routes(routes, domain))
+                 for triangle, (index, routes) in STIRLING_ROUTES.items()]
 
     def pairs():
-        # (triangle, row index name, two (route, triangle) pairs), the
-        # scaled pair built only once the deformed pair agrees
-        yield "degenerate_second", "n", [
-            (via, degenerate_stirling2(n_max, domain, via=via))
-            for via in ("generating_function", "bell_formula")]
-        if not skip_gf_scaled:
-            yield "scaled", "N", [
-                ("bell_formula", scaled_stirling_triangle(n_max, domain, via="bell_formula")),
-                ("generating_function", scaled_stirling_triangle(n_max, domain))]
+        # (triangle, row index name, two (route, triangle) pairs), each
+        # pair built only once the pairs before it agree
+        for triangle, index, routes, skipped in triangles:
+            if not skipped:
+                yield triangle, index, [(route.name, route(n_max, domain)) for route in routes]
 
     checks = (
         ({index: n, "k": k, "triangle": triangle},
@@ -476,7 +561,8 @@ def verify_route_agreement_stirling(n_max: int, domain: Domain = SYMBOLIC) -> Id
     )
     ok, witness = _first_disagreement(checks, domain)
     params = {"max_n": n_max, "lambda": domain.describe()}
-    details = {"skipped_routes": ["scaled generating_function"]} if skip_gf_scaled else None
+    skipped = [f"{triangle} {name}" for triangle, _, _, names in triangles for name in names]
+    details = {"skipped_routes": skipped} if skipped else None
     return IdentityReport("stirling_routes", params, ok, witness, None, details)
 
 

@@ -209,18 +209,36 @@ def route_choices(subcommand: str) -> tuple:
 
 
 def test_every_route_choice_names_a_library_route():
-    # run_b and run_a look their routes up by name, so a renamed route
-    # must fail here rather than at a command line
-    from degenbern import bernoulli, ode_coeffs
+    # run_b and run_a look their routes up through the route tables, so a
+    # renamed route must fail here rather than at a command line, and the
+    # --route choices are the table entries the CLI offers, plus "all"
+    from degenbern import verify
 
-    b_routes = [name for name in route_choices("b") if name != "all"]
-    a_routes = [name for name in route_choices("a") if name not in ("recurrence", "all")]
-    assert b_routes and a_routes
-    missing = [f"bernoulli.row_via_{name}" for name in b_routes
-               if not callable(getattr(bernoulli, "row_via_" + name, None))]
-    missing += [f"ode_coeffs.coeff_explicit_{name}" for name in a_routes
-                if not callable(getattr(ode_coeffs, "coeff_explicit_" + name, None))]
+    tables = [verify.B_ROUTES, verify.ORDER_R_ROUTES, verify.A_ROUTES,
+              *[routes for _, routes in verify.STIRLING_ROUTES.values()]]
+    missing = [f"{entry.owner.__name__}.{entry.attr}" for table in tables for entry in table
+               if not callable(getattr(entry.owner, entry.attr, None))]
     assert missing == []
+    for subcommand, table in (("b", verify.B_ROUTES), ("a", verify.A_ROUTES)):
+        offered = [entry.column for entry in table if entry.cli]
+        assert offered and route_choices(subcommand) == (*offered, "all")
+
+
+def test_b_refuses_a_size_past_a_cap_before_any_route_runs(monkeypatch, capsys):
+    # the capped multinomial route comes third in --route all, so the
+    # size is refused before the routes ahead of it spend their time
+    from degenbern import verify
+
+    calls = []
+    for owner, attr in {(entry.owner, entry.attr) for entry in verify.B_ROUTES}:
+        real = getattr(owner, attr)
+        monkeypatch.setattr(owner, attr,
+                            lambda *a, real=real, **kw: calls.append(a) or real(*a, **kw))
+    assert cli.main(["b", "--max-n", "120", "--route", "all"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: multinomial route is exponential; n = 120 exceeds the cap of 24\n"
+    assert calls == []
 
 
 @pytest.mark.parametrize("suite", ["ode", "cor42"])
@@ -309,8 +327,9 @@ def test_main_dispatches_through_the_current_run_function(monkeypatch, capsys):
 def test_a_routes_take_shared_values_once_per_row(monkeypatch, capsys):
     # the Stirling route takes the Bell values T(N, k) for k = 0..N once
     # per row, 65 distinct values for N = 1..10, and the falling route
-    # takes its alternating sums over (λl)_N in one call per row
-    from degenbern import combinatorics, ode_coeffs
+    # takes its alternating sums over (λl)_N in one call per row; the CLI
+    # looks the routes up in the verify module's route table
+    from degenbern import combinatorics, ode_coeffs, verify
 
     calls = Counter()
 
@@ -321,7 +340,7 @@ def test_a_routes_take_shared_values_once_per_row(monkeypatch, capsys):
             calls[name] += 1
             return real(*args, **kwargs)
 
-        for module in (combinatorics, ode_coeffs, cli):
+        for module in (combinatorics, ode_coeffs, verify):
             if getattr(module, name, None) is real:
                 monkeypatch.setattr(module, name, wrapper)
 

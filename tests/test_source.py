@@ -89,6 +89,43 @@ def test_every_traced_name_resolves():
     assert missing == []
 
 
+def test_the_tracer_reaches_the_routes_of_the_tables():
+    # the route tables look a route up when they call it, so the wrappers
+    # that bench/tracing.py installs after import are the ones the
+    # agreement reports run; the tracer rebinds names for the whole
+    # process, so it runs in a child
+    code = (
+        "import importlib.util, json, sys\n"
+        "from fractions import Fraction\n"
+        "sys.path.insert(0, 'src')\n"
+        "spec = importlib.util.spec_from_file_location('tracing', 'bench/tracing.py')\n"
+        "tracing = importlib.util.module_from_spec(spec)\n"
+        "spec.loader.exec_module(tracing)\n"
+        "import degenbern\n"
+        "from degenbern import cli, verify\n"
+        "tracer = tracing.Tracer()\n"
+        "tracing.install(tracer, degenbern)\n"
+        "dom = degenbern.EvaluatedDomain(Fraction(7, 3))\n"
+        "verify.verify_route_agreement_a(4, dom)\n"
+        "verify.verify_route_agreement_b(6, dom)\n"
+        "verify.verify_route_agreement_stirling(4, dom)\n"
+        "print(json.dumps(tracer.calls))\n"
+    )
+    root = Path(__file__).resolve().parents[1]
+    run = subprocess.run([sys.executable, "-c", code], cwd=root, capture_output=True,
+                         text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    calls = json.loads(run.stdout)
+    # three row routes for N = 1..4; the convolution rows call the recurrence
+    assert {layer: calls.get(layer) for layer in (
+        "ode_coeffs.triangle", "ode_coeffs.entry_routes", "bernoulli.series",
+        "bernoulli.recurrence", "bernoulli.multinomial", "bernoulli.explicit",
+        "bernoulli.higher_order")} == {
+        "ode_coeffs.triangle": 1, "ode_coeffs.entry_routes": 12, "bernoulli.series": 1,
+        "bernoulli.recurrence": 3, "bernoulli.multinomial": 1, "bernoulli.explicit": 3,
+        "bernoulli.higher_order": 4}
+
+
 def test_benchmark_checkers_pass_their_selftest():
     # the benchmark's checkers read the package's public surface (the
     # positional CoeffTable(domain, rows), .rows, .row(N), .value(n, k));
@@ -178,9 +215,10 @@ DOMAIN_FORKS = {
 }
 
 
-def domain_forks(source: str, type_tests: bool = True) -> list[tuple[int, str]]:
+def domain_forks(source: str, type_tests: bool = True,
+                 attr: str = "is_symbolic") -> list[tuple[int, str]]:
     """(line, enclosing function) of each if, while, conditional
-    expression or comprehension filter whose test reads ``.is_symbolic``
+    expression or comprehension filter whose test reads ``.<attr>``
     or, with ``type_tests``, calls ``isinstance`` with ``LambdaPoly``
     among its types, so that a type test cannot stand in for a domain
     fork unseen."""
@@ -193,7 +231,7 @@ def domain_forks(source: str, type_tests: bool = True) -> list[tuple[int, str]]:
                         for t in ast.walk(n.args[1])))
 
     def reads_domain(test) -> bool:
-        return any(isinstance(n, ast.Attribute) and n.attr == "is_symbolic"
+        return any(isinstance(n, ast.Attribute) and n.attr == attr
                    or is_type_test(n) for n in ast.walk(test))
 
     def visit(node, scope: str):
@@ -233,6 +271,8 @@ def test_the_rule_sees_every_domain_fork():
     assert domain_forks(source) == [
         (3, "A.f"), (5, "A.f"), (5, "A.f"), (8, "g"), (13, "h"), (14, "h")]
     assert domain_forks(source, type_tests=False) == [(3, "A.f"), (5, "A.f"), (5, "A.f"), (8, "g")]
+    assert domain_forks(source.replace("is_symbolic", "lam_is_zero"), type_tests=False,
+                        attr="lam_is_zero") == [(3, "A.f"), (5, "A.f"), (5, "A.f"), (8, "g")]
 
 
 def test_domain_forks_are_at_the_listed_sites():
@@ -243,6 +283,26 @@ def test_domain_forks_are_at_the_listed_sites():
                                      type_tests=path.name != "scalars.py")
     }
     assert found == DOMAIN_FORKS
+
+
+# every conditional on ``.lam_is_zero``, by file and enclosing function:
+# the routes' own guards and the one helper that skips the routes a
+# table marks as undefined at λ = 0, so no skip rule of its own comes back
+LAM_ZERO_FORKS = {
+    ("series.py", "require_deformed"),
+    ("ode_coeffs.py", "scaled_falling_row"),
+    ("verify.py", "defined_routes"),
+}
+
+
+def test_lambda_zero_forks_are_at_the_listed_sites():
+    found = {
+        (path.name, scope)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for _, scope in domain_forks(path.read_text(encoding="utf-8"), type_tests=False,
+                                     attr="lam_is_zero")
+    }
+    assert found == LAM_ZERO_FORKS
 
 
 def raw_series_calls(source: str) -> list[int]:

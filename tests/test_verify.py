@@ -1143,3 +1143,86 @@ def test_planted_fault_witness(case, lam, monkeypatch):
     witness = report.to_json_dict()["witness"]
     assert witness == expected
     assert list(witness or ()) == list(expected or ())
+
+
+# ---------------------------------------------------------------------------
+# the fault-injection matrix over the route tables
+
+MATRIX_DOMAIN = EvaluatedDomain(Fraction(7, 3))
+
+# (report, route, position) of the +1 faults the walk below plants that
+# the report reading the route does not catch: a_routes compares rows
+# from N = 1 on, so row 0 of the reference triangle is never read
+MATRIX_BLIND_SPOTS = [
+    ("a_routes", "recurrence", {"i": 0, "N": 0}),
+]
+
+
+def bump_value(n):
+    def bump(row):
+        values = list(row.values)
+        values[n] += 1
+        return dataclasses.replace(row, values=tuple(values))
+    return bump
+
+
+def matrix_mutants():
+    """(route, hit, bump, report, witness position) for every entry each
+    table route returns: b for n <= 12, the order-2 and order-3 rows for
+    n <= 10 and the triangles for n <= 10.  The planted route returns
+    bump(result) on the calls whose arguments satisfy hit."""
+    B, ORDER_R, A = verify_module.B_ROUTES, verify_module.ORDER_R_ROUTES, verify_module.A_ROUTES
+    b_report = ("b_routes", lambda: verify_route_agreement_b(12, MATRIX_DOMAIN))
+    for route in B:
+        for n in range(13):
+            # a fault in the reference shows at the first route compared with it
+            name = (B[1] if route is B[0] else route).name
+            yield route, lambda *a: True, bump_value(n), b_report, {"n": n, "route": name}
+    for r in (2, 3):
+        for route in ORDER_R:
+            for n in range(11):
+                yield (route, lambda order, *a, r=r: order == r, bump_value(n), b_report,
+                       {"n": n, "route": f"order_{r}_{ORDER_R[1].name}"})
+    a_report = ("a_routes", lambda: verify_route_agreement_a(10, MATRIX_DOMAIN))
+    for N in range(11):
+        for i in range(N + 1):
+            yield (A[0], lambda *a: True, lambda t, N=N, i=i: bumped_rows(t, N, i), a_report,
+                   {"i": i, "N": N, "route": A[1].name})
+    for route in A[1:]:
+        for N in range(1, 11):
+            for i in range(N + 1):
+                yield (route, lambda row_N, d, N=N: row_N == N,
+                       lambda row, i=i: row[:i] + (row[i] + 1,) + row[i + 1:], a_report,
+                       {"i": i, "N": N, "route": route.name})
+    s_report = ("stirling_routes", lambda: verify_route_agreement_stirling(10, MATRIX_DOMAIN))
+    for triangle, (index, routes) in verify_module.STIRLING_ROUTES.items():
+        for route in routes:
+            for n in range(11):
+                for k in range(n + 1):
+                    yield (route, lambda *a: True, lambda t, n=n, k=k: bumped_rows(t, n, k),
+                           s_report, {index: n, "k": k, "triangle": triangle})
+
+
+def test_fault_matrix_over_the_route_tables():
+    # every route of every table moves by +1 at one entry, rebound under
+    # the table's own owner and attribute, and the agreement report that
+    # reads it must fail with its witness at that entry
+    blind, mutants = [], 0
+    for route, hit, bump, (identity, report), position in matrix_mutants():
+        real = getattr(route.owner, route.attr)
+
+        def planted(*args, **kw):
+            out = real(*args, **kw)
+            return bump(out) if kw == route.fixed and hit(*args) else out
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(route.owner, route.attr, planted)
+            result = report()
+        mutants += 1
+        assert result.identity == identity
+        witness = result.witness or {}
+        if result.verdict or {key: witness.get(key) for key in position} != position:
+            blind.append((identity, route.name,
+                          {key: value for key, value in position.items() if key != "route"}))
+    assert mutants == 647
+    assert blind == MATRIX_BLIND_SPOTS
