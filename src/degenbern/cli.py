@@ -213,16 +213,16 @@ def run_b(args, command: list[str]) -> tuple[dict, int]:
     table, lead = (verify.B_ROUTES, ()) if r == 1 else (verify.ORDER_R_ROUTES, (r,))
     routes = _offered(table, route)
     if not routes:
-        reference, check = [entry.column for entry in verify.ORDER_R_ROUTES]
+        reference, *checks = [entry.column for entry in verify.ORDER_R_ROUTES]
         raise CLIError(
             f"for --order-r other than 1 only the {reference} route (and its "
-            f"{check} cross-check via --route all) is defined"
+            f"{' and '.join(checks)} cross-check via --route all) is defined"
         )
     # refused before any route runs, as the capped route would refuse it
     for entry in routes:
         if entry.cap is not None:
             bernoulli.check_cap(entry.name, max_n, entry.cap)
-    columns_values = [entry(*lead, max_n, domain).values for entry in routes]
+    columns_values = [entry.compute(*lead, max_n, domain).values for entry in routes]
     names = [entry.column for entry in routes]
     with_agree = len(names) > 1
     if with_agree:
@@ -253,8 +253,8 @@ def run_a(args, command: list[str]) -> tuple[dict, int]:
         routes, skipped = verify.defined_routes(routes, domain)
 
     # the reference builds the whole triangle, the other routes row N
-    row_routes = [entry(max_N, domain).row if entry is verify.A_ROUTES[0]
-                  else (lambda N, entry=entry: entry(N, domain)) for entry in routes]
+    row_routes = [entry.compute(max_N, domain).row if entry is verify.A_ROUTES[0]
+                  else (lambda N, entry=entry: entry.compute(N, domain)) for entry in routes]
 
     def build_row(N: int):
         values, *others = [row_of(N) for row_of in row_routes]
@@ -306,11 +306,12 @@ def run_stirling(args, command: list[str]) -> tuple[dict, int]:
 
 def run_classical(args, command: list[str]) -> tuple[dict, int]:
     max_n = args.max_n
-    values = [bernoulli.classical_row(max_n, route=r) for r in ("limit", "stirling")]
+    routes = ("limit", "stirling")
+    values = [bernoulli.classical_row(max_n, route=r) for r in routes]
     rows, all_agree = _agree_rows(values, max_n)
     payload = {
         "kind": "classical_bernoulli_second_kind",
-        "columns": ["n", "limit", "stirling", "agree"],
+        "columns": ["n", *routes, "agree"],
         "rows": rows,
         "all_agree": all_agree,
     }

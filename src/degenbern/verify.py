@@ -12,19 +12,19 @@ window that was checked, so a "pass" is a precise finite statement.
 
 The routes of each routed object (the Bernoulli row, the order-r rows,
 the coefficient triangle and the two deformed Stirling triangles) are
-listed once, in the route tables below (:class:`Route`).  The agreement
-reports and the CLI read them: which routes there are, in what order,
-under what name, up to what size, and which are skipped at λ = 0.
+listed once, in the route tables below (:class:`Route`): entry 0 is the
+reference, and any number of routes follow it.  The agreement reports
+and the CLI read them: which routes there are, in what order, under
+what name, up to what size, and which are skipped at λ = 0.
 """
 
 from __future__ import annotations
 
 import math
-import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from types import ModuleType
+from typing import Callable
 
 from .scalars import (
     Domain,
@@ -383,17 +383,15 @@ def verify_singular(
 class Route:
     """One entry of a route table.  ``name`` titles the route's
     witnesses, and its CLI column when ``cli`` is True; a string ``cli``
-    offers the route to the CLI under that name instead.  Each call
-    looks ``getattr(owner, attr)`` up anew, so a rebound name is the one
-    that runs, and passes ``fixed`` as keywords.  ``cap`` is the largest
-    size the route computes, ``report_top`` the largest its agreement
-    report runs, and ``skip_at_zero`` marks a route with no value at
-    λ = 0, where the others of its table have one."""
+    offers the route to the CLI under that name instead.  ``compute``
+    runs the route; it looks the route's function up by name each time,
+    so a rebound name is the one that runs.  ``cap`` is the largest size
+    the route computes, ``report_top`` the largest its agreement report
+    runs, and ``skip_at_zero`` marks a route with no value at λ = 0,
+    where the others of its table have one."""
 
     name: str
-    owner: ModuleType
-    attr: str
-    fixed: dict = field(default_factory=dict)
+    compute: Callable
     cap: int | None = None
     report_top: int | None = None
     skip_at_zero: bool = False
@@ -402,9 +400,6 @@ class Route:
     @property
     def column(self) -> str:
         return self.cli if isinstance(self.cli, str) else self.name
-
-    def __call__(self, *args):
-        return getattr(self.owner, self.attr)(*args, **self.fixed)
 
 
 def defined_routes(routes, domain: Domain) -> tuple[list, list]:
@@ -416,47 +411,50 @@ def defined_routes(routes, domain: Domain) -> tuple[list, list]:
 
 
 # One table per object, in the order the reports compute and compare its
-# routes; entry 0 is the reference.  The triangle routes are looked up in
-# this module, under the names its imports bind, so a name rebound here
-# reaches the reports and the CLI alike.
-_HERE = sys.modules[__name__]
+# routes; entry 0 is the reference, defined on every domain.  The
+# Bernoulli routes look their function up in the bernoulli module, the
+# triangle routes under the names this module's imports bind, so a name
+# rebound there reaches the reports and the CLI alike.
 
-# route(n_max, domain)
+# compute(n_max, domain)
 B_ROUTES = (
-    Route("series", bernoulli, "row_via_series", cli=True),
-    Route("recurrence", bernoulli, "row_via_recurrence", cli=True),
-    Route("multinomial", bernoulli, "row_via_multinomial",
+    Route("series", lambda n, d: bernoulli.row_via_series(n, d), cli=True),
+    Route("recurrence", lambda n, d: bernoulli.row_via_recurrence(n, d), cli=True),
+    Route("multinomial", lambda n, d: bernoulli.row_via_multinomial(n, d),
           cap=bernoulli.MULTINOMIAL_CAP, report_top=14, cli=True),
-    Route("a_form", bernoulli, "row_via_explicit", {"form": "a_form"}, cli="explicit"),
-    Route("stirling_form", bernoulli, "row_via_explicit", {"form": "stirling_form"}),
-    Route("falling_form", bernoulli, "row_via_explicit", {"form": "falling_form"}),
+    Route("a_form", lambda n, d: bernoulli.row_via_explicit(n, d, "a_form"), cli="explicit"),
+    Route("stirling_form", lambda n, d: bernoulli.row_via_explicit(n, d, "stirling_form")),
+    Route("falling_form", lambda n, d: bernoulli.row_via_explicit(n, d, "falling_form")),
 )
 
-# route(r, n_max, domain)
+# compute(r, n_max, domain)
 ORDER_R_ROUTES = (
-    Route("series", bernoulli, "row_higher_order", report_top=10, cli=True),
-    Route("convolution", bernoulli, "convolution_row", report_top=10, cli=True),
+    Route("series", lambda r, n, d: bernoulli.row_higher_order(r, n, d),
+          report_top=10, cli=True),
+    Route("convolution", lambda r, n, d: bernoulli.convolution_row(r, n, d),
+          report_top=10, cli=True),
 )
 
-# the reference builds the triangle, route(N_max, domain), the others row N, route(N, domain)
+# the reference's compute(N_max, domain) builds the triangle, the others' compute(N, domain) row N
 A_ROUTES = (
-    Route("recurrence", _HERE, coeff_triangle.__name__, cli=True),
-    Route("stirling", _HERE, coeff_explicit_stirling.__name__, cli=True),
-    Route("falling", _HERE, coeff_explicit_falling.__name__, skip_at_zero=True, cli=True),
-    Route("unrolled", _HERE, coeff_unrolled_recurrence.__name__),
+    Route("recurrence", lambda N, d: coeff_triangle(N, d), cli=True),
+    Route("stirling", lambda N, d: coeff_explicit_stirling(N, d), cli=True),
+    Route("falling", lambda N, d: coeff_explicit_falling(N, d), skip_at_zero=True, cli=True),
+    Route("unrolled", lambda N, d: coeff_unrolled_recurrence(N, d)),
 )
 
-# triangle -> (its row index in witnesses, its routes), route(n_max, domain)
+# triangle -> (its row index in witnesses, its routes), compute(n_max, domain)
 STIRLING_ROUTES = {
     "degenerate_second": ("n", (
-        Route("generating_function", _HERE, degenerate_stirling2.__name__,
-              {"via": "generating_function"}),
-        Route("bell_formula", _HERE, degenerate_stirling2.__name__, {"via": "bell_formula"}),
+        Route("generating_function",
+              lambda n, d: degenerate_stirling2(n, d, "generating_function")),
+        Route("bell_formula", lambda n, d: degenerate_stirling2(n, d, "bell_formula")),
     )),
     "scaled": ("N", (
-        Route("bell_formula", _HERE, scaled_stirling_triangle.__name__, {"via": "bell_formula"}),
-        Route("generating_function", _HERE, scaled_stirling_triangle.__name__,
-              {"via": "generating_function"}, skip_at_zero=True),
+        Route("bell_formula", lambda n, d: scaled_stirling_triangle(n, d, "bell_formula")),
+        Route("generating_function",
+              lambda n, d: scaled_stirling_triangle(n, d, "generating_function"),
+              skip_at_zero=True),
     )),
 }
 
@@ -466,13 +464,13 @@ def verify_route_agreement_a(N_max: int, domain: Domain = SYMBOLIC) -> IdentityR
     recurrence reference."""
     if N_max < 1:
         raise ValueError("the route agreement starts at N = 1")
-    table = A_ROUTES[0](N_max, domain)
+    table = A_ROUTES[0].compute(N_max, domain)
     routes, skipped = defined_routes(A_ROUTES[1:], domain)
 
     def checks():
         # every route's row N, then its entries in the order i -> route
         for N in range(1, N_max + 1):
-            rows = [(route.name, route(N, domain)) for route in routes]
+            rows = [(route.name, route.compute(N, domain)) for route in routes]
             for i, reference in enumerate(table.row(N)):
                 for name, row in rows:
                     yield {"i": i, "N": N, "route": name}, "reference", reference, "value", row[i]
@@ -494,14 +492,14 @@ def verify_route_agreement_b(n_max: int, domain: Domain = SYMBOLIC) -> IdentityR
         # (route, reference row, route row), each route computed only
         # once the ones before it agree; a route row sets the window
         reference, *others = B_ROUTES
-        ref = reference(top(reference), domain).values
+        ref = reference.compute(top(reference), domain).values
         for route in others:
-            yield route.name, ref, route(top(route), domain).values
+            yield route.name, ref, route.compute(top(route), domain).values
         reference, *others = ORDER_R_ROUTES
         for r in (2, 3):
-            direct = reference(r, top(reference), domain).values
+            direct = reference.compute(r, top(reference), domain).values
             for route in others:
-                yield f"order_{r}_{route.name}", direct, route(r, top(route), domain).values
+                yield f"order_{r}_{route.name}", direct, route.compute(r, top(route), domain).values
 
     checks = (
         ({"n": n, "route": route}, "reference", reference[n], "value", row[n])
@@ -526,10 +524,11 @@ def verify_route_agreement_bell(n_max: int = 10) -> IdentityReport:
         "integers": [Rational(i + 1) for i in range(n_max + 1)],
         "deformed": stirling_bell_arguments(n_max + 1, SYMBOLIC),
     }
+    via_a, via_b = "partition_sum", "generating_function"
     checks = (
         ({"n": n, "k": k, "family": fam},
-         "partition_sum", bell_partial(n, k, xs[:n - k + 1], via="partition_sum"),
-         "generating_function", bell_partial(n, k, xs[:n - k + 1], via="generating_function"))
+         via_a, bell_partial(n, k, xs[:n - k + 1], via=via_a),
+         via_b, bell_partial(n, k, xs[:n - k + 1], via=via_b))
         for n in range(n_max + 1)
         for k in range(n + 1)
         for fam, xs in families.items()
@@ -539,29 +538,26 @@ def verify_route_agreement_bell(n_max: int = 10) -> IdentityReport:
 
 
 def verify_route_agreement_stirling(n_max: int, domain: Domain = SYMBOLIC) -> IdentityReport:
-    """Both deformed second-kind triangle routes agree, and both scaled
-    triangle routes agree; a triangle with a route skipped is not
-    compared."""
-    triangles = [(triangle, index, *defined_routes(routes, domain))
+    """Every route of each deformed Stirling triangle that is defined on
+    ``domain`` agrees with the triangle's reference."""
+    triangles = [(triangle, index, routes[0], *defined_routes(routes[1:], domain))
                  for triangle, (index, routes) in STIRLING_ROUTES.items()]
 
-    def pairs():
-        # (triangle, row index name, two (route, triangle) pairs), each
-        # pair built only once the pairs before it agree
-        for triangle, index, routes, skipped in triangles:
-            if not skipped:
-                yield triangle, index, [(route.name, route(n_max, domain)) for route in routes]
+    def checks():
+        # the reference is built once it has a route to meet, and each
+        # route once the ones before it agree
+        for triangle, index, reference, routes, _ in triangles:
+            ref = reference.compute(n_max, domain) if routes else None
+            for route in routes:
+                other = route.compute(n_max, domain)
+                for n in range(n_max + 1):
+                    for k in range(n + 1):
+                        yield ({index: n, "k": k, "triangle": triangle},
+                               reference.name, ref.value(n, k), route.name, other.value(n, k))
 
-    checks = (
-        ({index: n, "k": k, "triangle": triangle},
-         name_a, a.value(n, k), name_b, b.value(n, k))
-        for triangle, index, ((name_a, a), (name_b, b)) in pairs()
-        for n in range(n_max + 1)
-        for k in range(n + 1)
-    )
-    ok, witness = _first_disagreement(checks, domain)
+    ok, witness = _first_disagreement(checks(), domain)
     params = {"max_n": n_max, "lambda": domain.describe()}
-    skipped = [f"{triangle} {name}" for triangle, _, _, names in triangles for name in names]
+    skipped = [f"{triangle} {name}" for triangle, _, _, _, names in triangles for name in names]
     details = {"skipped_routes": skipped} if skipped else None
     return IdentityReport("stirling_routes", params, ok, witness, None, details)
 

@@ -209,16 +209,20 @@ def route_choices(subcommand: str) -> tuple:
 
 
 def test_every_route_choice_names_a_library_route():
-    # run_b and run_a look their routes up through the route tables, so a
-    # renamed route must fail here rather than at a command line, and the
-    # --route choices are the table entries the CLI offers, plus "all"
+    # run_b and run_a run their routes through the route tables, so a
+    # renamed route function must fail here rather than at a command
+    # line, and the --route choices are the table entries the CLI
+    # offers, plus "all"
     from degenbern import verify
+    from degenbern.scalars import domain_from_string
 
-    tables = [verify.B_ROUTES, verify.ORDER_R_ROUTES, verify.A_ROUTES,
-              *[routes for _, routes in verify.STIRLING_ROUTES.values()]]
-    missing = [f"{entry.owner.__name__}.{entry.attr}" for table in tables for entry in table
-               if not callable(getattr(entry.owner, entry.attr, None))]
-    assert missing == []
+    dom = domain_from_string("7/3")
+    calls = [(verify.B_ROUTES, (3, dom)), (verify.ORDER_R_ROUTES, (2, 3, dom)),
+             (verify.A_ROUTES, (2, dom)),
+             *[(routes, (3, dom)) for _, routes in verify.STIRLING_ROUTES.values()]]
+    for table, args in calls:
+        for entry in table:
+            assert entry.compute(*args) is not None, entry.name
     for subcommand, table in (("b", verify.B_ROUTES), ("a", verify.A_ROUTES)):
         offered = [entry.column for entry in table if entry.cli]
         assert offered and route_choices(subcommand) == (*offered, "all")
@@ -227,12 +231,12 @@ def test_every_route_choice_names_a_library_route():
 def test_b_refuses_a_size_past_a_cap_before_any_route_runs(monkeypatch, capsys):
     # the capped multinomial route comes third in --route all, so the
     # size is refused before the routes ahead of it spend their time
-    from degenbern import verify
+    from degenbern import bernoulli
 
     calls = []
-    for owner, attr in {(entry.owner, entry.attr) for entry in verify.B_ROUTES}:
-        real = getattr(owner, attr)
-        monkeypatch.setattr(owner, attr,
+    for name in [name for name in vars(bernoulli) if name.startswith("row_via_")]:
+        real = getattr(bernoulli, name)
+        monkeypatch.setattr(bernoulli, name,
                             lambda *a, real=real, **kw: calls.append(a) or real(*a, **kw))
     assert cli.main(["b", "--max-n", "120", "--route", "all"]) == 2
     out, err = capsys.readouterr()

@@ -92,10 +92,10 @@ def test_every_traced_name_resolves():
 def test_the_tracer_reaches_the_routes_of_the_tables():
     # the route tables look a route up when they call it, so the wrappers
     # that bench/tracing.py installs after import are the ones the
-    # agreement reports run; the tracer rebinds names for the whole
-    # process, so it runs in a child
+    # agreement reports and the CLI run; the tracer rebinds names for
+    # the whole process, so it runs in a child
     code = (
-        "import importlib.util, json, sys\n"
+        "import contextlib, importlib.util, io, json, sys\n"
         "from fractions import Fraction\n"
         "sys.path.insert(0, 'src')\n"
         "spec = importlib.util.spec_from_file_location('tracing', 'bench/tracing.py')\n"
@@ -109,21 +109,31 @@ def test_the_tracer_reaches_the_routes_of_the_tables():
         "verify.verify_route_agreement_a(4, dom)\n"
         "verify.verify_route_agreement_b(6, dom)\n"
         "verify.verify_route_agreement_stirling(4, dom)\n"
-        "print(json.dumps(tracer.calls))\n"
+        "reports = dict(tracer.calls)\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    cli.main(['b', '--max-n', '6', '--lambda', '7/3', '--route', 'all'])\n"
+        "    cli.main(['a', '--max-N', '4', '--lambda', '7/3', '--route', 'all'])\n"
+        "print(json.dumps([reports, tracer.calls]))\n"
     )
     root = Path(__file__).resolve().parents[1]
     run = subprocess.run([sys.executable, "-c", code], cwd=root, capture_output=True,
                          text=True, timeout=300)
     assert run.returncode == 0, run.stderr
-    calls = json.loads(run.stdout)
+    reports, calls = json.loads(run.stdout)
+    layers = ("ode_coeffs.triangle", "ode_coeffs.entry_routes", "bernoulli.series",
+              "bernoulli.recurrence", "bernoulli.multinomial", "bernoulli.explicit",
+              "bernoulli.higher_order")
     # three row routes for N = 1..4; the convolution rows call the recurrence
-    assert {layer: calls.get(layer) for layer in (
-        "ode_coeffs.triangle", "ode_coeffs.entry_routes", "bernoulli.series",
-        "bernoulli.recurrence", "bernoulli.multinomial", "bernoulli.explicit",
-        "bernoulli.higher_order")} == {
+    assert {layer: reports.get(layer) for layer in layers} == {
         "ode_coeffs.triangle": 1, "ode_coeffs.entry_routes": 12, "bernoulli.series": 1,
         "bernoulli.recurrence": 3, "bernoulli.multinomial": 1, "bernoulli.explicit": 3,
         "bernoulli.higher_order": 4}
+    # b --route all runs the four routes the CLI offers once each, and
+    # a --route all the triangle plus the Stirling and falling rows for N = 1..4
+    assert {layer: calls.get(layer, 0) - reports.get(layer, 0) for layer in layers} == {
+        "ode_coeffs.triangle": 1, "ode_coeffs.entry_routes": 8, "bernoulli.series": 1,
+        "bernoulli.recurrence": 1, "bernoulli.multinomial": 1, "bernoulli.explicit": 1,
+        "bernoulli.higher_order": 0}
 
 
 def test_benchmark_checkers_pass_their_selftest():

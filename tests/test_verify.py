@@ -3,6 +3,7 @@ sensitivity (corrupt inputs must yield failing reports with witnesses),
 and the regression pinning the third-sum factorial-weight discrepancy."""
 
 import dataclasses
+import random
 from fractions import Fraction
 from math import comb, factorial
 
@@ -283,20 +284,21 @@ def test_rational_dot_fault_fails_the_checks_that_sum_through_it(monkeypatch):
         assert_fails_with_witness(report)
 
 
-def corrupt_power(mp, owner, index=1, hit=lambda base: True, table="powers"):
+def corrupt_power(mp, owner, index=1, hit=lambda base: True, table="powers", power=2):
     """Rebind the power table owner.<table> so that body coefficient
-    index of the square it returns moves by 1 wherever hit(base) holds."""
+    index of the power it returns of exponent ``power`` (the square by
+    default) moves by 1 wherever hit(base) holds."""
     real = getattr(owner, table)
 
     def tampered(base, count):
         out = real(base, count)
-        if count > 1 and hit(base):
-            square = out[1]
-            body = square.body if isinstance(square, LaurentSeries) else square
+        if count >= power and hit(base):
+            target = out[power - 1]
+            body = target.body if isinstance(target, LaurentSeries) else target
             coeffs = list(body.coeffs)
             coeffs[index] += 1
             bumped = series.TruncatedSeries(body.domain, coeffs)
-            out[1] = LaurentSeries(square.pole, bumped) if body is not square else bumped
+            out[power - 1] = LaurentSeries(target.pole, bumped) if body is not target else bumped
         return out
 
     mp.setattr(owner, table, tampered)
@@ -1166,13 +1168,14 @@ def bump_value(n):
     return bump
 
 
-def matrix_mutants():
+def matrix_mutants(domain):
     """(route, hit, bump, report, witness position) for every entry each
     table route returns: b for n <= 12, the order-2 and order-3 rows for
-    n <= 10 and the triangles for n <= 10.  The planted route returns
-    bump(result) on the calls whose arguments satisfy hit."""
+    n <= 10 and the triangles for n <= 10, with the reports run on
+    ``domain``.  The planted route returns bump(result) on the calls
+    whose arguments satisfy hit."""
     B, ORDER_R, A = verify_module.B_ROUTES, verify_module.ORDER_R_ROUTES, verify_module.A_ROUTES
-    b_report = ("b_routes", lambda: verify_route_agreement_b(12, MATRIX_DOMAIN))
+    b_report = ("b_routes", lambda: verify_route_agreement_b(12, domain))
     for route in B:
         for n in range(13):
             # a fault in the reference shows at the first route compared with it
@@ -1183,7 +1186,7 @@ def matrix_mutants():
             for n in range(11):
                 yield (route, lambda order, *a, r=r: order == r, bump_value(n), b_report,
                        {"n": n, "route": f"order_{r}_{ORDER_R[1].name}"})
-    a_report = ("a_routes", lambda: verify_route_agreement_a(10, MATRIX_DOMAIN))
+    a_report = ("a_routes", lambda: verify_route_agreement_a(10, domain))
     for N in range(11):
         for i in range(N + 1):
             yield (A[0], lambda *a: True, lambda t, N=N, i=i: bumped_rows(t, N, i), a_report,
@@ -1194,7 +1197,7 @@ def matrix_mutants():
                 yield (route, lambda row_N, d, N=N: row_N == N,
                        lambda row, i=i: row[:i] + (row[i] + 1,) + row[i + 1:], a_report,
                        {"i": i, "N": N, "route": route.name})
-    s_report = ("stirling_routes", lambda: verify_route_agreement_stirling(10, MATRIX_DOMAIN))
+    s_report = ("stirling_routes", lambda: verify_route_agreement_stirling(10, domain))
     for triangle, (index, routes) in verify_module.STIRLING_ROUTES.items():
         for route in routes:
             for n in range(11):
@@ -1203,26 +1206,165 @@ def matrix_mutants():
                            s_report, {index: n, "k": k, "triangle": triangle})
 
 
-def test_fault_matrix_over_the_route_tables():
-    # every route of every table moves by +1 at one entry, rebound under
-    # the table's own owner and attribute, and the agreement report that
-    # reads it must fail with its witness at that entry
-    blind, mutants = [], 0
-    for route, hit, bump, (identity, report), position in matrix_mutants():
-        real = getattr(route.owner, route.attr)
+def plant_route(mp, route, planted):
+    """Monkeypatch the route tables so that planted stands where route
+    stood."""
+    def swap(routes):
+        return tuple(planted if entry is route else entry for entry in routes)
 
-        def planted(*args, **kw):
-            out = real(*args, **kw)
-            return bump(out) if kw == route.fixed and hit(*args) else out
+    for name in ("B_ROUTES", "ORDER_R_ROUTES", "A_ROUTES"):
+        mp.setattr(verify_module, name, swap(getattr(verify_module, name)))
+    mp.setattr(verify_module, "STIRLING_ROUTES", {
+        triangle: (index, swap(routes))
+        for triangle, (index, routes) in verify_module.STIRLING_ROUTES.items()})
+
+
+def matrix_blind_spots(mutants) -> list:
+    """Plant each mutant through its entry's compute and run the report
+    that reads the route; the (report, route, position) of each mutant
+    whose report passes or puts its witness elsewhere."""
+    blind = []
+    for route, hit, bump, (identity, report), position in mutants:
+        def compute(*args, real=route.compute, hit=hit, bump=bump):
+            out = real(*args)
+            return bump(out) if hit(*args) else out
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(route.owner, route.attr, planted)
+            plant_route(mp, route, dataclasses.replace(route, compute=compute))
             result = report()
-        mutants += 1
         assert result.identity == identity
         witness = result.witness or {}
         if result.verdict or {key: witness.get(key) for key in position} != position:
             blind.append((identity, route.name,
                           {key: value for key, value in position.items() if key != "route"}))
-    assert mutants == 647
-    assert blind == MATRIX_BLIND_SPOTS
+    return blind
+
+
+def test_fault_matrix_over_the_route_tables():
+    # every route of every table moves by +1 at one entry, planted in the
+    # entry's compute in a copy of its table, and the agreement report
+    # that reads it must fail with its witness at that entry
+    mutants = list(matrix_mutants(MATRIX_DOMAIN))
+    assert len(mutants) == 647
+    assert matrix_blind_spots(mutants) == MATRIX_BLIND_SPOTS
+
+
+def test_seeded_symbolic_sample_of_the_route_table_matrix():
+    # the same walk over Q[λ], at 12 mutants of each table drawn with a
+    # fixed seed, since the whole walk takes too long symbolically
+    stirling = [route for _, routes in verify_module.STIRLING_ROUTES.values() for route in routes]
+    tables = [verify_module.B_ROUTES, verify_module.ORDER_R_ROUTES, verify_module.A_ROUTES,
+              stirling]
+    mutants = list(matrix_mutants(SYMBOLIC))
+    rng = random.Random(31)
+    sample = [mutant for table in tables for mutant in rng.sample(
+        [mutant for mutant in mutants if any(mutant[0] is route for route in table)], 12)]
+    assert len(sample) == 48
+    sampled = [(identity, route.name, {k: v for k, v in position.items() if k != "route"})
+               for route, _, _, (identity, _), position in sample]
+    assert matrix_blind_spots(sample) == [spot for spot in sampled if spot in MATRIX_BLIND_SPOTS]
+
+
+def test_a_table_takes_a_third_route(monkeypatch, capsys):
+    # a table is its reference plus any number of routes: a third route
+    # of the deformed Stirling triangle and of the order-r rows is
+    # compared, a +1 in it fails the report with a witness that names
+    # it, and the order-r CLI error names every entry
+    from degenbern import cli
+
+    index, routes = verify_module.STIRLING_ROUTES["degenerate_second"]
+    third = verify_module.Route("third", lambda n, d: degenerate_stirling2(n, d, "bell_formula"))
+    monkeypatch.setitem(verify_module.STIRLING_ROUTES, "degenerate_second",
+                        (index, (*routes, third)))
+    assert verify_route_agreement_stirling(4, MATRIX_DOMAIN).verdict
+    planted = dataclasses.replace(
+        third, compute=lambda n, d: bumped_rows(degenerate_stirling2(n, d), 3, 2))
+    monkeypatch.setitem(verify_module.STIRLING_ROUTES, "degenerate_second",
+                        (index, (*routes, planted)))
+    witness = verify_route_agreement_stirling(4, MATRIX_DOMAIN).witness
+    assert list(witness) == ["n", "k", "triangle", "generating_function", "third"]
+    assert witness["third"] != witness["generating_function"]
+    assert (witness["n"], witness["k"]) == (3, 2)
+
+    third = verify_module.Route(
+        "third", lambda r, n, d: bump_value(2)(bernoulli.row_higher_order(r, n, d)))
+    monkeypatch.setattr(verify_module, "ORDER_R_ROUTES", (*verify_module.ORDER_R_ROUTES, third))
+    witness = verify_route_agreement_b(4, MATRIX_DOMAIN).witness
+    assert (witness["n"], witness["route"]) == (2, "order_2_third")
+    assert cli.main(["b", "--max-n", "3", "--order-r", "2", "--route", "recurrence"]) == 2
+    assert capsys.readouterr().err == (
+        "error: for --order-r other than 1 only the series route (and its convolution and "
+        "third cross-check via --route all) is defined\n")
+
+
+# ---------------------------------------------------------------------------
+# the fault-injection matrix over the identity suites
+
+SUITE_MATRIX_SIZE = {"ode": 6, "cor34": 8, "thm41": 4, "cor42": 4}
+
+# the triangle rows each identity suite reads at its size above
+SUITE_MATRIX_ROWS = {"ode": range(1, 7), "cor34": range(9), "thm41": range(5), "cor42": range(1, 5)}
+
+# (suite, what was planted, position) of the +1 faults the walk below
+# plants that no report of the suite catches: cor34 reads entries
+# 1..n-1 of its top row n only ((n, 0) cancels and (n, n) is never
+# read), and cor42's sums read c_0(N) of its top row N only at l >= 0,
+# past every singular exponent j <= -1
+SUITE_MATRIX_BLIND_SPOTS = [
+    ("cor34", "c", {"N": 8, "i": 0}),
+    ("cor34", "c", {"N": 8, "i": 8}),
+    ("cor42", "c", {"N": 4, "i": 0}),
+]
+
+
+def suite_matrix_reports(suite: str) -> list:
+    size = SUITE_MATRIX_SIZE[suite]
+    return verify_module.suite_reports((suite,), MATRIX_DOMAIN, size, size,
+                                       verify_module.default_order(size, size), 4)
+
+
+def reconstruction_reads(suite: str) -> list:
+    """(r, idx) of every series coefficient b^(r)_idx / idx! that the
+    suite's reconstruction sums read: at (j, N), order r <= N + 1
+    through idx = j + min(r, N), and thm41's value b^(1)_(j+N)."""
+    top = SUITE_MATRIX_SIZE[suite]
+    if suite == "thm41":
+        pairs = [(j, N) for N in range(1, top + 1) for j in range(5)]
+    else:
+        pairs = [(j, N) for N in range(2, top + 1) for j in range(-(N - 1), 0)]
+    reads = {(r, idx) for j, N in pairs for r in range(1, N + 2) for idx in range(j + min(r, N) + 1)}
+    if suite == "thm41":
+        reads |= {(1, j + N) for j, N in pairs}
+    return sorted(reads)
+
+
+def test_fault_matrix_over_the_identity_suites():
+    # a +1 in one coefficient-triangle entry, or in one series
+    # coefficient of a power (t / log_λ(1+t))**r, that a suite reads must
+    # fail at least one report of that suite
+    suites = tuple(SUITE_MATRIX_SIZE)
+    assert all(r.verdict for suite in suites for r in suite_matrix_reports(suite))
+    real = coeff_triangle
+    blind, mutants = [], 0
+    for suite in suites:
+        for N in SUITE_MATRIX_ROWS[suite]:
+            for i in range(N + 1):
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(verify_module, "coeff_triangle",
+                               lambda n, d, N=N, i=i: bumped_rows(real(n, d), N, i))
+                    reports = suite_matrix_reports(suite)
+                mutants += 1
+                if all(report.verdict for report in reports):
+                    blind.append((suite, "c", {"N": N, "i": i}))
+    for suite in ("thm41", "cor42"):
+        for r, idx in reconstruction_reads(suite):
+            with pytest.MonkeyPatch.context() as mp:
+                # the context's powers are of a truncated series, the ode suite's of a Laurent one
+                corrupt_power(mp, verify_module, idx,
+                              lambda base: not isinstance(base, LaurentSeries), power=r)
+                reports = suite_matrix_reports(suite)
+            mutants += 1
+            if all(report.verdict for report in reports):
+                blind.append((suite, "b", {"r": r, "idx": idx}))
+    assert mutants == 157
+    assert blind == SUITE_MATRIX_BLIND_SPOTS
