@@ -3,7 +3,9 @@ verification runs.
 
 Every command emits a single OutputDocument.  Documents are
 byte-deterministic: dict insertion order is fixed by construction, and
-no timestamps or environment data are included.
+no timestamps or environment data are included.  CSV and LaTeX render
+every document from one grid, columns plus rows of rendered cells: a
+table's own, or one row per report of a verification run.
 """
 
 from __future__ import annotations
@@ -14,14 +16,11 @@ import io
 import json
 import sys
 
-from . import __version__, bernoulli, verify
+from . import __version__, bernoulli, scalars, verify
 from .scalars import (
     EvaluatedDomain,
     Rational,
     domain_from_string,
-    scalar_to_json,
-    scalar_to_latex,
-    scalar_to_text,
 )
 from .combinatorics import (
     degenerate_stirling2,
@@ -38,33 +37,22 @@ class CLIError(Exception):
 # ---------------------------------------------------------------------------
 # cells and emitters
 
-
-def cell_to_json(cell):
-    if cell is None or isinstance(cell, bool):
-        return cell
-    if isinstance(cell, int):
-        return cell
-    return scalar_to_json(cell)
-
-
-def cell_to_text(cell) -> str:
-    if cell is None:
-        return ""
-    if isinstance(cell, bool):
-        return "true" if cell else "false"
-    if isinstance(cell, int):
-        return str(cell)
-    return scalar_to_text(cell)
+# per format: how a None, a False and a True cell read, what an int
+# becomes, and the name of the scalar renderer in the scalars module,
+# looked up once per row so that a rebound renderer is the one called
+_CELL_FORMS = {
+    "json": (None, False, True, int, "scalar_to_json"),
+    "csv": ("", "false", "true", str, "scalar_to_text"),
+    "latex": ("", r"\mathrm{false}", r"\mathrm{true}", str, "scalar_to_latex"),
+}
 
 
-def cell_to_latex(cell) -> str:
-    if cell is None:
-        return ""
-    if isinstance(cell, bool):
-        return r"\mathrm{true}" if cell else r"\mathrm{false}"
-    if isinstance(cell, int):
-        return str(cell)
-    return scalar_to_latex(cell)
+def _render_row(row: list, fmt: str) -> list:
+    """Each cell of a table row as format fmt writes it."""
+    none, false, true, whole, name = _CELL_FORMS[fmt]
+    scalar = getattr(scalars, name)
+    return [none if cell is None else (true if cell else false) if isinstance(cell, bool)
+            else whole(cell) if isinstance(cell, int) else scalar(cell) for cell in row]
 
 
 def make_document(command: list[str], lam_desc, order, payload: dict) -> dict:
@@ -79,15 +67,11 @@ def make_document(command: list[str], lam_desc, order, payload: dict) -> dict:
 
 
 def emit_json(doc: dict) -> str:
-    body = dict(doc)
-    payload = dict(doc["payload"])
+    payload = doc["payload"]
     if "rows" in payload:
-        payload["rows"] = [
-            [cell_to_json(c) for c in row] for row in payload["rows"]
-        ]
-    body["payload"] = payload
+        payload = {**payload, "rows": [_render_row(row, "json") for row in payload["rows"]]}
     out: list[str] = []
-    _write_json(body, "", out)
+    _write_json({**doc, "payload": payload}, "", out)
     out.append("\n")
     return "".join(out)
 
@@ -119,85 +103,83 @@ def _write_json(value, indent: str, out: list) -> None:
         out.append(json.dumps(value))
 
 
-def emit_csv(doc: dict) -> str:
-    payload = doc["payload"]
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n", quoting=csv.QUOTE_ALL)
-    if "reports" in payload:
-        writer.writerow(["identity", "parameters", "verdict", "witness"])
-        for rep in payload["reports"]:
-            params = ";".join(f"{k}={v}" for k, v in rep["parameters"].items())
-            witness = (
-                json.dumps(rep["witness"], separators=(",", ":"))
-                if rep["witness"] is not None
-                else ""
-            )
-            writer.writerow([rep["identity"], params, rep["verdict"], witness])
-    else:
-        writer.writerow(payload["columns"])
-        for row in payload["rows"]:
-            writer.writerow([cell_to_text(c) for c in row])
-    return buf.getvalue()
-
-
 def _latex_escape(name: str) -> str:
     return name.replace("_", r"\_")
 
 
+def _grid(payload: dict, fmt: str) -> tuple[list, list]:
+    """The columns and the rows of rendered cells that the CSV or LaTeX
+    emitter lays out: a table's own, or one row per verification report
+    (identity, parameters, verdict and, in CSV, the witness as compact
+    JSON)."""
+    if "reports" not in payload:
+        return payload["columns"], [_render_row(row, fmt) for row in payload["rows"]]
+    latex = fmt == "latex"
+    escape, sep = (_latex_escape, "; ") if latex else (str, ";")
+    rows = []
+    for rep in payload["reports"]:
+        params = sep.join(f"{k}={v}" for k, v in rep["parameters"].items())
+        row = [escape(rep["identity"]), escape(params), rep["verdict"]]
+        if not latex:
+            witness = rep["witness"]
+            row.append("" if witness is None else json.dumps(witness, separators=(",", ":")))
+        rows.append(row)
+    return ["identity", "parameters", "verdict", "witness"][:3 if latex else 4], rows
+
+
+def emit_csv(doc: dict) -> str:
+    columns, rows = _grid(doc["payload"], "csv")
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n", quoting=csv.QUOTE_ALL)
+    writer.writerows([columns, *rows])
+    return buf.getvalue()
+
+
+# each character str.splitlines ends a line at, as its escape sequence
+_LINE_BREAKS = str.maketrans(
+    {c: c.encode("unicode_escape").decode() for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"})
+
+
 def emit_latex(doc: dict) -> str:
-    payload = doc["payload"]
-    lam = doc["lambda"]
-    head = [
+    columns, rows = _grid(doc["payload"], "latex")
+    lam, order = doc["lambda"], doc["order"]
+    lines = [
         f"% degenbern {__version__}",
-        f"% command: {' '.join(doc['command'])}",
+        # escaped, so that every header line stays a comment
+        f"% command: {' '.join(doc['command']).translate(_LINE_BREAKS)}",
         f"% lambda: {lam if lam is not None else '-'}"
-        + (f", order: {doc['order']}" if doc["order"] is not None else ""),
+        + (f", order: {order}" if order is not None else ""),
+        *[f"% note: {note}" for note in doc["payload"].get("notes", ())],
+        r"\begin{tabular}{" + "l" * len(columns) + "}",
+        " & ".join(map(_latex_escape, columns)) + r" \\",
+        r"\hline",
+        *[" & ".join(row) + r" \\" for row in rows],
+        r"\end{tabular}",
     ]
-    lines = list(head)
-    if "reports" in payload:
-        lines.append(r"\begin{tabular}{lll}")
-        lines.append(r"identity & parameters & verdict \\")
-        lines.append(r"\hline")
-        for rep in payload["reports"]:
-            params = "; ".join(f"{k}={v}" for k, v in rep["parameters"].items())
-            lines.append(
-                f"{_latex_escape(rep['identity'])} & {_latex_escape(params)}"
-                f" & {rep['verdict']} \\\\"
-            )
-        lines.append(r"\end{tabular}")
-    else:
-        cols = payload["columns"]
-        lines.append(r"\begin{tabular}{" + "l" * len(cols) + "}")
-        lines.append(" & ".join(_latex_escape(c) for c in cols) + r" \\")
-        lines.append(r"\hline")
-        for row in payload["rows"]:
-            lines.append(" & ".join(cell_to_latex(c) for c in row) + r" \\")
-        lines.append(r"\end{tabular}")
     return "\n".join(lines) + "\n"
 
 
 def emit(doc: dict, fmt: str) -> str:
-    if fmt == "json":
-        return emit_json(doc)
-    if fmt == "csv":
-        return emit_csv(doc)
-    if fmt == "latex":
-        return emit_latex(doc)
-    raise CLIError(f"unknown format {fmt!r}")
+    if fmt not in _CELL_FORMS:
+        raise CLIError(f"unknown format {fmt!r}")
+    return globals()["emit_" + fmt](doc)
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def _agree_rows(columns_values: list, max_n: int) -> tuple[list, bool]:
-    """Rows [n, values..., agree] for n = 0..max_n, where agree says every
-    route's value equals the first one's, and whether all rows agree."""
-    rows = []
-    for n in range(max_n + 1):
-        values = [vals[n] for vals in columns_values]
-        rows.append([n, *values, all(v == values[0] for v in values[1:])])
-    return rows, all(row[-1] for row in rows)
+def _route_rows(names, values: list) -> dict:
+    """The columns and the rows [n, one value per route] for n = 0, 1, ...
+    of the routes' rows; when more than one route ran, also an agree
+    column, saying a row's values equal the first route's, and all_agree."""
+    rows = [[n, *row] for n, row in enumerate(zip(*values, strict=True))]
+    if len(names) == 1:
+        return {"columns": ["n", *names], "rows": rows}
+    for row in rows:
+        row.append(all(value == row[1] for value in row[2:]))
+    return {"columns": ["n", *names, "agree"], "rows": rows,
+            "all_agree": all(row[-1] for row in rows)}
 
 
 def _offered(table, route: str) -> list:
@@ -222,23 +204,10 @@ def run_b(args, command: list[str]) -> tuple[dict, int]:
     for entry in routes:
         if entry.cap is not None:
             bernoulli.check_cap(entry.name, max_n, entry.cap)
-    columns_values = [entry.compute(*lead, max_n, domain).values for entry in routes]
-    names = [entry.column for entry in routes]
-    with_agree = len(names) > 1
-    if with_agree:
-        rows, all_agree = _agree_rows(columns_values, max_n)
-    else:
-        rows = [[n, value] for n, value in enumerate(columns_values[0])]
-    payload = {
-        "kind": "bernoulli_second_kind",
-        "order_r": r,
-        "columns": ["n"] + names + (["agree"] if with_agree else []),
-        "rows": rows,
-    }
-    if with_agree:
-        payload["all_agree"] = all_agree
-    doc = make_document(command, domain.describe(), max_n + 1, payload)
-    return doc, 0
+    values = [entry.compute(*lead, max_n, domain).values for entry in routes]
+    payload = {"kind": "bernoulli_second_kind", "order_r": r,
+               **_route_rows([entry.column for entry in routes], values)}
+    return make_document(command, domain.describe(), max_n + 1, payload), 0
 
 
 def run_a(args, command: list[str]) -> tuple[dict, int]:
@@ -279,8 +248,7 @@ def run_a(args, command: list[str]) -> tuple[dict, int]:
             payload["notes"] = [
                 f"{name} route skipped: undefined at lambda = 0" for name in skipped
             ]
-    doc = make_document(command, domain.describe(), None, payload)
-    return doc, 0
+    return make_document(command, domain.describe(), None, payload), 0
 
 
 def run_stirling(args, command: list[str]) -> tuple[dict, int]:
@@ -300,23 +268,15 @@ def run_stirling(args, command: list[str]) -> tuple[dict, int]:
         "columns": ["n"] + [f"k={k}" for k in range(max_n + 1)],
         "rows": rows,
     }
-    doc = make_document(command, lam_desc, None, payload)
-    return doc, 0
+    return make_document(command, lam_desc, None, payload), 0
 
 
 def run_classical(args, command: list[str]) -> tuple[dict, int]:
     max_n = args.max_n
     routes = ("limit", "stirling")
     values = [bernoulli.classical_row(max_n, route=r) for r in routes]
-    rows, all_agree = _agree_rows(values, max_n)
-    payload = {
-        "kind": "classical_bernoulli_second_kind",
-        "columns": ["n", *routes, "agree"],
-        "rows": rows,
-        "all_agree": all_agree,
-    }
-    doc = make_document(command, "0", max_n + 1, payload)
-    return doc, 0
+    payload = {"kind": "classical_bernoulli_second_kind", **_route_rows(routes, values)}
+    return make_document(command, "0", max_n + 1, payload), 0
 
 
 def run_verify(args, command: list[str]) -> tuple[dict, int]:
@@ -341,8 +301,7 @@ def run_verify(args, command: list[str]) -> tuple[dict, int]:
         "reports": [r.to_json_dict() for r in reports],
         "all_pass": all_pass,
     }
-    doc = make_document(command, domain.describe(), order, payload)
-    return doc, 0 if all_pass else 1
+    return make_document(command, domain.describe(), order, payload), 0 if all_pass else 1
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from degenbern import IdentityReport, scalar_from_json, scalar_to_text
+from degenbern import IdentityReport, scalar_from_json, scalar_to_latex, scalar_to_text
 from degenbern import cli
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -31,6 +31,9 @@ GOLDENS = [
     ("verify_ode.json", ["verify", "--suite", "ode", "--max-N", "3", "--format", "json"]),
     ("verify_cor42.csv", ["verify", "--suite", "cor42", "--max-N", "4", "--format", "csv"]),
     ("verify_thm41.csv", ["verify", "--suite", "thm41", "--max-N", "2", "--max-j", "2", "--format", "csv"]),
+    ("verify_cor42.tex", ["verify", "--suite", "cor42", "--max-N", "3", "--format", "latex"]),
+    ("b_routes_7_3.tex", ["b", "--max-n", "3", "--lambda", "7/3", "--route", "all", "--format", "latex"]),
+    ("a_routes_zero.csv", ["a", "--max-N", "3", "--route", "all", "--lambda", "0", "--format", "csv"]),
 ]
 
 
@@ -59,28 +62,82 @@ def test_golden(name, argv, bless):
     assert out == path.read_text()
 
 
+def test_a_failing_report_emits_as_csv_and_latex():
+    # a report with a nested witness: CSV carries the witness as compact
+    # JSON, LaTeX leaves it out and escapes the identity's underscores
+    report = IdentityReport(
+        identity="thm_4_1",
+        parameters={"N": 2, "j": 1, "lambda": "7/3"},
+        verdict=False,
+        witness={"exponent": -1, "lhs": ["1/2", "-1/3"],
+                 "rhs": {"value": "0", "terms": [1, None, True]}},
+    )
+    payload = {"kind": "verification", "suite": "thm41",
+               "reports": [report.to_json_dict()], "all_pass": False}
+    doc = cli.make_document(["verify", "--suite", "thm41"], "7/3", 6, payload)
+    assert cli.emit(doc, "csv") == (
+        '"identity","parameters","verdict","witness"\n'
+        '"thm_4_1","N=2;j=1;lambda=7/3","fail",'
+        '"{""exponent"":-1,""lhs"":[""1/2"",""-1/3""],'
+        '""rhs"":{""value"":""0"",""terms"":[1,null,true]}}"\n'
+    )
+    assert cli.emit(doc, "latex") == (
+        "% degenbern 0.1.0\n"
+        "% command: verify --suite thm41\n"
+        "% lambda: 7/3, order: 6\n"
+        "\\begin{tabular}{lll}\n"
+        "identity & parameters & verdict \\\\\n"
+        "\\hline\n"
+        "thm\\_4\\_1 & N=2; j=1; lambda=7/3 & fail \\\\\n"
+        "\\end{tabular}\n"
+    )
+
+
 def test_repeated_runs_are_byte_identical():
     # negative rationals use the = form so argparse does not read a flag
     argv = ["b", "--max-n", "6", "--lambda=-1/3", "--route", "all"]
     assert run_cli(argv).stdout == run_cli(argv).stdout
 
 
-def test_json_and_csv_agree_on_values():
-    argv = ["b", "--max-n", "5", "--lambda", "sym", "--route", "all"]
+# every table command, by id; each runs in all three formats
+AGREEMENT_CASES = {
+    "b_all_sym": ["b", "--max-n", "5", "--lambda", "sym", "--route", "all"],
+    "b_all_7_3": ["b", "--max-n", "5", "--lambda", "7/3", "--route", "all"],
+    "b_r2_all": ["b", "--max-n", "4", "--lambda", "1/2", "--order-r", "2", "--route", "all"],
+    "a_all": ["a", "--max-N", "4", "--route", "all"],
+    "stirling_first": ["stirling", "--kind", "first", "--max-n", "4"],
+    "stirling_deg2": ["stirling", "--kind", "deg2", "--max-n", "4"],
+    "stirling_scaled_deg2": ["stirling", "--kind", "scaled-deg2", "--max-n", "4"],
+    "classical": ["classical", "--max-n", "5"],
+}
+
+
+def render_json_cell(cell, false: str, true: str, scalar) -> str:
+    if cell is None:
+        return ""
+    if isinstance(cell, bool):
+        return true if cell else false
+    if isinstance(cell, int):
+        return str(cell)
+    return scalar(scalar_from_json(cell))
+
+
+@pytest.mark.parametrize("argv", AGREEMENT_CASES.values(), ids=AGREEMENT_CASES.keys())
+def test_json_and_csv_agree_on_values(argv):
+    # each CSV and LaTeX cell is the rendering of its JSON cell
     doc = json.loads(run_cli(argv + ["--format", "json"]).stdout)
-    text = run_cli(argv + ["--format", "csv"]).stdout
-    rows = list(csv.reader(io.StringIO(text)))
-    assert rows[0] == doc["payload"]["columns"]
-    for json_row, csv_row in zip(doc["payload"]["rows"], rows[1:]):
-        rendered = []
-        for cell in json_row:
-            if isinstance(cell, bool):
-                rendered.append("true" if cell else "false")
-            elif isinstance(cell, int):
-                rendered.append(str(cell))
-            else:
-                rendered.append(scalar_to_text(scalar_from_json(cell)))
-        assert rendered == csv_row
+    columns, json_rows = doc["payload"]["columns"], doc["payload"]["rows"]
+    assert any(None in row for row in json_rows) == (argv[0] in ("a", "stirling"))
+    csv_rows = list(csv.reader(io.StringIO(run_cli(argv + ["--format", "csv"]).stdout)))
+    assert csv_rows[0] == columns
+    assert csv_rows[1:] == [[render_json_cell(c, "false", "true", scalar_to_text) for c in row]
+                            for row in json_rows]
+    lines = run_cli(argv + ["--format", "latex"]).stdout.splitlines()
+    begin = lines.index(r"\begin{tabular}{" + "l" * len(columns) + "}")
+    assert lines[begin + 1:begin + 3] == [" & ".join(columns) + r" \\", r"\hline"]
+    assert lines[begin + 3:] == [
+        " & ".join(render_json_cell(c, r"\mathrm{false}", r"\mathrm{true}", scalar_to_latex)
+                   for c in row) + r" \\" for row in json_rows] + [r"\end{tabular}"]
 
 
 def test_verify_exit_zero_on_pass():
@@ -273,6 +330,38 @@ def test_a_at_lambda_zero_skips_falling_with_note():
     doc = json.loads(proc.stdout)
     assert doc["payload"]["all_agree"] is True
     assert doc["payload"]["notes"] == ["falling route skipped: undefined at lambda = 0"]
+
+
+def test_a_at_lambda_zero_prints_its_note_in_latex():
+    # CSV has no comment syntax and carries no notes
+    argv = ["a", "--max-N", "3", "--lambda", "0", "--route", "all", "--format"]
+    lines = run_cli(argv + ["latex"]).stdout.splitlines()
+    assert lines[2:5] == ["% lambda: 0", "% note: falling route skipped: undefined at lambda = 0",
+                          r"\begin{tabular}{llllll}"]
+    assert "falling" not in run_cli(argv + ["csv"]).stdout
+
+
+@pytest.mark.parametrize("lam,shown", [("1/2\n", r"1/2\n"), ("1/2\u2028", r"1/2\u2028")],
+                         ids=["newline", "line_separator"])
+def test_a_line_break_in_an_argument_stays_in_the_latex_comment(capsys, lam, shown):
+    # the parser strips the whitespace around a rational, so the command
+    # runs; its LaTeX header shows the break escaped, its JSON as given
+    argv = ["b", "--max-n", "2", "--lambda", lam, "--format"]
+    assert cli.main(argv + ["latex"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1] == f"% command: b --max-n 2 --lambda {shown} --format latex"
+    assert lines[2:4] == ["% lambda: 1/2, order: 3", r"\begin{tabular}{ll}"]
+    assert cli.main(argv + ["json"]) == 0
+    assert json.loads(capsys.readouterr().out)["command"] == argv + ["json"]
+
+
+def test_the_latex_header_escapes_every_line_break():
+    breaks = [chr(c) for c in range(sys.maxunicode + 1) if len(f"a{chr(c)}b".splitlines()) > 1]
+    assert "\n" in breaks and "\u2028" in breaks
+    doc = cli.make_document(["b", *breaks, "\r\n"], "sym", 1,
+                            {"columns": ["n"], "rows": [[0]]})
+    lines = cli.emit(doc, "latex").splitlines()
+    assert len(lines) == 8 and all(line.startswith("%") for line in lines[:3])
 
 
 def test_version_flag():
